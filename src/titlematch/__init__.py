@@ -38,7 +38,6 @@ from .scoring import (
     field_weight,
     ir_score,
     select_clusters,
-    universe_insert,
 )
 from .textprep import (
     AnalyzedTitle,
@@ -103,6 +102,5 @@ __all__ = [
     "select_clusters",
     "signature",
     "truncate_for_variant",
-    "universe_insert",
     "verify_universe",
 ]

@@ -9,7 +9,7 @@ Subcommands:
 
 Parameter precedence is defaults < config file < flags: `--config file.json`
 presets any of the parameter flags (alpha, b, k, tau, variant, distance,
-verify_metric, threads, format, units, no_verify, seedless) and an explicit
+verify_metric, threads, format, units, no_verify) and an explicit
 flag on the command line wins over the file.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
@@ -91,7 +91,6 @@ _PARAM_DEFAULTS = {
     "distance": "squared",
     "threads": 1,
     "no_verify": False,
-    "seedless": False,
 }
 
 _CHOICE_KEYS = {
@@ -119,7 +118,7 @@ def _apply_config(args) -> None:
         if not hasattr(args, key):
             continue
         current = getattr(args, key)
-        if current is _UNSET or (key in ("no_verify", "seedless") and current is False):
+        if current is _UNSET or (key == "no_verify" and current is False):
             if key in data:
                 value = data[key]
                 if key == "k":
@@ -132,7 +131,7 @@ def _apply_config(args) -> None:
                     value = float(value)
                 elif key == "threads":
                     value = int(value)
-                elif key in ("no_verify", "seedless"):
+                elif key == "no_verify":
                     value = bool(value)
                 setattr(args, key, value)
             else:
@@ -208,11 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_match.add_argument("--clusters", default=None, help="write product_id,cluster_id CSV here")
     p_match.add_argument("--threads", type=int, default=_UNSET, help="scoring worker threads")
-    p_match.add_argument(
-        "--seedless",
-        action="store_true",
-        help="assert the run uses fixed hashes and no randomness (always true)",
-    )
     _add_output_args(p_match)
     p_match.set_defaults(func=cmd_match)
 
@@ -234,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_base.add_argument(
         "--threads", type=int, default=_UNSET, help="pair evaluation worker threads"
     )
-    p_base.add_argument("--seedless", action="store_true", help="assert deterministic execution")
     _add_output_args(p_base)
     p_base.set_defaults(func=cmd_baseline)
 

@@ -8,8 +8,9 @@ a title can still be brought together.
 A combination's signature is a 64-bit FNV-1a hash of its canonical key: the
 member token IDs sorted ascending and joined by single spaces in decimal.
 Equal token multisets therefore hash identically regardless of token order.
-Hash collisions are resolved by comparing canonical keys on lookup; equality
-never depends on the hash being perfect.
+The index groups records by the exact sorted-ID key, never by the hash, so
+equality does not depend on the hash being perfect; signatures serve scoring
+tie-breaks and snapshots only.
 """
 
 from __future__ import annotations

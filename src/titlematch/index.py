@@ -2,33 +2,34 @@
 forward index.
 
 Tokens are interned in first-encounter order and carry a product frequency
-f_w plus the semantics seen at first encounter. Combinations are deduplicated
-through their order-invariant signatures: a signature hit increments the
-frequency f_c and grows the positional distance accumulator d_acc; a miss
-inserts a new record. Canonical keys (the sorted-ID sequences the signatures
-hash) disambiguate the rare signature collision, so correctness never rests
-on the hash alone.
+f_w plus the semantics seen at first encounter. Combinations are grouped by
+their exact key, the sorted member-ID sequence, in one whole-array pass per
+combination size k: every instance's key row is gathered, the rows are
+dense-ranked lexicographically, and the frequency f_c and the positional
+distance accumulator d_acc of each distinct key come from np.bincount.
+Records are therefore ordered by (k, key). Equality never rests on a hash;
+the 64-bit FNV-1a signature is computed once per distinct key and serves
+scoring tie-breaks and snapshots only.
 
-Titles of equal token count are processed in batches so the per-combination
-work (subset gather, member sort, signature hash, positional distance) runs
-as whole-array operations; only the lexicon bookkeeping is sequential. The
-batch order is fixed (ascending title length, file order within a batch),
-which makes record IDs, frequencies and accumulators reproducible run to run.
-With the default squared distance the accumulator is integral and therefore
-exact regardless of batch layout.
+Within one k, instances are laid out by ascending title length, file order
+within a length and enumeration order within a title; bincount sums d_acc in
+that order, so the accumulators are reproducible run to run. With the
+default squared distance the accumulator is integral and therefore exact.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .combinatorics import (
     Combination,
     canonical_key,
+    count_combinations,
     pattern_distances,
     position_patterns,
     signature_rows,
@@ -37,6 +38,7 @@ from .ingest import Dataset, RawProduct
 from .textprep import (
     AnalyzedTitle,
     Semantics,
+    TitleNormalizationError,
     Token,
     UnitLexicon,
     analyze_title,
@@ -45,9 +47,6 @@ from .textprep import (
 
 SNAPSHOT_FORMAT = "titlematch-index"
 SNAPSHOT_VERSION = 1
-
-# Rows per vectorized batch in the combination pass.
-_ROW_BUDGET = 1 << 18
 
 DISTANCE_MODES = ("squared", "euclidean")
 
@@ -114,95 +113,40 @@ class CombinationRecord:
         return canonical_key(self.key_ids)
 
 
-class CombinationLexicon:
-    """Signature-keyed store of combination records (columnar).
+def _empty(dtype) -> np.ndarray:
+    return np.empty(0, dtype=dtype)
 
-    Canonical keys are kept as little-endian int32 byte strings of the sorted
-    member IDs; that keeps the store compact and makes the equality check in
-    the hot insertion loop a plain bytes comparison.
+
+@dataclass
+class CombinationLexicon:
+    """Combination records as numpy columns, ordered by (k, key).
+
+    Record i has signature sigs[i], frequency f_c[i], distance accumulator
+    d_acc[i] and size k[i]; its sorted member IDs are
+    key_flat[key_offsets[i] : key_offsets[i + 1]].
     """
 
-    def __init__(self) -> None:
-        self._sig_to_idx: Dict[int, object] = {}
-        self.keys: List[bytes] = []
-        self.sigs: List[int] = []
-        self.f_c: List[int] = []
-        self.d_acc: List[float] = []
-        self.k: List[int] = []
-        self.collisions_resolved = 0
+    sigs: np.ndarray = field(default_factory=lambda: _empty(np.uint64))
+    f_c: np.ndarray = field(default_factory=lambda: _empty(np.int64))
+    d_acc: np.ndarray = field(default_factory=lambda: _empty(np.float64))
+    k: np.ndarray = field(default_factory=lambda: _empty(np.int64))
+    key_flat: np.ndarray = field(default_factory=lambda: _empty(np.int32))
+    key_offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.f_c)
 
-    @staticmethod
-    def pack_ids(ids: Sequence[int]) -> bytes:
-        return np.asarray(ids, dtype="<i4").tobytes()
-
     def ids_of(self, idx: int) -> List[int]:
-        return np.frombuffer(self.keys[idx], dtype="<i4").tolist()
+        return self.key_flat[self.key_offsets[idx] : self.key_offsets[idx + 1]].tolist()
 
     def record(self, idx: int) -> CombinationRecord:
         return CombinationRecord(
             index=idx,
-            signature=self.sigs[idx],
+            signature=int(self.sigs[idx]),
             key_ids=tuple(self.ids_of(idx)),
-            f_c=self.f_c[idx],
-            d_acc=self.d_acc[idx],
-            k=self.k[idx],
-        )
-
-    def lookup(self, sig: int, ids: Sequence[int]) -> Optional[int]:
-        """Find the record for a signature, disambiguating by canonical IDs."""
-        key = self.pack_ids(sorted(ids))
-        v = self._sig_to_idx.get(sig)
-        if v is None:
-            return None
-        if isinstance(v, int):
-            return v if self.keys[v] == key else None
-        for idx in v:
-            if self.keys[idx] == key:
-                return idx
-        return None
-
-    def observe(self, sig: int, ids: Sequence[int], d: float) -> int:
-        """Record one combination occurrence; returns its record index."""
-        return self._observe_packed(sig, self.pack_ids(sorted(ids)), len(ids), d)
-
-    def _observe_packed(self, sig: int, key: bytes, k: int, d: float) -> int:
-        v = self._sig_to_idx.get(sig)
-        if v is None:
-            idx = len(self.f_c)
-            self._sig_to_idx[sig] = idx
-        elif isinstance(v, int):
-            if self.keys[v] == key:
-                self.f_c[v] += 1
-                self.d_acc[v] += d
-                return v
-            idx = len(self.f_c)
-            self._sig_to_idx[sig] = [v, idx]
-            self.collisions_resolved += 1
-        else:
-            for idx in v:
-                if self.keys[idx] == key:
-                    self.f_c[idx] += 1
-                    self.d_acc[idx] += d
-                    return idx
-            idx = len(self.f_c)
-            v.append(idx)
-            self.collisions_resolved += 1
-        self.keys.append(key)
-        self.sigs.append(sig)
-        self.f_c.append(1)
-        self.d_acc.append(d)
-        self.k.append(k)
-        return idx
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(f_c, d_acc, k) as dense arrays for batched scoring."""
-        return (
-            np.asarray(self.f_c, dtype=np.float64),
-            np.asarray(self.d_acc, dtype=np.float64),
-            np.asarray(self.k, dtype=np.float64),
+            f_c=int(self.f_c[idx]),
+            d_acc=float(self.d_acc[idx]),
+            k=int(self.k[idx]),
         )
 
 
@@ -283,8 +227,129 @@ def distance(c: Combination, t: AnalyzedTitle, mode: str = "squared") -> float:
 
 
 def analyze_dataset(dataset: Dataset, units: Optional[UnitLexicon] = None) -> List[AnalyzedTitle]:
+    """Analyze every title; a title that normalizes to nothing names its product."""
     units = units or UnitLexicon.default()
-    return [analyze_title(p.title, units) for p in dataset.products]
+    analyzed = []
+    for p in dataset.products:
+        try:
+            analyzed.append(analyze_title(p.title, units))
+        except TitleNormalizationError as exc:
+            raise TitleNormalizationError(f"product {p.product_id}: {exc}") from None
+    return analyzed
+
+
+def _group_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group the rows of an (n, k) matrix of non-negative int32 IDs, k >= 2.
+
+    Iterated dense-rank: the rank of the first j columns, shifted up 32 bits
+    and joined with column j, ranks the first j + 1 columns, so the packed
+    value always fits in 64 bits. Returns (first, rank): the first row of
+    each distinct key, keys in lexicographic order, and each row's key rank.
+    """
+    rank = rows[:, 0].astype(np.int64)
+    for j in range(1, rows.shape[1] - 1):
+        rank = np.unique((rank << 32) | rows[:, j], return_inverse=True)[1]
+    _, first, rank = np.unique(
+        (rank << 32) | rows[:, -1], return_index=True, return_inverse=True
+    )
+    return first, rank
+
+
+def _shared_signatures(sigs: np.ndarray) -> int:
+    """Distinct keys that share a signature with an earlier key."""
+    # a sort, not np.unique: numpy's hash-based unique is slow on millions of keys
+    ordered = np.sort(sigs)
+    return int(np.count_nonzero(ordered[1:] == ordered[:-1]))
+
+
+def _group_size(
+    kk: int, buckets: List[Tuple[np.ndarray, np.ndarray]], offset: int, euclidean: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group every size-kk combination instance by exact key.
+
+    buckets pairs each title length's (titles, length) ID matrix with the
+    (titles, C(length, kk)) block that receives the record IDs, ascending by
+    length. Returns the distinct keys in lexicographic order with their f_c
+    and d_acc; record IDs are offset + key rank.
+    """
+    rows = np.concatenate(
+        [
+            np.sort(ids[:, position_patterns(ids.shape[1], kk)], axis=2).reshape(-1, kk)
+            for ids, _ in buckets
+        ]
+    )
+    dist = np.concatenate(
+        [np.tile(pattern_distances(ids.shape[1], kk), len(ids)) for ids, _ in buckets]
+    ).astype(np.float64)
+    if euclidean:
+        dist = np.sqrt(dist)
+    first, rank = _group_rows(rows)
+    start = 0
+    for _, block in buckets:
+        block[:] = rank[start : start + block.size].reshape(block.shape) + offset
+        start += block.size
+    return rows[first], np.bincount(rank), np.bincount(rank, weights=dist)
+
+
+def _index_combinations(
+    forward: ForwardIndex, k_max: int, euclidean: bool
+) -> Tuple[CombinationLexicon, int, int]:
+    """Group every 2..K combination instance by exact key, one pass per k.
+
+    Instances of one k are laid out by ascending title length, file order
+    within a length and enumeration order within a title. Fills
+    forward.combo_rows (each product's record IDs in enumeration order) and
+    returns the lexicon, the instance count and the summed member count.
+    """
+    by_length: Dict[int, List[int]] = {}
+    for p in range(len(forward)):
+        by_length.setdefault(forward.length_of(p), []).append(p)
+    # (length, ID matrix, record-ID matrix) per title length >= 2
+    buckets = [
+        (
+            l,
+            np.vstack([forward.token_rows[p] for p in by_length[l]]).astype(np.int32),
+            np.empty((len(by_length[l]), count_combinations(l, k_max)), dtype=np.int32),
+        )
+        for l in sorted(by_length)
+        if l >= 2
+    ]
+    forward.combo_rows = [_empty(np.int32)] * len(forward)
+    for l, _, out in buckets:
+        for p, row in zip(by_length[l], out):
+            forward.combo_rows[p] = row
+
+    keys, f_c, d_acc = [], [], []
+    n_records = instances = members = 0
+    for kk in range(2, k_max + 1):
+        blocks = []
+        for l, ids, out in buckets:
+            if l >= kk:
+                # a title's size-kk records follow those of its smaller sizes
+                end = count_combinations(l, kk)
+                blocks.append((ids, out[:, end - math.comb(l, kk) : end]))
+        if not blocks:
+            break
+        key_rows, f, d = _group_size(kk, blocks, n_records, euclidean)
+        keys.append(key_rows)
+        f_c.append(f)
+        d_acc.append(d)
+        n_records += len(f)
+        instances += int(f.sum())
+        members += int(f.sum()) * kk
+
+    if not n_records:
+        return CombinationLexicon(), 0, 0
+    k_col = np.repeat(np.arange(2, 2 + len(keys)), [len(key) for key in keys])
+    combos = CombinationLexicon(
+        sigs=np.concatenate([signature_rows(key) for key in keys]),
+        f_c=np.concatenate(f_c),
+        d_acc=np.concatenate(d_acc),
+        k=k_col,
+        key_flat=np.concatenate([key.ravel() for key in keys]),
+        key_offsets=np.concatenate([[0], np.cumsum(k_col)]),
+    )
+    return combos, instances, members
 
 
 def build_index(
@@ -326,96 +391,13 @@ def build_index(
             np.asarray([int(tok.semantics) for tok in title.tokens], dtype=np.int64)
         )
 
-    combos = CombinationLexicon()
-    combo_parts: List[List[np.ndarray]] = [[] for _ in range(n)]
-    euclidean = distance_mode == "euclidean"
-
-    by_length: Dict[int, List[int]] = {}
-    for p, title in enumerate(titles):
-        by_length.setdefault(title.length, []).append(p)
-
-    total_instances = 0
-    total_member_count = 0
-    for l in sorted(by_length) if with_combinations else []:
-        if l < 2:
-            continue
-        members = by_length[l]
-        ids_mat = np.vstack([forward.token_rows[p] for p in members])
-        for kk in range(2, min(k_resolved, l) + 1):
-            pattern = position_patterns(l, kk)
-            n_combos = len(pattern)
-            dvec = pattern_distances(l, kk)
-            dlist = (np.sqrt(dvec.astype(np.float64)) if euclidean else dvec).tolist()
-            total_instances += n_combos * len(members)
-            total_member_count += n_combos * len(members) * kk
-            key_width = 4 * kk
-            chunk = max(1, _ROW_BUDGET // n_combos)
-            for c0 in range(0, len(members), chunk):
-                batch = members[c0 : c0 + chunk]
-                gathered = ids_mat[c0 : c0 + chunk][:, pattern]
-                srt = np.sort(gathered, axis=2).reshape(-1, kk)
-                sigs = signature_rows(srt).tolist()
-                key_block = srt.astype("<i4").tobytes()
-                d_tiled = dlist * len(batch)
-
-                # inlined CombinationLexicon._observe_packed; this loop runs
-                # once per combination instance and dominates the build
-                sig_map = combos._sig_to_idx
-                keys = combos.keys
-                f_c = combos.f_c
-                d_acc = combos.d_acc
-                k_col = combos.k
-                sig_col = combos.sigs
-                buf: List[int] = []
-                append = buf.append
-                pos = 0
-                for r, sig in enumerate(sigs):
-                    d = d_tiled[r]
-                    key = key_block[pos : pos + key_width]
-                    pos += key_width
-                    v = sig_map.get(sig)
-                    if v is None:
-                        idx = len(f_c)
-                        sig_map[sig] = idx
-                    elif type(v) is int:
-                        if keys[v] == key:
-                            f_c[v] += 1
-                            d_acc[v] += d
-                            append(v)
-                            continue
-                        idx = len(f_c)
-                        sig_map[sig] = [v, idx]
-                        combos.collisions_resolved += 1
-                    else:
-                        hit = -1
-                        for idx in v:
-                            if keys[idx] == key:
-                                hit = idx
-                                break
-                        if hit >= 0:
-                            f_c[hit] += 1
-                            d_acc[hit] += d
-                            append(hit)
-                            continue
-                        idx = len(f_c)
-                        v.append(idx)
-                        combos.collisions_resolved += 1
-                    keys.append(key)
-                    sig_col.append(sig)
-                    f_c.append(1)
-                    d_acc.append(d)
-                    k_col.append(kk)
-                    append(idx)
-
-                arr = np.asarray(buf, dtype=np.int64).reshape(len(batch), n_combos)
-                for i, p in enumerate(batch):
-                    combo_parts[p].append(arr[i])
-
-    for p in range(n):
-        parts = combo_parts[p]
-        forward.combo_rows.append(
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    if with_combinations:
+        combos, total_instances, total_member_count = _index_combinations(
+            forward, k_resolved, distance_mode == "euclidean"
         )
+    else:
+        combos, total_instances, total_member_count = CombinationLexicon(), 0, 0
+        forward.combo_rows = [_empty(np.int32)] * n
 
     indexed_avg_len = sum(t.length for t in titles) / n if n else 0.0
     stats = IndexStats(
@@ -425,7 +407,7 @@ def build_index(
         avg_combination_len=(total_member_count / total_instances) if total_instances else 0.0,
         combination_instances=total_instances,
         distinct_combinations=len(combos),
-        collisions_resolved=combos.collisions_resolved,
+        collisions_resolved=_shared_signatures(combos.sigs),
     )
     return ProductIndex(
         dataset=dataset,
@@ -445,7 +427,7 @@ def save_index(index: ProductIndex, path) -> None:
     fw = index.forward
     tok_offsets = np.cumsum([0] + [len(r) for r in fw.token_rows])
     combo_offsets = np.cumsum([0] + [len(r) for r in fw.combo_rows])
-    key_offsets = np.cumsum([0] + list(index.combos.k))
+    combos = index.combos
     truth = np.asarray(
         [
             -1 if p.truth_cluster_id is None else p.truth_cluster_id
@@ -486,20 +468,14 @@ def save_index(index: ProductIndex, path) -> None:
         sem_flat=(
             np.concatenate(fw.sem_rows) if fw.sem_rows else np.empty(0, dtype=np.int64)
         ),
-        combo_flat=(
-            np.concatenate(fw.combo_rows) if fw.combo_rows else np.empty(0, dtype=np.int64)
-        ),
+        combo_flat=np.concatenate(fw.combo_rows) if fw.combo_rows else _empty(np.int32),
         combo_offsets=combo_offsets,
-        combo_sigs=np.asarray(index.combos.sigs, dtype=np.uint64),
-        combo_f=np.asarray(index.combos.f_c, dtype=np.int64),
-        combo_d=np.asarray(index.combos.d_acc, dtype=np.float64),
-        combo_k=np.asarray(index.combos.k, dtype=np.int64),
-        key_flat=(
-            np.frombuffer(b"".join(index.combos.keys), dtype="<i4").astype(np.int64)
-            if index.combos.keys
-            else np.empty(0, dtype=np.int64)
-        ),
-        key_offsets=key_offsets,
+        combo_sigs=combos.sigs,
+        combo_f=combos.f_c,
+        combo_d=combos.d_acc,
+        combo_k=combos.k,
+        key_flat=combos.key_flat,
+        key_offsets=combos.key_offsets,
     )
 
 
@@ -539,7 +515,7 @@ def load_index(path) -> ProductIndex:
         tok_flat = z["tok_flat"]
         tok_offsets = z["tok_offsets"]
         sem_flat = z["sem_flat"]
-        combo_flat = z["combo_flat"]
+        combo_flat = z["combo_flat"].astype(np.int32)
         combo_offsets = z["combo_offsets"]
         forward = ForwardIndex(product_ids=product_ids, vendor_ids=vendor_ids)
         analyzed: List[AnalyzedTitle] = []
@@ -550,7 +526,7 @@ def load_index(path) -> ProductIndex:
             forward.token_rows.append(ids.copy())
             forward.sem_rows.append(sems.copy())
             c0, c1 = int(combo_offsets[p]), int(combo_offsets[p + 1])
-            forward.combo_rows.append(combo_flat[c0:c1].copy())
+            forward.combo_rows.append(combo_flat[c0:c1])
             analyzed.append(
                 AnalyzedTitle(
                     tokens=tuple(
@@ -564,25 +540,14 @@ def load_index(path) -> ProductIndex:
                 )
             )
 
-        combos = CombinationLexicon()
-        combos.sigs = [int(s) for s in z["combo_sigs"].tolist()]
-        combos.f_c = z["combo_f"].tolist()
-        combos.d_acc = z["combo_d"].tolist()
-        combos.k = z["combo_k"].tolist()
-        key_flat = z["key_flat"]
-        key_offsets = z["key_offsets"].tolist()
-        for i in range(len(combos.f_c)):
-            ids = key_flat[key_offsets[i] : key_offsets[i + 1]]
-            combos.keys.append(CombinationLexicon.pack_ids(ids))
-            v = combos._sig_to_idx.get(combos.sigs[i])
-            if v is None:
-                combos._sig_to_idx[combos.sigs[i]] = i
-            elif isinstance(v, int):
-                combos._sig_to_idx[combos.sigs[i]] = [v, i]
-            else:
-                v.append(i)
-        combos.collisions_resolved = meta["stats"]["collisions_resolved"]
-
+        combos = CombinationLexicon(
+            sigs=z["combo_sigs"],
+            f_c=z["combo_f"],
+            d_acc=z["combo_d"],
+            k=z["combo_k"],
+            key_flat=z["key_flat"].astype(np.int32),
+            key_offsets=z["key_offsets"],
+        )
         stats = IndexStats(**meta["stats"])
         return ProductIndex(
             dataset=dataset,

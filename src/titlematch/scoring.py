@@ -199,18 +199,6 @@ class ClusterUniverse:
         return {ids[p]: c for p, c in enumerate(self.assignment)}
 
 
-def universe_insert(
-    universe: ClusterUniverse,
-    key: tuple,
-    product: int,
-    vendor: int,
-    s1: float,
-    record: Optional[CombinationRecord] = None,
-) -> int:
-    """Functional alias for ClusterUniverse.insert."""
-    return universe.insert(key, product, vendor, s1, record=record)
-
-
 def _tiebreak_zero(candidates: List[Tuple[float, int, int, int]]) -> int:
     """All-zero rows: larger Y, then larger k, then smaller signature."""
     best = min(candidates, key=lambda t: (-t[0], -t[1], t[2]))
@@ -374,9 +362,9 @@ def select_clusters(
     fw = index.forward
     n = len(fw)
     combos = index.combos
-    f_arr, d_arr, k_arr = combos.as_arrays()
+    f_arr, k_arr = combos.f_c.astype(np.float64), combos.k
     with np.errstate(divide="ignore", invalid="ignore"):
-        avgd = np.where(f_arr > 0, d_arr / np.maximum(f_arr, 1), 0.0)
+        avgd = np.where(f_arr > 0, combos.d_acc / np.maximum(f_arr, 1), 0.0)
     quality = np.log(np.maximum(f_arr, 1)) / (config.alpha + avgd)
 
     chosen = np.full(n, -1, dtype=np.int64)
@@ -420,5 +408,5 @@ def select_clusters(
 
     if prune:
         index.combos = CombinationLexicon()
-        index.forward.combo_rows = [np.empty(0, dtype=np.int64) for _ in range(n)]
+        index.forward.combo_rows = [np.empty(0, dtype=np.int32) for _ in range(n)]
     return universe

@@ -262,10 +262,19 @@ def test_missing_input_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_empty_title_error_names_product(tmp_path, capsys):
+    products = [RawProduct(16, "intel core i5 8400", 1, None), RawProduct(17, "!!!", 2, None)]
+    feed = tmp_path / "bad.csv"
+    write_feed_csv(feed, Dataset(products=products), "simple")
+    assert run_cli(["match", "--input", str(feed)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: product 17: title normalizes to zero tokens: '!!!'\n"
+
+
 def test_threads_flag_changes_nothing(feed, tmp_path):
     r1, r4 = tmp_path / "t1.jsonl", tmp_path / "t4.jsonl"
     c1, c4 = tmp_path / "c1.csv", tmp_path / "c4.csv"
-    base = ["match", "--input", str(feed), "--format", "published", "--seedless"]
+    base = ["match", "--input", str(feed), "--format", "published"]
     assert run_cli(base + ["--threads", "1", "--report", str(r1), "--clusters", str(c1)]) == 0
     assert run_cli(base + ["--threads", "4", "--report", str(r4), "--clusters", str(c4)]) == 0
     row1, row4 = read_jsonl(r1)[0], read_jsonl(r4)[0]

@@ -20,7 +20,10 @@ from titlematch.combinatorics import (
     signature,
     signature_rows,
 )
-from titlematch.index import CombinationLexicon
+import titlematch.index as index_module
+from titlematch.index import build_index
+from titlematch.scoring import ScoringConfig, select_clusters
+from titlematch.synth import planted_dataset
 from titlematch.textprep import UnitLexicon, classify_tokens
 
 _UNITS = UnitLexicon.default()
@@ -145,16 +148,25 @@ def test_pattern_distance_is_squared_offset_gap():
     assert d[row] == 2  # (0-1)^2 + (1-2)^2
 
 
-def test_lexicon_disambiguates_forced_collision():
-    lex = CombinationLexicon()
-    first = lex.observe(777, [1, 2], 0.0)
-    second = lex.observe(777, [3, 4], 1.0)  # same signature, different key
-    third = lex.observe(777, [1, 2], 2.0)
-    assert first != second and third == first
-    assert lex.collisions_resolved == 1
-    assert lex.f_c[first] == 2 and lex.f_c[second] == 1
-    assert lex.lookup(777, [3, 4]) == second
-    assert lex.lookup(777, [9, 9]) is None
+def test_forced_signature_collision_keeps_keys_distinct(monkeypatch):
+    ds = planted_dataset(n_clusters=12, n_vendors=6, seed=4)
+    honest = build_index(ds)
+    expected = select_clusters(honest, ScoringConfig(), prune=False)
+    # every key now hashes to the same signature
+    monkeypatch.setattr(
+        index_module, "signature_rows", lambda rows: np.zeros(len(rows), dtype=np.uint64)
+    )
+    forced = build_index(ds)
+    assert not forced.combos.sigs.any()
+    assert len(forced.combos) == len(honest.combos)
+    assert forced.stats.collisions_resolved == len(forced.combos) - 1
+    for name in ("f_c", "d_acc", "k", "key_flat", "key_offsets"):
+        assert np.array_equal(getattr(forced.combos, name), getattr(honest.combos, name)), name
+    for ra, rb in zip(forced.forward.combo_rows, honest.forward.combo_rows):
+        assert np.array_equal(ra, rb)
+    universe = select_clusters(forced, ScoringConfig())
+    assert universe.assignment == expected.assignment
+    assert [c.key_ids for c in universe.clusters] == [c.key_ids for c in expected.clusters]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=2, max_size=6, unique=True))

@@ -19,7 +19,6 @@ from titlematch.scoring import (
     field_weight,
     ir_score,
     select_clusters,
-    universe_insert,
 )
 from titlematch.synth import planted_dataset
 from titlematch.textprep import Semantics
@@ -127,7 +126,7 @@ def test_combination_score_finite_for_positive_alpha():
 
 def test_universe_first_insert_sets_representative():
     u = ClusterUniverse(2)
-    universe_insert(u, (1, 2), product=0, vendor=4, s1=1.5)
+    u.insert((1, 2), product=0, vendor=4, s1=1.5)
     assert len(u) == 1
     assert u.clusters[0].pi == 0
     assert u.clusters[0].vendors == [4]
@@ -135,16 +134,16 @@ def test_universe_first_insert_sets_representative():
 
 def test_universe_lower_s1_keeps_representative():
     u = ClusterUniverse(2)
-    universe_insert(u, (1, 2), product=0, vendor=4, s1=1.5)
-    universe_insert(u, (1, 2), product=1, vendor=5, s1=1.0)
+    u.insert((1, 2), product=0, vendor=4, s1=1.5)
+    u.insert((1, 2), product=1, vendor=5, s1=1.0)
     assert u.clusters[0].pi == 0
     assert u.clusters[0].size == 2
 
 
 def test_universe_equal_s1_keeps_earlier():
     u = ClusterUniverse(2)
-    universe_insert(u, (1, 2), product=0, vendor=4, s1=1.5)
-    universe_insert(u, (1, 2), product=1, vendor=5, s1=1.5)
+    u.insert((1, 2), product=0, vendor=4, s1=1.5)
+    u.insert((1, 2), product=1, vendor=5, s1=1.5)
     assert u.clusters[0].pi == 0
 
 
