@@ -13,7 +13,6 @@ routes see identical token statistics.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Sequence
 
 from .index import ProductIndex
@@ -79,21 +78,14 @@ def _pair_data(index: ProductIndex, metric: str):
     return sets, idf2, sums, inv
 
 
-def _sweep_rows(
-    index: ProductIndex,
-    metric: str,
-    taus: Sequence[float],
-    rows: Sequence[int],
-    sets,
-    idf2,
-    sums,
-    inv,
-) -> List[MatchSet]:
+def _sweep_pairs(index: ProductIndex, metric: str, taus: Sequence[float]) -> List[MatchSet]:
+    """One match set per threshold, from a single pass over all pairs."""
+    sets, idf2, sums, inv = _pair_data(index, metric)
     n = len(sets)
     pids = index.forward.product_ids
     out: List[MatchSet] = [set() for _ in taus]
     n_taus = len(taus)
-    for i in rows:
+    for i in range(n):
         si = sets[i]
         pid_i = pids[i]
         if metric == "cs":
@@ -144,10 +136,7 @@ def _sweep_rows(
 
 
 def pairwise_sweep(
-    index: ProductIndex,
-    metric: str,
-    taus: Sequence[float],
-    threads: int = 1,
+    index: ProductIndex, metric: str, taus: Sequence[float]
 ) -> Dict[float, MatchSet]:
     """Evaluate all pairs once and bucket matches for several thresholds.
 
@@ -161,30 +150,11 @@ def pairwise_sweep(
         raise ValueError(f"thresholds must lie in (0, 1): {taus}")
     if sorted(taus) != taus:
         raise ValueError("thresholds must be ascending")
-    sets, idf2, sums, inv = _pair_data(index, metric)
-    n = len(sets)
-    if threads > 1 and n > 2:
-        strides = [list(range(t, n, threads)) for t in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda rows: _sweep_rows(index, metric, taus, rows, sets, idf2, sums, inv),
-                    strides,
-                )
-            )
-        merged = [set() for _ in taus]
-        for part in parts:
-            for t, match_set in enumerate(part):
-                merged[t] |= match_set
-        return dict(zip(taus, merged))
-    result = _sweep_rows(index, metric, taus, range(n), sets, idf2, sums, inv)
-    return dict(zip(taus, result))
+    return dict(zip(taus, _sweep_pairs(index, metric, taus)))
 
 
-def pairwise_match(
-    index: ProductIndex, metric: str, tau: float, threads: int = 1
-) -> MatchSet:
+def pairwise_match(index: ProductIndex, metric: str, tau: float) -> MatchSet:
     """All unordered pairs whose similarity strictly exceeds tau."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    return pairwise_sweep(index, metric, [tau], threads=threads)[float(tau)]
+    return pairwise_sweep(index, metric, [tau])[float(tau)]

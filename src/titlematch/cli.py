@@ -9,8 +9,8 @@ Subcommands:
 
 Parameter precedence is defaults < config file < flags: `--config file.json`
 presets any of the parameter flags (alpha, b, k, tau, variant, distance,
-verify_metric, threads, format, units, no_verify) and an explicit
-flag on the command line wins over the file.
+verify_metric, format, units, no_verify) and an explicit flag on the
+command line wins over the file. Any other key is an error.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -89,7 +89,6 @@ _PARAM_DEFAULTS = {
     "tau": 0.4,
     "verify_metric": "cs",
     "distance": "squared",
-    "threads": 1,
     "no_verify": False,
 }
 
@@ -129,8 +128,6 @@ def _apply_config(args) -> None:
                     )
                 elif key in ("alpha", "b", "tau"):
                     value = float(value)
-                elif key == "threads":
-                    value = int(value)
                 elif key == "no_verify":
                     value = bool(value)
                 setattr(args, key, value)
@@ -206,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="positional distance accumulation",
     )
     p_match.add_argument("--clusters", default=None, help="write product_id,cluster_id CSV here")
-    p_match.add_argument("--threads", type=int, default=_UNSET, help="scoring worker threads")
     _add_output_args(p_match)
     p_match.set_defaults(func=cmd_match)
 
@@ -224,9 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="START:STOP:STEP",
         help="evaluate a whole threshold range, e.g. 0.1:0.9:0.1",
-    )
-    p_base.add_argument(
-        "--threads", type=int, default=_UNSET, help="pair evaluation worker threads"
     )
     _add_output_args(p_base)
     p_base.set_defaults(func=cmd_baseline)
@@ -274,7 +267,6 @@ def cmd_match(args) -> int:
         variant=args.variant,
         distance_mode=args.distance,
         verify_metric=args.verify_metric,
-        threads=args.threads,
     )
     result = run_match(
         dataset,
@@ -302,7 +294,6 @@ def cmd_baseline(args) -> int:
         dataset,
         args.baseline,
         taus,
-        threads=args.threads,
         units=_load_units(args),
         dataset_path=str(args.input),
     )
@@ -319,6 +310,13 @@ def cmd_eval(args) -> int:
     _apply_config(args)
     dataset = _load_dataset(args)
     assignment = read_clusters(args.clusters)
+    feed_ids = {p.product_id for p in dataset.products}
+    for pid in assignment:
+        if pid not in feed_ids:
+            raise FeedFormatError(f"product {pid} in {args.clusters} is not in the feed")
+    for p in dataset.products:
+        if p.product_id not in assignment:
+            raise FeedFormatError(f"product {p.product_id} has no cluster in {args.clusters}")
     predicted = pairs_from_assignment(assignment)
     truth = load_ground_truth(dataset)
     scores = prf1(predicted, truth)

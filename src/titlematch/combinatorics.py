@@ -145,11 +145,13 @@ def pattern_distances(l: int, k: int) -> np.ndarray:
 def _fnv_mix_decimal(h: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Advance row hashes over the decimal digits of vals (per row)."""
     ndig = np.maximum(np.searchsorted(_POW10, vals, side="right"), 1)
-    for length in np.unique(ndig):
+    for length in range(1, int(ndig.max(initial=1)) + 1):
         mask = ndig == length
+        if not mask.any():
+            continue
         v = vals[mask]
         hh = h[mask]
-        for e in range(int(length) - 1, -1, -1):
+        for e in range(length - 1, -1, -1):
             digit = ((v // _POW10[e]) % 10).astype(np.uint64) + np.uint64(48)
             hh = (hh ^ digit) * _FNV_PRIME_NP
         h[mask] = hh

@@ -69,15 +69,8 @@ class TokenLexicon:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __contains__(self, surface: str) -> bool:
-        return surface in self._by_surface
-
     def id_of(self, surface: str) -> int:
         return self._by_surface[surface]
-
-    def get(self, surface: str) -> Optional[TokenRecord]:
-        idx = self._by_surface.get(surface)
-        return None if idx is None else self.records[idx]
 
     def intern(self, surface: str, semantics: Semantics) -> int:
         idx = self._by_surface.get(surface)

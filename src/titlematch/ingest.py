@@ -49,9 +49,6 @@ class Dataset:
     def vendor_count(self) -> int:
         return len({p.vendor_id for p in self.products})
 
-    def by_id(self) -> Dict[int, RawProduct]:
-        return {p.product_id: p for p in self.products}
-
 
 def _parse_int(value: str, row_num: int, what: str) -> int:
     try:

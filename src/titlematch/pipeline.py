@@ -1,9 +1,9 @@
 """End-to-end orchestration: analyze, index, score, verify, evaluate.
 
 Produces per-stage wall-clock timings and a machine-readable report row per
-run. Everything downstream of ingestion is deterministic for a given dataset
-and configuration, including across thread counts, so two runs differ only in
-the timing fields.
+run. Every stage runs sequentially in a fixed order, so everything downstream
+of ingestion is deterministic for a given dataset and configuration and two
+runs differ only in the timing fields.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ from typing import Dict, List, Optional, Tuple
 from .baseline import pairwise_sweep
 from .evaluation import cluster_size_histogram, expand_cluster_pairs, prf1
 from .index import ProductIndex, analyze_dataset, build_index
-from .ingest import Dataset, MatchSet, load_ground_truth
+from .ingest import Dataset, FeedFormatError, MatchSet, _parse_int, load_ground_truth
 from .scoring import ClusterUniverse, ScoringConfig, select_clusters
 from .textprep import UnitLexicon
 from .verify import verify_universe
+
+CLUSTERS_HEADER = ("product_id", "cluster_id")
 
 
 @dataclass
@@ -105,8 +107,9 @@ def run_match(
             "distance": config.distance_mode,
             "verify": verify,
             "verify_metric": config.verify_metric,
-            "x_scope": config.x_scope,
-            "threads": config.threads,
+            # constants; kept because perfbench/pins.json pins each match row's digest
+            "x_scope": "title",
+            "threads": 1,
         },
         "k": index.k,
         "clusters": len(universe),
@@ -133,7 +136,6 @@ def run_baseline(
     dataset: Dataset,
     metric: str,
     taus: List[float],
-    threads: int = 1,
     units: Optional[UnitLexicon] = None,
     dataset_path: str = "",
 ) -> Tuple[List[dict], Dict[float, MatchSet]]:
@@ -148,7 +150,7 @@ def run_baseline(
     timings["index"] = (time.perf_counter() - t1) * 1000.0
 
     t2 = time.perf_counter()
-    match_sets = pairwise_sweep(index, metric, taus, threads=threads)
+    match_sets = pairwise_sweep(index, metric, taus)
     timings["pairs"] = (time.perf_counter() - t2) * 1000.0
 
     truth: Optional[MatchSet] = None
@@ -170,7 +172,8 @@ def run_baseline(
                 "command": "baseline",
                 "dataset": _dataset_block(dataset, dataset_path, avg_tokens),
                 "method": metric,
-                "params": {"tau": tau, "threads": threads},
+                # constant; kept so baseline rows share the match rows' params schema
+                "params": {"tau": tau, "threads": 1},
                 "k": None,
                 "clusters": None,
                 "precision": scores["precision"],
@@ -191,20 +194,39 @@ def write_clusters(path, result: MatchResult) -> None:
     pids = result.index.forward.product_ids
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["product_id", "cluster_id"])
+        writer.writerow(CLUSTERS_HEADER)
         for p, cid in enumerate(result.universe.assignment):
             writer.writerow([pids[p], cid])
 
 
 def read_clusters(path) -> Dict[int, int]:
+    """Load a product_id,cluster_id CSV as written by write_clusters.
+
+    Errors name the file and the 1-based row, counting the header.
+    """
     path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"clusters file not found: {path}")
     out: Dict[int, int] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if row:
-                out[int(row[0])] = int(row[1])
+        try:
+            header = [cell.strip() for cell in next(reader, [])]
+            if header != list(CLUSTERS_HEADER):
+                raise FeedFormatError(
+                    f"row 1: expected header {','.join(CLUSTERS_HEADER)}, got {','.join(header)!r}"
+                )
+            for row_num, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise FeedFormatError(f"row {row_num}: expected 2 columns, got {len(row)}")
+                pid = _parse_int(row[0], row_num, "product_id")
+                if pid in out:
+                    raise FeedFormatError(f"row {row_num}: duplicate product_id {pid}")
+                out[pid] = _parse_int(row[1], row_num, "cluster_id")
+        except FeedFormatError as exc:
+            raise FeedFormatError(f"clusters file {path}: {exc}") from None
     return out
 
 

@@ -16,14 +16,13 @@ Ties are resolved deterministically: equal positive scores prefer the longer
 combination, then the smaller average distance, then the smaller signature;
 all-zero products (every combination unique in the corpus) prefer the larger
 relevance score, then the longer combination, then the smaller signature.
-Scores are plain float64 expressions over identical operands, so exact
-comparison is reproducible across runs and thread counts.
+Scores are plain float64 expressions over identical operands, evaluated in
+one fixed order, so exact comparison is reproducible across runs.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,7 +32,6 @@ from .combinatorics import position_patterns
 from .index import CombinationLexicon, CombinationRecord, ProductIndex
 from .textprep import Semantics
 
-X_SCOPES = ("title", "accumulate")
 VARIANTS = ("upm", "upm+")
 
 
@@ -48,8 +46,6 @@ class ScoringConfig:
     variant: str = "upm"
     distance_mode: str = "squared"
     verify_metric: str = "cs"
-    x_scope: str = "title"
-    threads: int = 1
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -60,10 +56,6 @@ class ScoringConfig:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.x_scope not in X_SCOPES:
-            raise ValueError(f"x_scope must be one of {X_SCOPES}, got {self.x_scope!r}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
 def field_population(semantics: Sequence[int]) -> np.ndarray:
@@ -109,7 +101,6 @@ class Cluster:
     """A dominating combination with its member products, grouped by vendor."""
 
     key_ids: Tuple[int, ...]
-    creation_index: int
     record: Optional[CombinationRecord]
     vendors: List[int] = field(default_factory=list)
     members: Dict[int, List[int]] = field(default_factory=dict)
@@ -156,7 +147,7 @@ class ClusterUniverse:
         idx = self.by_key.get(key)
         if idx is None:
             idx = len(self.clusters)
-            self.clusters.append(Cluster(key_ids=key, creation_index=idx, record=record))
+            self.clusters.append(Cluster(key_ids=key, record=record))
             self.by_key[key] = idx
         cluster = self.clusters[idx]
         if vendor not in cluster.members:
@@ -193,10 +184,6 @@ class ClusterUniverse:
             cluster.vendors.append(vendor)
         cluster.members[vendor].append(product)
         self.assignment[product] = cluster_idx
-
-    def assignment_by_product_id(self, index: ProductIndex) -> Dict[int, int]:
-        ids = index.forward.product_ids
-        return {ids[p]: c for p, c in enumerate(self.assignment)}
 
 
 def _tiebreak_zero(candidates: List[Tuple[float, int, int, int]]) -> int:
@@ -298,54 +285,6 @@ def _score_bucket(
                 chosen[p] = idx_mat[r, col]
 
 
-def _score_accumulate(
-    index: ProductIndex, config: ScoringConfig, p: int, avgd: np.ndarray, k_arr: np.ndarray
-) -> int:
-    """Literal running-field-population variant (diagnostic; not the default).
-
-    X accumulates over a product's combinations in enumeration order instead
-    of being fixed per title, so each combination sees the populations left
-    behind by its predecessors.
-    """
-    fw = index.forward
-    idf = index.idf
-    combos = index.combos
-    total_tokens = len(index.tokens)
-    l_avg_c = index.stats.avg_combination_len
-    b, alpha = config.b, config.alpha
-
-    ids = fw.token_rows[p]
-    sems = fw.sem_rows[p]
-    combo_idx = fw.combo_rows[p]
-    x = np.zeros(5, dtype=np.int64)
-    scored: List[Tuple[float, float, int]] = []
-    pos = 0
-    for kk in range(2, min(index.k, len(ids)) + 1):
-        for pattern_row in position_patterns(len(ids), kk):
-            for j in pattern_row:
-                x[sems[j] - 1] += 1
-            denom = 1.0 - b + b * kk / l_avg_c
-            y = sum(idf[ids[j]] * (total_tokens / x[sems[j] - 1]) for j in pattern_row) / denom
-            c = combo_idx[pos]
-            i_score = y * y * math.log(combos.f_c[c]) / (alpha + avgd[c])
-            scored.append((i_score, y, int(c)))
-            pos += 1
-    i_max = max(s[0] for s in scored)
-    if i_max == 0.0:
-        cands = [
-            (y, int(k_arr[c]), combos.sigs[c], local) for local, (_, y, c) in enumerate(scored)
-        ]
-        local = _tiebreak_zero(cands)
-    else:
-        cands_pos = [
-            (int(k_arr[c]), float(avgd[c]), combos.sigs[c], local)
-            for local, (i, _, c) in enumerate(scored)
-            if i == i_max
-        ]
-        local = _tiebreak_positive(cands_pos)
-    return int(scored[local][2])
-
-
 def select_clusters(
     index: ProductIndex, config: ScoringConfig, prune: bool = True
 ) -> ClusterUniverse:
@@ -372,27 +311,9 @@ def select_clusters(
     for p in range(n):
         by_length.setdefault(fw.length_of(p), []).append(p)
 
-    if config.x_scope == "accumulate":
-        for length, members in sorted(by_length.items()):
-            if length < 2:
-                continue
-            for p in members:
-                chosen[p] = _score_accumulate(index, config, p, avgd, k_arr)
-    else:
-        buckets = [(length, members) for length, members in sorted(by_length.items()) if length >= 2]
-        if config.threads > 1 and len(buckets) > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                list(
-                    pool.map(
-                        lambda item: _score_bucket(
-                            index, config, item[1], item[0], quality, avgd, k_arr, chosen
-                        ),
-                        buckets,
-                    )
-                )
-        else:
-            for length, members in buckets:
-                _score_bucket(index, config, members, length, quality, avgd, k_arr, chosen)
+    for length, members in sorted(by_length.items()):
+        if length >= 2:
+            _score_bucket(index, config, members, length, quality, avgd, k_arr, chosen)
 
     idf = index.idf
     universe = ClusterUniverse(n)

@@ -220,7 +220,7 @@ def truncate_for_variant(title: AnalyzedTitle, variant: str, k_star: int) -> Ana
         raise ValueError(f"k_star must be >= 1, got {k_star}")
     if variant == "upm":
         return title
-    if variant in ("upm+", "upmplus"):
+    if variant == "upm+":
         limit = 2 * k_star
         if title.length <= limit:
             return title

