@@ -49,7 +49,7 @@ from .textprep import (
     normalize_title,
     truncate_for_variant,
 )
-from .verify import find_candidates, product_similarity, scan_violators, verify_universe
+from .verify import product_similarity, scan_violators, verify_universe
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "distance",
     "expand_cluster_pairs",
     "field_weight",
-    "find_candidates",
     "generate_combinations",
     "ir_score",
     "jaccard",

@@ -26,14 +26,15 @@ from typing import List, Optional
 from .baseline import METRICS
 from .evaluation import prf1, run_report
 from .index import DISTANCE_MODES, build_index
-from .ingest import FORMATS, FeedFormatError, load_ground_truth, load_products, load_truth_file
-from .pipeline import (
-    pairs_from_assignment,
+from .ingest import (
+    FORMATS,
+    FeedFormatError,
+    load_ground_truth,
+    load_products,
+    load_truth_file,
     read_clusters,
-    run_baseline,
-    run_match,
-    write_clusters,
 )
+from .pipeline import pairs_from_assignment, run_baseline, run_match, write_clusters
 from .scoring import ScoringConfig
 from .textprep import UnitLexicon
 from .verify import VERIFY_METRICS

@@ -24,6 +24,8 @@ MatchSet = Set[Tuple[int, int]]
 
 FORMATS = ("simple", "published")
 
+CLUSTERS_HEADER = ("product_id", "cluster_id")
+
 
 class FeedFormatError(ValueError):
     """Malformed feed content; message names the offending row when known."""
@@ -101,27 +103,45 @@ def load_products(path, fmt: str = "simple") -> Dataset:
     return Dataset(products=products)
 
 
-def load_truth_file(path, dataset: Dataset) -> Dataset:
-    """Attach cluster IDs from a (product_id, cluster_id) CSV to a dataset."""
+def read_clusters(path, kind: str = "clusters") -> Dict[int, int]:
+    """Load a product_id,cluster_id CSV: a clusters file as written by
+    pipeline.write_clusters, or a truth file.
+
+    Errors name the file and the 1-based row, counting the header.
+    """
     path = Path(path)
     if not path.is_file():
-        raise FileNotFoundError(f"truth file not found: {path}")
-    truth: Dict[int, int] = {}
+        raise FileNotFoundError(f"{kind} file not found: {path}")
+    out: Dict[int, int] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader, None)
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise FeedFormatError(f"row {row_num}: expected 2 columns, got {len(row)}")
-            truth[_parse_int(row[0], row_num, "product_id")] = _parse_int(
-                row[1], row_num, "cluster_id"
-            )
+        try:
+            header = [cell.strip() for cell in next(reader, [])]
+            if header != list(CLUSTERS_HEADER):
+                raise FeedFormatError(
+                    f"row 1: expected header {','.join(CLUSTERS_HEADER)}, got {','.join(header)!r}"
+                )
+            for row_num, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise FeedFormatError(f"row {row_num}: expected 2 columns, got {len(row)}")
+                pid = _parse_int(row[0], row_num, "product_id")
+                if pid in out:
+                    raise FeedFormatError(f"row {row_num}: duplicate product_id {pid}")
+                out[pid] = _parse_int(row[1], row_num, "cluster_id")
+        except FeedFormatError as exc:
+            raise FeedFormatError(f"{kind} file {path}: {exc}") from None
+    return out
+
+
+def load_truth_file(path, dataset: Dataset) -> Dataset:
+    """Attach cluster IDs from a (product_id, cluster_id) CSV to a dataset."""
+    truth = read_clusters(path, "truth")
     products = []
     for p in dataset.products:
         if p.product_id not in truth:
-            raise FeedFormatError(f"truth file lacks product_id {p.product_id}")
+            raise FeedFormatError(f"truth file {path} lacks product_id {p.product_id}")
         products.append(
             RawProduct(
                 product_id=p.product_id,

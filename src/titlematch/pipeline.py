@@ -17,12 +17,10 @@ from typing import Dict, List, Optional, Tuple
 from .baseline import pairwise_sweep
 from .evaluation import cluster_size_histogram, expand_cluster_pairs, prf1
 from .index import ProductIndex, analyze_dataset, build_index
-from .ingest import Dataset, FeedFormatError, MatchSet, _parse_int, load_ground_truth
+from .ingest import CLUSTERS_HEADER, Dataset, MatchSet, load_ground_truth
 from .scoring import ClusterUniverse, ScoringConfig, select_clusters
 from .textprep import UnitLexicon
 from .verify import verify_universe
-
-CLUSTERS_HEADER = ("product_id", "cluster_id")
 
 
 @dataclass
@@ -197,37 +195,6 @@ def write_clusters(path, result: MatchResult) -> None:
         writer.writerow(CLUSTERS_HEADER)
         for p, cid in enumerate(result.universe.assignment):
             writer.writerow([pids[p], cid])
-
-
-def read_clusters(path) -> Dict[int, int]:
-    """Load a product_id,cluster_id CSV as written by write_clusters.
-
-    Errors name the file and the 1-based row, counting the header.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"clusters file not found: {path}")
-    out: Dict[int, int] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [cell.strip() for cell in next(reader, [])]
-            if header != list(CLUSTERS_HEADER):
-                raise FeedFormatError(
-                    f"row 1: expected header {','.join(CLUSTERS_HEADER)}, got {','.join(header)!r}"
-                )
-            for row_num, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise FeedFormatError(f"row {row_num}: expected 2 columns, got {len(row)}")
-                pid = _parse_int(row[0], row_num, "product_id")
-                if pid in out:
-                    raise FeedFormatError(f"row {row_num}: duplicate product_id {pid}")
-                out[pid] = _parse_int(row[1], row_num, "cluster_id")
-        except FeedFormatError as exc:
-            raise FeedFormatError(f"clusters file {path}: {exc}") from None
-    return out
 
 
 def pairs_from_assignment(assignment: Dict[int, int]) -> MatchSet:

@@ -9,21 +9,37 @@ cluster that holds no product of its vendor at that moment, provided the
 similarity clears the threshold; otherwise it founds a new single-product
 cluster at the end of the universe.
 
-Candidate clusters are fetched through an inverted token-to-cluster map over
-representative titles. A cluster sharing no token with the product would have
-similarity 0, which can never clear a positive threshold, so the map loses no
-valid candidate.
+The evicted products are known before any of them moves. Representatives
+never change during verification, and a migration only enters a cluster that
+holds no product of the migrant's vendor, so it cannot create a violation:
+every violating (cluster, vendor) group keeps its initial members until it is
+visited. The eviction plan is therefore fixed by the initial universe.
+
+Candidates are scored from one token-to-slot posting array. The slots are the
+initial representatives (slot = cluster index) followed by the evicted
+products in plan order; an evicted product's slot becomes a cluster only if it
+founds one. Singletons are appended in plan order, so ascending slot order is
+ascending cluster-index order, and the rule "most similar, then lowest cluster
+index" is a (-similarity, slot) sort. A cluster sharing no token with the
+product has similarity 0, which never clears the threshold, so the postings
+lose no valid candidate.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Sequence, Tuple
+
+import numpy as np
 
 from .index import ProductIndex
 from .scoring import ClusterUniverse
 
 VERIFY_METRICS = ("cs", "cs-idf")
+
+# the vectorised cs-idf score sums in a different order than idf_cosine, so
+# it only preselects; survivors are rescored with idf_cosine itself
+_IDF_SLACK = 1e-9
 
 
 def binary_cosine(a: frozenset, b: frozenset) -> float:
@@ -53,25 +69,6 @@ def product_similarity(index: ProductIndex, p: int, pi: int, metric: str = "cs")
     return idf_cosine(a, b, idf_sq)
 
 
-def find_candidates(
-    p: int,
-    vendor: int,
-    universe: ClusterUniverse,
-    token_sets: List[frozenset],
-    token_map: Dict[int, List[int]],
-) -> List[int]:
-    """Clusters sharing at least one token with p and free of p's vendor."""
-    seen: Set[int] = set()
-    for w in token_sets[p]:
-        for ci in token_map.get(w, ()):
-            seen.add(ci)
-    out = []
-    for ci in sorted(seen):
-        if vendor not in universe.clusters[ci].members:
-            out.append(ci)
-    return out
-
-
 def scan_violators(universe: ClusterUniverse) -> List[Tuple[int, int]]:
     """(cluster index, vendor) pairs that still break the one-per-vendor rule."""
     out = []
@@ -80,6 +77,29 @@ def scan_violators(universe: ClusterUniverse) -> List[Tuple[int, int]]:
             if len(members) > 1:
                 out.append((ci, v))
     return out
+
+
+def _eviction_plan(
+    universe: ClusterUniverse, sim: Callable[[int, int], float], pids: Sequence[int]
+) -> List[Tuple[int, int, int]]:
+    """(cluster index, vendor, product) of every product to evict, in order."""
+    plan = []
+    for ci, cluster in enumerate(universe.clusters):
+        for vendor in cluster.vendors:
+            members = cluster.members[vendor]
+            if len(members) < 2:
+                continue
+            sims = {p: sim(p, cluster.pi) for p in members}
+            if cluster.pi in members:
+                keeper = cluster.pi
+            else:
+                keeper = min(members, key=lambda p: (-sims[p], pids[p]))
+            evicted = sorted(
+                (p for p in members if p != keeper),
+                key=lambda p: (-sims[p], pids[p]),
+            )
+            plan.extend((ci, vendor, p) for p in evicted)
+    return plan
 
 
 def verify_universe(
@@ -98,62 +118,73 @@ def verify_universe(
     if metric not in VERIFY_METRICS:
         raise ValueError(f"unknown verify metric {metric!r}")
     fw = index.forward
-    n = len(fw)
-    token_sets = [index.token_set(p) for p in range(n)]
-    if metric == "cs-idf":
-        idf_sq = (index.idf * index.idf).tolist()
+    idf_sq = (index.idf * index.idf).tolist() if metric == "cs-idf" else None
 
-        def sim(p: int, q: int) -> float:
-            return idf_cosine(token_sets[p], token_sets[q], idf_sq)
-
-    else:
-
-        def sim(p: int, q: int) -> float:
-            return binary_cosine(token_sets[p], token_sets[q])
-
-    token_map: Dict[int, List[int]] = {}
-
-    def register(ci: int) -> None:
-        for w in token_sets[universe.clusters[ci].pi]:
-            token_map.setdefault(w, []).append(ci)
-
-    for ci in range(len(universe.clusters)):
-        register(ci)
+    def sim(p: int, q: int) -> float:
+        if idf_sq is None:
+            return binary_cosine(index.token_set(p), index.token_set(q))
+        return idf_cosine(index.token_set(p), index.token_set(q), idf_sq)
 
     pids = fw.product_ids
-    ci = 0
-    while ci < len(universe.clusters):
-        cluster = universe.clusters[ci]
-        for vendor in list(cluster.vendors):
-            members = cluster.members.get(vendor, [])
-            if len(members) < 2:
-                continue
-            sims = {p: sim(p, cluster.pi) for p in members}
-            if cluster.pi in members:
-                keeper = cluster.pi
-            else:
-                keeper = min(members, key=lambda p: (-sims[p], pids[p]))
-            evicted = sorted(
-                (p for p in members if p != keeper),
-                key=lambda p: (-sims[p], pids[p]),
+    plan = _eviction_plan(universe, sim, pids)
+    if not plan:
+        return universe
+
+    n_init = len(universe.clusters)
+    slot_product = [c.pi for c in universe.clusters] + [p for _, _, p in plan]
+    n_slots = len(slot_product)
+    # cluster index of each slot, -1 while an evicted slot founded nothing
+    slot_ci = np.full(n_slots, -1, dtype=np.int64)
+    slot_ci[:n_init] = np.arange(n_init)
+
+    # token-major, deduplicated (token, slot) pairs: a CSR from token to slots
+    rows = [fw.token_rows[q] for q in slot_product]
+    keys = np.unique(
+        np.concatenate(rows).astype(np.int64) * n_slots
+        + np.repeat(np.arange(n_slots, dtype=np.int64), [len(r) for r in rows])
+    )
+    post_tok, post_slot = np.divmod(keys, n_slots)
+    indptr = np.searchsorted(post_tok, np.arange(len(index.tokens) + 1))
+    slot_len = np.bincount(post_slot, minlength=n_slots)
+    if idf_sq is not None:
+        idf_sq_arr = np.asarray(idf_sq)
+        slot_norm = np.bincount(post_slot, weights=idf_sq_arr[post_tok], minlength=n_slots)
+    # a zero score never wins, whatever tau is
+    floor = max(tau, 0.0)
+
+    for j, (ci, vendor, p) in enumerate(plan):
+        own = n_init + j
+        universe.remove(p, ci)
+        p_set = index.token_set(p)
+        toks = np.fromiter(p_set, dtype=np.int64)
+        hits = np.concatenate([post_slot[indptr[w] : indptr[w + 1]] for w in toks])
+        cand, inter = np.unique(hits, return_counts=True)
+        if idf_sq is None:
+            score = inter / np.sqrt(slot_len[own] * slot_len[cand])
+        else:
+            hit_w = np.repeat(idf_sq_arr[toks], indptr[toks + 1] - indptr[toks])
+            num = np.bincount(np.searchsorted(cand, hits), weights=hit_w, minlength=len(cand))
+            den = np.sqrt(slot_norm[own] * slot_norm[cand])
+            score = np.divide(num, den, out=np.zeros(len(cand)), where=den > 0.0)
+            pre = (score > floor - _IDF_SLACK) & (slot_ci[cand] >= 0)
+            cand = cand[pre]
+            score = np.array(
+                [
+                    idf_cosine(p_set, index.token_set(slot_product[s]), idf_sq)
+                    for s in cand.tolist()
+                ]
             )
-            for p in evicted:
-                universe.remove(p, ci)
-                best: Optional[int] = None
-                best_sim = 0.0
-                for cand in find_candidates(p, vendor, universe, token_sets, token_map):
-                    s = sim(p, universe.clusters[cand].pi)
-                    if s > best_sim:
-                        best_sim = s
-                        best = cand
-                if best is not None and best_sim > tau:
-                    universe.add_member(p, vendor, best)
-                else:
-                    new_ci = universe.insert(
-                        ("new", pids[p]), p, vendor, float(universe.s1[p]), record=None
-                    )
-                    register(new_ci)
-        ci += 1
+        keep = (score > floor) & (slot_ci[cand] >= 0)
+        cand, score = cand[keep], score[keep]
+        for s in cand[np.lexsort((cand, -score))].tolist():
+            target = int(slot_ci[s])
+            if vendor not in universe.clusters[target].members:
+                universe.add_member(p, vendor, target)
+                break
+        else:
+            slot_ci[own] = universe.insert(
+                ("new", pids[p]), p, vendor, float(universe.s1[p]), record=None
+            )
 
     leftovers = scan_violators(universe)
     if leftovers:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import csv
+from typing import Dict, List, Optional, Set
 
 from titlematch.ingest import Dataset, RawProduct
+from titlematch.scoring import ClusterUniverse
+from titlematch.verify import VERIFY_METRICS, binary_cosine, idf_cosine, scan_violators
 
 
 def make_ablation_dataset() -> Dataset:
@@ -105,3 +108,96 @@ def write_truth_csv(path, dataset: Dataset) -> None:
         writer.writerow(["product_id", "cluster_id"])
         for p in dataset.products:
             writer.writerow([p.product_id, p.truth_cluster_id])
+
+
+# ---------------------------------------------------------------------------
+# scalar verification reference
+# ---------------------------------------------------------------------------
+
+
+def find_candidates(
+    p: int,
+    vendor: int,
+    universe: ClusterUniverse,
+    token_sets: List[frozenset],
+    token_map: Dict[int, List[int]],
+) -> List[int]:
+    """Clusters sharing at least one token with p and free of p's vendor."""
+    seen: Set[int] = set()
+    for w in token_sets[p]:
+        for ci in token_map.get(w, ()):
+            seen.add(ci)
+    out = []
+    for ci in sorted(seen):
+        if vendor not in universe.clusters[ci].members:
+            out.append(ci)
+    return out
+
+
+def verify_universe_scalar(universe, index, tau: float = 0.4, metric: str = "cs"):
+    """Reference for titlematch.verify.verify_universe: one pass over the
+    live universe, scoring every token-sharing candidate pair by pair."""
+    if metric not in VERIFY_METRICS:
+        raise ValueError(f"unknown verify metric {metric!r}")
+    fw = index.forward
+    n = len(fw)
+    token_sets = [index.token_set(p) for p in range(n)]
+    if metric == "cs-idf":
+        idf_sq = (index.idf * index.idf).tolist()
+
+        def sim(p: int, q: int) -> float:
+            return idf_cosine(token_sets[p], token_sets[q], idf_sq)
+
+    else:
+
+        def sim(p: int, q: int) -> float:
+            return binary_cosine(token_sets[p], token_sets[q])
+
+    token_map: Dict[int, List[int]] = {}
+
+    def register(ci: int) -> None:
+        for w in token_sets[universe.clusters[ci].pi]:
+            token_map.setdefault(w, []).append(ci)
+
+    for ci in range(len(universe.clusters)):
+        register(ci)
+
+    pids = fw.product_ids
+    ci = 0
+    while ci < len(universe.clusters):
+        cluster = universe.clusters[ci]
+        for vendor in list(cluster.vendors):
+            members = cluster.members.get(vendor, [])
+            if len(members) < 2:
+                continue
+            sims = {p: sim(p, cluster.pi) for p in members}
+            if cluster.pi in members:
+                keeper = cluster.pi
+            else:
+                keeper = min(members, key=lambda p: (-sims[p], pids[p]))
+            evicted = sorted(
+                (p for p in members if p != keeper),
+                key=lambda p: (-sims[p], pids[p]),
+            )
+            for p in evicted:
+                universe.remove(p, ci)
+                best: Optional[int] = None
+                best_sim = 0.0
+                for cand in find_candidates(p, vendor, universe, token_sets, token_map):
+                    s = sim(p, universe.clusters[cand].pi)
+                    if s > best_sim:
+                        best_sim = s
+                        best = cand
+                if best is not None and best_sim > tau:
+                    universe.add_member(p, vendor, best)
+                else:
+                    new_ci = universe.insert(
+                        ("new", pids[p]), p, vendor, float(universe.s1[p]), record=None
+                    )
+                    register(new_ci)
+        ci += 1
+
+    leftovers = scan_violators(universe)
+    if leftovers:
+        raise RuntimeError(f"verification left violators: {leftovers[:5]}")
+    return universe

@@ -9,8 +9,7 @@ import pytest
 
 from titlematch.cli import build_parser, main
 from titlematch.evaluation import strip_timings
-from titlematch.ingest import Dataset, RawProduct
-from titlematch.pipeline import read_clusters
+from titlematch.ingest import Dataset, RawProduct, read_clusters
 
 from helpers import make_ablation_dataset, write_feed_csv, write_truth_csv
 

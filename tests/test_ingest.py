@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -107,6 +108,23 @@ def test_truth_file_attaches_clusters(tmp_path):
     write_truth_csv(truth, ds)
     loaded = load_truth_file(truth, load_products(feed, "simple"))
     assert load_ground_truth(loaded) == load_ground_truth(ds)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("id,cluster\n1,0\n2,0\n3,1\n", r"row 1: expected header product_id,cluster_id"),
+        ("product_id,cluster_id\n1,0\n2,0\n2,5\n3,1\n", r"row 4: duplicate product_id 2"),
+    ],
+    ids=["bad_header", "repeated_product"],
+)
+def test_truth_file_rejects_bad_rows(tmp_path, text, message):
+    feed = tmp_path / "feed.csv"
+    feed.write_text("id,title,vendor\n1,a b,0\n2,a c,1\n3,d e,0\n", encoding="utf-8")
+    truth = tmp_path / "truth.csv"
+    truth.write_text(text, encoding="utf-8")
+    with pytest.raises(FeedFormatError, match=f"truth file {re.escape(str(truth))}: {message}"):
+        load_truth_file(truth, load_products(feed, "simple"))
 
 
 def test_three_products_one_cluster():

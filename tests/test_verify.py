@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
 import pytest
@@ -9,17 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from titlematch.index import build_index
 from titlematch.ingest import Dataset, RawProduct
-from titlematch.scoring import ScoringConfig, select_clusters
+from titlematch.scoring import ClusterUniverse, ScoringConfig, select_clusters
 from titlematch.synth import planted_dataset
 from titlematch.verify import (
     binary_cosine,
-    find_candidates,
     product_similarity,
     scan_violators,
     verify_universe,
 )
 
-from helpers import make_ablation_dataset
+from helpers import make_ablation_dataset, verify_universe_scalar
 
 
 def tiny_dataset(titles, vendors):
@@ -33,6 +33,36 @@ def built(titles, vendors):
     idx = build_index(ds, k=2)
     universe = select_clusters(idx, ScoringConfig(), prune=False)
     return idx, universe
+
+
+def hand_built(rows):
+    """Index over (title, vendor) rows and a universe placed by hand.
+
+    rows: (title, vendor, cluster key, s1); the highest s1 in a cluster
+    becomes its representative and clusters are numbered by first key seen.
+    """
+    idx = build_index(tiny_dataset([r[0] for r in rows], [r[1] for r in rows]), k=2)
+    universe = ClusterUniverse(len(rows))
+    for p, (_, vendor, key, s1) in enumerate(rows):
+        universe.insert(key, p, vendor, s1)
+    return idx, universe
+
+
+def cluster_state(universe):
+    return list(universe.assignment), [
+        (c.pi, list(c.vendors), {v: list(m) for v, m in c.members.items()})
+        for c in universe.clusters
+    ]
+
+
+def verify_both(idx, universe, tau=0.4, metric="cs"):
+    """Run verify_universe and the scalar reference; return the verified
+    universe after checking that both agree exactly."""
+    ref = copy.deepcopy(universe)
+    verify_universe(universe, idx, tau=tau, metric=metric)
+    verify_universe_scalar(ref, idx, tau=tau, metric=metric)
+    assert cluster_state(universe) == cluster_state(ref)
+    return universe
 
 
 def members_by_product_id(universe, index):
@@ -152,36 +182,103 @@ def test_migration_above_threshold():
     assert sorted(range(9, 17)) in groups
 
 
-def test_find_candidates_excludes_vendor_and_disjoint():
-    idx, universe = built(
+def test_migration_skips_cluster_holding_the_vendor():
+    # product 1 (vendor 0) is evicted from cluster 0. Cluster 1's
+    # representative is identical to it but holds vendor 0 already, so the
+    # product goes to cluster 2 (similarity 2/3) instead.
+    idx, universe = hand_built(
         [
-            "acme kw12 grill",
-            "acme kw12 grill steel",
-            "acme zz11 oven pan",
-            "nordex yy88 lamp glow",
-        ],
-        [0, 1, 2, 3],
+            ("alpha beta gamma", 0, "a", 9.0),
+            ("delta epsilon zeta", 0, "a", 1.0),
+            ("delta epsilon zeta", 0, "b", 9.0),
+            ("delta epsilon eta", 1, "c", 9.0),
+        ]
     )
-    n = 4
-    token_sets = [idx.token_set(p) for p in range(n)]
-    token_map = {}
-    for ci, cluster in enumerate(universe.clusters):
-        for w in token_sets[cluster.pi]:
-            token_map.setdefault(w, []).append(ci)
-    grill = universe.assignment[0]
-    assert universe.assignment[1] == grill
-    oven = universe.assignment[2]
-    assert oven != grill
+    verify_both(idx, universe)
+    assert universe.assignment[1] == 2
+    assert len(universe.clusters) == 3
 
-    # the oven product shares "acme" with the grill representative and its
-    # vendor 2 is absent from the grill cluster
-    cands = find_candidates(2, 2, universe, token_sets, token_map)
-    assert grill in cands
-    # the same query on behalf of vendor 0 excludes the grill cluster
-    assert grill not in find_candidates(2, 0, universe, token_sets, token_map)
-    # the lamp product shares no token with the grill representative
-    cands_lamp = find_candidates(3, 3, universe, token_sets, token_map)
-    assert grill not in cands_lamp
+
+def test_token_disjoint_cluster_is_no_candidate():
+    # at tau 0 any shared token clears the threshold, but cluster 1 shares
+    # none with the evicted product, so it founds a singleton
+    idx, universe = hand_built(
+        [
+            ("alpha beta gamma", 0, "a", 9.0),
+            ("delta epsilon zeta", 0, "a", 1.0),
+            ("theta iota kappa", 1, "b", 9.0),
+        ]
+    )
+    verify_both(idx, universe, tau=0.0)
+    assert universe.assignment[1] == 2
+    assert universe.clusters[2].pi == 1
+
+
+@pytest.mark.parametrize("metric, target", [("cs", 1), ("cs-idf", 2)])
+def test_zero_similarity_never_migrates(metric, target):
+    # "acme" is in every title, so its idf is 0: under cs-idf the only
+    # shared token weighs nothing and the evicted product founds cluster 2,
+    # while plain cs scores 1/3 > 0 and migrates it to cluster 1
+    idx, universe = hand_built(
+        [
+            ("acme alpha beta", 0, "a", 9.0),
+            ("acme delta epsilon", 0, "a", 1.0),
+            ("acme theta iota", 1, "b", 9.0),
+        ]
+    )
+    verify_both(idx, universe, tau=0.0, metric=metric)
+    assert universe.assignment[1] == target
+
+
+def test_migration_into_singleton_founded_in_same_pass():
+    # cluster 0 holds two violating vendor groups. Product 1 (vendor 0) is
+    # evicted first and shares no token with any representative, so it
+    # founds cluster 1. Product 3 (vendor 1) is evicted next; its best
+    # candidate is product 1's new cluster (3 / sqrt(12) > 0.4).
+    idx, universe = hand_built(
+        [
+            ("alpha beta gamma", 0, "a", 9.0),
+            ("delta epsilon zeta", 0, "a", 1.0),
+            ("alpha beta gamma", 1, "a", 2.0),
+            ("delta epsilon zeta eta", 1, "a", 1.0),
+        ]
+    )
+    verify_both(idx, universe)
+    assert len(universe.clusters) == 2
+    assert universe.clusters[1].pi == 1
+    assert universe.clusters[1].members == {0: [1], 1: [3]}
+    assert universe.assignment[3] == 1
+
+
+def test_equal_similarity_goes_to_lower_cluster_index():
+    # the evicted product 1 scores 2/3 against clusters 1 and 2 alike, and
+    # the lower cluster index wins
+    idx, universe = hand_built(
+        [
+            ("alpha beta gamma", 0, "a", 9.0),
+            ("delta epsilon zeta", 0, "a", 1.0),
+            ("delta epsilon theta", 1, "b", 9.0),
+            ("delta epsilon iota", 2, "c", 9.0),
+        ]
+    )
+    verify_both(idx, universe)
+    assert universe.assignment[1] == 1
+
+
+@pytest.mark.parametrize("tau, target", [(0.5, 2), (0.49, 1)])
+def test_similarity_equal_to_tau_is_not_taken(tau, target):
+    # the evicted product shares one of two tokens with cluster 1's
+    # representative: similarity exactly 0.5, which must exceed tau
+    idx, universe = hand_built(
+        [
+            ("alpha beta", 0, "a", 9.0),
+            ("gamma delta", 0, "a", 1.0),
+            ("gamma zeta", 1, "b", 9.0),
+        ]
+    )
+    assert product_similarity(idx, 1, 2) == 0.5
+    verify_both(idx, universe, tau=tau)
+    assert universe.assignment[1] == target
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +338,22 @@ def test_assignment_map_consistent_after_verify(ablation_dataset):
     for ci, cluster in enumerate(universe.clusters):
         for p in cluster.product_ordinals():
             assert universe.assignment[p] == ci
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_verify_matches_scalar_reference(seed):
+    # many siblings and families over few vendors make evictions, new
+    # singletons and migrations into them common
+    ds = planted_dataset(
+        n_clusters=12,
+        n_vendors=4,
+        sibling_rate=0.6,
+        family_rate=0.7,
+        seed=seed,
+    )
+    idx = build_index(ds)
+    initial = select_clusters(idx, ScoringConfig(), prune=False)
+    for metric in ("cs", "cs-idf"):
+        for tau in (0.0, 0.4, 1.0):
+            verify_both(idx, copy.deepcopy(initial), tau=tau, metric=metric)
