@@ -20,12 +20,12 @@ print(f"combination instances:  {stats.combination_instances}")
 print(f"distinct combinations:  {stats.distinct_combinations}")
 print(f"signature collisions:   {stats.collisions_resolved}")
 
-universe = select_clusters(index, ScoringConfig(), prune=False)
+universe = select_clusters(index, ScoringConfig())
 print(f"\n{len(universe)} clusters for {dataset.title_count} products")
 
 largest = max(universe.clusters, key=lambda c: c.size)
 print(f"\nlargest cluster ({largest.size} products):")
-surfaces = [index.tokens.records[i].surface for i in largest.key_ids]
+surfaces = [index.tokens.surfaces[i] for i in largest.key_ids]
 print(f"  winning combination: {surfaces}")
 for p in largest.product_ordinals():
     marker = "*" if p == largest.pi else " "

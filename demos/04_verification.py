@@ -59,7 +59,7 @@ def variant_dataset() -> Dataset:
 dataset = variant_dataset()
 truth = load_ground_truth(dataset)
 index = build_index(dataset)
-universe = select_clusters(index, ScoringConfig(), prune=False)
+universe = select_clusters(index, ScoringConfig())
 
 print("before verification:")
 for ci, cluster in enumerate(universe.clusters):

@@ -23,6 +23,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+import numpy as np
+
 from .baseline import METRICS
 from .evaluation import prf1, run_report
 from .index import DISTANCE_MODES, build_index
@@ -32,9 +34,10 @@ from .ingest import (
     load_ground_truth,
     load_products,
     load_truth_file,
+    pairs_from_assignment,
     read_clusters,
 )
-from .pipeline import pairs_from_assignment, run_baseline, run_match, write_clusters
+from .pipeline import run_baseline, run_match, write_clusters
 from .scoring import ScoringConfig
 from .textprep import UnitLexicon
 from .verify import VERIFY_METRICS
@@ -55,6 +58,16 @@ def _parse_k(value: str) -> Optional[int]:
     if k < 2:
         raise argparse.ArgumentTypeError(f"K must be >= 2, got {k}")
     return k
+
+
+def _parse_top(value: str) -> int:
+    try:
+        top = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
+    if top < 0:
+        raise argparse.ArgumentTypeError(f"--top must be >= 0, got {top}")
+    return top
 
 
 def _parse_sweep(value: str) -> List[float]:
@@ -101,6 +114,31 @@ _CHOICE_KEYS = {
 }
 
 
+def _config_value(key: str, value):
+    """Check one config-file value against its flag's type; JSON types are
+    taken as they are, never coerced."""
+    if key in _CHOICE_KEYS:
+        if value not in _CHOICE_KEYS[key]:
+            raise ValueError(
+                f"config key {key!r} must be one of {_CHOICE_KEYS[key]}, got {value!r}"
+            )
+    elif key in ("alpha", "b", "tau"):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"config key {key!r} must be a number, got {value!r}")
+        value = float(value)
+    elif key == "k":
+        if value == "auto":
+            value = None
+        elif isinstance(value, bool) or not isinstance(value, int) or value < 2:
+            raise ValueError(f"config key 'k' must be 'auto' or an integer >= 2, got {value!r}")
+    elif key == "no_verify":
+        if not isinstance(value, bool):
+            raise ValueError(f"config key 'no_verify' must be true or false, got {value!r}")
+    elif not isinstance(value, str):
+        raise ValueError(f"config key {key!r} must be a string, got {value!r}")
+    return value
+
+
 def _apply_config(args) -> None:
     """Fill unset parameters from the config file, then from the defaults."""
     data = {}
@@ -119,21 +157,7 @@ def _apply_config(args) -> None:
             continue
         current = getattr(args, key)
         if current is _UNSET or (key == "no_verify" and current is False):
-            if key in data:
-                value = data[key]
-                if key == "k":
-                    value = _parse_k(str(value))
-                elif key in _CHOICE_KEYS and value not in _CHOICE_KEYS[key]:
-                    raise ValueError(
-                        f"config key {key!r} must be one of {_CHOICE_KEYS[key]}, got {value!r}"
-                    )
-                elif key in ("alpha", "b", "tau"):
-                    value = float(value)
-                elif key == "no_verify":
-                    value = bool(value)
-                setattr(args, key, value)
-            else:
-                setattr(args, key, default)
+            setattr(args, key, _config_value(key, data[key]) if key in data else default)
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -240,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ins.add_argument("--k", type=_parse_k, default=_UNSET, metavar="auto|INT")
     p_ins.add_argument("--variant", choices=("upm", "upm+"), default=_UNSET)
     p_ins.add_argument("--distance", choices=DISTANCE_MODES, default=_UNSET)
-    p_ins.add_argument("--top", type=int, default=10, help="how many frequent tokens to list")
+    p_ins.add_argument(
+        "--top", type=_parse_top, default=10, help="how many frequent tokens to list"
+    )
     p_ins.set_defaults(func=cmd_inspect)
 
     return parser
@@ -357,9 +383,9 @@ def cmd_inspect(args) -> int:
         f"combinations={s.distinct_combinations} instances={s.combination_instances} "
         f"avg_combination_len={s.avg_combination_len:.3f} collisions={s.collisions_resolved}"
     )
-    top = sorted(index.tokens.records, key=lambda r: (-r.f_w, r.token_id))[: args.top]
-    for rec in top:
-        print(f"token id={rec.token_id} f={rec.f_w} sem={int(rec.s_w)} {rec.surface}")
+    tokens = index.tokens
+    for i in np.argsort(-tokens.f_w, kind="stable")[: args.top].tolist():
+        print(f"token id={i} f={tokens.f_w[i]} sem={tokens.s_w[i]} {tokens.surfaces[i]}")
     return 0
 
 

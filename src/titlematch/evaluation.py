@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .index import ProductIndex
-from .ingest import MatchSet
+from .ingest import MatchSet, pairs_from_assignment
 from .scoring import ClusterUniverse
 
 # Timing keys are excluded when comparing reports for determinism.
@@ -39,16 +39,7 @@ SUMMARY_COLUMNS = (
 
 def expand_cluster_pairs(universe: ClusterUniverse, index: ProductIndex) -> MatchSet:
     """All unordered intra-cluster product-ID pairs."""
-    pids = index.forward.product_ids
-    pairs: MatchSet = set()
-    for cluster in universe.clusters:
-        members = cluster.product_ordinals()
-        for i in range(len(members)):
-            a = pids[members[i]]
-            for j in range(i + 1, len(members)):
-                b = pids[members[j]]
-                pairs.add((a, b) if a < b else (b, a))
-    return pairs
+    return pairs_from_assignment(dict(zip(index.forward.product_ids, universe.assignment)))
 
 
 def prf1(predicted: MatchSet, truth: MatchSet) -> Dict[str, float]:

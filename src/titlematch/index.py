@@ -1,20 +1,24 @@
 """One-pass construction of the token lexicon, combination lexicon and
-forward index.
+forward index, all held as numpy columns.
 
-Tokens are interned in first-encounter order and carry a product frequency
-f_w plus the semantics seen at first encounter. Combinations are grouped by
-their exact key, the sorted member-ID sequence, in one whole-array pass per
-combination size k: every instance's key row is gathered, the rows are
-dense-ranked lexicographically, and the frequency f_c and the positional
-distance accumulator d_acc of each distinct key come from np.bincount.
-Records are therefore ordered by (k, key). Equality never rests on a hash;
-the 64-bit FNV-1a signature is computed once per distinct key and serves
-scoring tie-breaks and snapshots only.
+Tokens are interned in first-encounter order; the lexicon keeps each
+token's surface, its product frequency f_w and the semantics seen at first
+encounter. The forward index keeps every product's token IDs and semantics
+as one CSR in product order. Combinations are grouped by their exact key,
+the sorted member-ID sequence, in one whole-array pass per combination size
+k: every instance's key row is gathered, the rows are dense-ranked
+lexicographically, and the frequency f_c and the positional distance
+accumulator d_acc of each distinct key come from np.bincount. Records are
+therefore ordered by (k, key). Equality never rests on a hash; the 64-bit
+FNV-1a signature is computed once per distinct key and serves scoring
+tie-breaks and snapshots only.
 
-Within one k, instances are laid out by ascending title length, file order
-within a length and enumeration order within a title; bincount sums d_acc in
-that order, so the accumulators are reproducible run to run. With the
-default squared distance the accumulator is integral and therefore exact.
+Titles are bucketed by length (length_buckets), ascending, file order within
+a length. A bucket's record IDs form one block with a row per title, which
+scoring slices as it is. Within one k, instances follow the bucket order and
+enumeration order within a title; bincount sums d_acc in that order, so the
+accumulators are reproducible run to run. With the default squared distance
+the accumulator is integral and therefore exact.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import numpy as np
 
 from .combinatorics import (
     Combination,
-    canonical_key,
     count_combinations,
     pattern_distances,
     position_patterns,
@@ -37,9 +40,7 @@ from .combinatorics import (
 from .ingest import Dataset, RawProduct
 from .textprep import (
     AnalyzedTitle,
-    Semantics,
     TitleNormalizationError,
-    Token,
     UnitLexicon,
     analyze_title,
     truncate_for_variant,
@@ -51,43 +52,24 @@ SNAPSHOT_VERSION = 1
 DISTANCE_MODES = ("squared", "euclidean")
 
 
+def _empty(dtype) -> np.ndarray:
+    return np.empty(0, dtype=dtype)
+
+
 @dataclass
-class TokenRecord:
-    token_id: int
-    surface: str
-    f_w: int
-    s_w: Semantics
-
-
 class TokenLexicon:
-    """Interned title tokens with product frequencies."""
+    """Title tokens as columns, IDs in first-encounter order.
 
-    def __init__(self) -> None:
-        self.records: List[TokenRecord] = []
-        self._by_surface: Dict[str, int] = {}
+    Token i has surface surfaces[i], product frequency f_w[i] and the
+    semantics s_w[i] it carried at its first encounter.
+    """
+
+    surfaces: List[str] = field(default_factory=list)
+    f_w: np.ndarray = field(default_factory=lambda: _empty(np.int64))
+    s_w: np.ndarray = field(default_factory=lambda: _empty(np.int64))
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def id_of(self, surface: str) -> int:
-        return self._by_surface[surface]
-
-    def intern(self, surface: str, semantics: Semantics) -> int:
-        idx = self._by_surface.get(surface)
-        if idx is None:
-            idx = len(self.records)
-            self.records.append(TokenRecord(idx, surface, 1, semantics))
-            self._by_surface[surface] = idx
-        else:
-            self.records[idx].f_w += 1
-        return idx
-
-    def idf_table(self, title_count: int) -> np.ndarray:
-        """idf(w) = ln(|P| / f_w) for every token, as a dense array."""
-        f = np.array([r.f_w for r in self.records], dtype=np.float64)
-        if len(f) == 0:
-            return f
-        return np.log(float(title_count) / f)
+        return len(self.surfaces)
 
 
 @dataclass(frozen=True)
@@ -100,14 +82,6 @@ class CombinationRecord:
     f_c: int
     d_acc: float
     k: int
-
-    @property
-    def canonical_key(self) -> str:
-        return canonical_key(self.key_ids)
-
-
-def _empty(dtype) -> np.ndarray:
-    return np.empty(0, dtype=dtype)
 
 
 @dataclass
@@ -145,19 +119,28 @@ class CombinationLexicon:
 
 @dataclass
 class ForwardIndex:
-    """Per-product references into the lexicons."""
+    """Per-product references into the lexicons, as columns.
+
+    Product p's token IDs, in title order, are
+    tok_flat[tok_offsets[p] : tok_offsets[p + 1]] and their semantics the
+    same slice of sem_flat. Combination record IDs live in one block per
+    entry of length_buckets(np.diff(tok_offsets)): row r of combo_blocks[b]
+    holds the record IDs of the bucket's r-th product in enumeration order.
+    combo_blocks is empty when the index was built without combinations.
+    """
 
     product_ids: List[int] = field(default_factory=list)
     vendor_ids: List[int] = field(default_factory=list)
-    token_rows: List[np.ndarray] = field(default_factory=list)
-    sem_rows: List[np.ndarray] = field(default_factory=list)
-    combo_rows: List[np.ndarray] = field(default_factory=list)
+    tok_flat: np.ndarray = field(default_factory=lambda: _empty(np.int64))
+    sem_flat: np.ndarray = field(default_factory=lambda: _empty(np.int64))
+    tok_offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
+    combo_blocks: List[np.ndarray] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.product_ids)
 
-    def length_of(self, p: int) -> int:
-        return len(self.token_rows[p])
+    def tokens_of(self, p: int) -> np.ndarray:
+        return self.tok_flat[self.tok_offsets[p] : self.tok_offsets[p + 1]]
 
 
 @dataclass(frozen=True)
@@ -174,7 +157,6 @@ class IndexStats:
 @dataclass
 class ProductIndex:
     dataset: Dataset
-    analyzed: List[AnalyzedTitle]
     tokens: TokenLexicon
     combos: CombinationLexicon
     forward: ForwardIndex
@@ -187,12 +169,13 @@ class ProductIndex:
 
     @property
     def idf(self) -> np.ndarray:
+        """idf(w) = ln(|P| / f_w) for every token, as a dense array."""
         if self._idf is None:
-            self._idf = self.tokens.idf_table(self.stats.title_count)
+            self._idf = np.log(float(self.stats.title_count) / self.tokens.f_w.astype(np.float64))
         return self._idf
 
     def token_set(self, p: int) -> frozenset:
-        return frozenset(self.forward.token_rows[p].tolist())
+        return frozenset(self.forward.tokens_of(p).tolist())
 
 
 def resolve_k(avg_title_len: float) -> int:
@@ -284,33 +267,39 @@ def _group_size(
     return rows[first], np.bincount(rank), np.bincount(rank, weights=dist)
 
 
+def length_buckets(lengths: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+    """(length, products) for every title length >= 2, ascending by length,
+    products in file order: the layout of the combination blocks, of the
+    instances within one k and of the scoring pass."""
+    order = np.argsort(lengths, kind="stable")
+    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+    return [
+        (int(lengths[group[0]]), group)
+        for group in np.split(order, cuts)
+        if len(group) and lengths[group[0]] >= 2
+    ]
+
+
 def _index_combinations(
     forward: ForwardIndex, k_max: int, euclidean: bool
 ) -> Tuple[CombinationLexicon, int, int]:
     """Group every 2..K combination instance by exact key, one pass per k.
 
-    Instances of one k are laid out by ascending title length, file order
-    within a length and enumeration order within a title. Fills
-    forward.combo_rows (each product's record IDs in enumeration order) and
-    returns the lexicon, the instance count and the summed member count.
+    Fills forward.combo_blocks (each product's record IDs in enumeration
+    order) and returns the lexicon, the instance count and the summed member
+    count.
     """
-    by_length: Dict[int, List[int]] = {}
-    for p in range(len(forward)):
-        by_length.setdefault(forward.length_of(p), []).append(p)
-    # (length, ID matrix, record-ID matrix) per title length >= 2
+    offsets = forward.tok_offsets
+    # (length, ID matrix, record-ID block) per length bucket
     buckets = [
         (
             l,
-            np.vstack([forward.token_rows[p] for p in by_length[l]]).astype(np.int32),
-            np.empty((len(by_length[l]), count_combinations(l, k_max)), dtype=np.int32),
+            forward.tok_flat[offsets[members][:, None] + np.arange(l)].astype(np.int32),
+            np.empty((len(members), count_combinations(l, k_max)), dtype=np.int32),
         )
-        for l in sorted(by_length)
-        if l >= 2
+        for l, members in length_buckets(np.diff(offsets))
     ]
-    forward.combo_rows = [_empty(np.int32)] * len(forward)
-    for l, _, out in buckets:
-        for p, row in zip(by_length[l], out):
-            forward.combo_rows[p] = row
+    forward.combo_blocks = [out for _, _, out in buckets]
 
     keys, f_c, d_acc = [], [], []
     n_records = instances = members = 0
@@ -373,16 +362,34 @@ def build_index(
 
     titles = [truncate_for_variant(t, variant, k_resolved) for t in analyzed]
 
-    tokens = TokenLexicon()
-    forward = ForwardIndex()
-    for p, title in zip(dataset.products, titles):
-        ids = [tokens.intern(tok.surface, tok.semantics) for tok in title.tokens]
-        forward.product_ids.append(p.product_id)
-        forward.vendor_ids.append(p.vendor_id)
-        forward.token_rows.append(np.asarray(ids, dtype=np.int64))
-        forward.sem_rows.append(
-            np.asarray([int(tok.semantics) for tok in title.tokens], dtype=np.int64)
-        )
+    by_surface: Dict[str, int] = {}
+    surfaces: List[str] = []
+    first_sem: List[int] = []
+    ids: List[int] = []
+    sems: List[int] = []
+    for title in titles:
+        for tok in title.tokens:
+            i = by_surface.get(tok.surface)
+            if i is None:
+                i = by_surface[tok.surface] = len(surfaces)
+                surfaces.append(tok.surface)
+                first_sem.append(int(tok.semantics))
+            ids.append(i)
+            sems.append(int(tok.semantics))
+    tok_flat = np.asarray(ids, dtype=np.int64)
+    # analyzed titles hold no duplicate tokens, so occurrences are products
+    tokens = TokenLexicon(
+        surfaces=surfaces,
+        f_w=np.bincount(tok_flat, minlength=len(surfaces)),
+        s_w=np.asarray(first_sem, dtype=np.int64),
+    )
+    forward = ForwardIndex(
+        product_ids=[p.product_id for p in dataset.products],
+        vendor_ids=[p.vendor_id for p in dataset.products],
+        tok_flat=tok_flat,
+        sem_flat=np.asarray(sems, dtype=np.int64),
+        tok_offsets=np.cumsum([0] + [t.length for t in titles], dtype=np.int64),
+    )
 
     if with_combinations:
         combos, total_instances, total_member_count = _index_combinations(
@@ -390,13 +397,11 @@ def build_index(
         )
     else:
         combos, total_instances, total_member_count = CombinationLexicon(), 0, 0
-        forward.combo_rows = [_empty(np.int32)] * n
 
-    indexed_avg_len = sum(t.length for t in titles) / n if n else 0.0
     stats = IndexStats(
         title_count=n,
         distinct_tokens=len(tokens),
-        avg_title_len=indexed_avg_len,
+        avg_title_len=len(tok_flat) / n if n else 0.0,
         avg_combination_len=(total_member_count / total_instances) if total_instances else 0.0,
         combination_instances=total_instances,
         distinct_combinations=len(combos),
@@ -404,7 +409,6 @@ def build_index(
     )
     return ProductIndex(
         dataset=dataset,
-        analyzed=titles,
         tokens=tokens,
         combos=combos,
         forward=forward,
@@ -416,10 +420,20 @@ def build_index(
 
 
 def save_index(index: ProductIndex, path) -> None:
-    """Write a versioned binary snapshot of a built index."""
+    """Write a versioned binary snapshot of a built index.
+
+    The snapshot stores combination record IDs in product order, as
+    combo_flat[combo_offsets[p] : combo_offsets[p + 1]].
+    """
     fw = index.forward
-    tok_offsets = np.cumsum([0] + [len(r) for r in fw.token_rows])
-    combo_offsets = np.cumsum([0] + [len(r) for r in fw.combo_rows])
+    buckets = length_buckets(np.diff(fw.tok_offsets))
+    widths = np.zeros(len(fw), dtype=np.int64)
+    for (_, members), block in zip(buckets, fw.combo_blocks):
+        widths[members] = block.shape[1]
+    combo_offsets = np.cumsum(np.concatenate([[0], widths]))
+    combo_flat = np.empty(combo_offsets[-1], dtype=np.int32)
+    for (_, members), block in zip(buckets, fw.combo_blocks):
+        combo_flat[combo_offsets[members][:, None] + np.arange(block.shape[1])] = block
     combos = index.combos
     truth = np.asarray(
         [
@@ -451,17 +465,13 @@ def save_index(index: ProductIndex, path) -> None:
         vendor_ids=np.asarray(fw.vendor_ids, dtype=np.int64),
         truth=truth,
         titles=np.asarray([p.title for p in index.dataset.products], dtype=np.str_),
-        token_surfaces=np.asarray([r.surface for r in index.tokens.records], dtype=np.str_),
-        token_f=np.asarray([r.f_w for r in index.tokens.records], dtype=np.int64),
-        token_sem=np.asarray([int(r.s_w) for r in index.tokens.records], dtype=np.int64),
-        tok_flat=(
-            np.concatenate(fw.token_rows) if fw.token_rows else np.empty(0, dtype=np.int64)
-        ),
-        tok_offsets=tok_offsets,
-        sem_flat=(
-            np.concatenate(fw.sem_rows) if fw.sem_rows else np.empty(0, dtype=np.int64)
-        ),
-        combo_flat=np.concatenate(fw.combo_rows) if fw.combo_rows else _empty(np.int32),
+        token_surfaces=np.asarray(index.tokens.surfaces, dtype=np.str_),
+        token_f=index.tokens.f_w,
+        token_sem=index.tokens.s_w,
+        tok_flat=fw.tok_flat,
+        tok_offsets=fw.tok_offsets,
+        sem_flat=fw.sem_flat,
+        combo_flat=combo_flat,
         combo_offsets=combo_offsets,
         combo_sigs=combos.sigs,
         combo_f=combos.f_c,
@@ -485,8 +495,6 @@ def load_index(path) -> ProductIndex:
             )
         product_ids = z["product_ids"].tolist()
         vendor_ids = z["vendor_ids"].tolist()
-        truth = z["truth"].tolist()
-        titles_raw = z["titles"].tolist()
         products = [
             RawProduct(
                 product_id=pid,
@@ -494,45 +502,28 @@ def load_index(path) -> ProductIndex:
                 vendor_id=vid,
                 truth_cluster_id=None if t < 0 else t,
             )
-            for pid, title, vid, t in zip(product_ids, titles_raw, vendor_ids, truth)
+            for pid, title, vid, t in zip(
+                product_ids, z["titles"].tolist(), vendor_ids, z["truth"].tolist()
+            )
         ]
-        dataset = Dataset(products=products)
-
-        tokens = TokenLexicon()
-        for i, (surface, f_w, sem) in enumerate(
-            zip(z["token_surfaces"].tolist(), z["token_f"].tolist(), z["token_sem"].tolist())
-        ):
-            tokens.records.append(TokenRecord(i, surface, f_w, Semantics(sem)))
-            tokens._by_surface[surface] = i
-
-        tok_flat = z["tok_flat"]
-        tok_offsets = z["tok_offsets"]
-        sem_flat = z["sem_flat"]
+        tokens = TokenLexicon(
+            surfaces=z["token_surfaces"].tolist(), f_w=z["token_f"], s_w=z["token_sem"]
+        )
+        forward = ForwardIndex(
+            product_ids=product_ids,
+            vendor_ids=vendor_ids,
+            tok_flat=z["tok_flat"],
+            sem_flat=z["sem_flat"],
+            tok_offsets=z["tok_offsets"],
+        )
+        k = meta["k"]
         combo_flat = z["combo_flat"].astype(np.int32)
         combo_offsets = z["combo_offsets"]
-        forward = ForwardIndex(product_ids=product_ids, vendor_ids=vendor_ids)
-        analyzed: List[AnalyzedTitle] = []
-        for p in range(len(product_ids)):
-            t0, t1 = int(tok_offsets[p]), int(tok_offsets[p + 1])
-            ids = tok_flat[t0:t1]
-            sems = sem_flat[t0:t1]
-            forward.token_rows.append(ids.copy())
-            forward.sem_rows.append(sems.copy())
-            c0, c1 = int(combo_offsets[p]), int(combo_offsets[p + 1])
-            forward.combo_rows.append(combo_flat[c0:c1])
-            analyzed.append(
-                AnalyzedTitle(
-                    tokens=tuple(
-                        Token(
-                            surface=tokens.records[int(i)].surface,
-                            semantics=Semantics(int(s)),
-                            position=pos,
-                        )
-                        for pos, (i, s) in enumerate(zip(ids.tolist(), sems.tolist()))
-                    )
-                )
-            )
-
+        if len(combo_flat):
+            forward.combo_blocks = [
+                combo_flat[combo_offsets[members][:, None] + np.arange(count_combinations(l, k))]
+                for l, members in length_buckets(np.diff(forward.tok_offsets))
+            ]
         combos = CombinationLexicon(
             sigs=z["combo_sigs"],
             f_c=z["combo_f"],
@@ -541,15 +532,13 @@ def load_index(path) -> ProductIndex:
             key_flat=z["key_flat"].astype(np.int32),
             key_offsets=z["key_offsets"],
         )
-        stats = IndexStats(**meta["stats"])
         return ProductIndex(
-            dataset=dataset,
-            analyzed=analyzed,
+            dataset=Dataset(products=products),
             tokens=tokens,
             combos=combos,
             forward=forward,
-            stats=stats,
-            k=meta["k"],
+            stats=IndexStats(**meta["stats"]),
+            k=k,
             variant=meta["variant"],
             distance_mode=meta["distance_mode"],
         )

@@ -16,9 +16,10 @@ unordered (min_id, max_id) pairs on demand.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 MatchSet = Set[Tuple[int, int]]
 
@@ -153,17 +154,20 @@ def load_truth_file(path, dataset: Dataset) -> Dataset:
     return Dataset(products=products)
 
 
+def pairs_from_assignment(assignment: Mapping[int, int]) -> MatchSet:
+    """Expand a product-to-cluster map into unordered (min_id, max_id) pairs."""
+    groups: Dict[int, List[int]] = {}
+    for pid, cid in assignment.items():
+        groups.setdefault(cid, []).append(pid)
+    pairs: MatchSet = set()
+    for members in groups.values():
+        pairs.update(itertools.combinations(sorted(members), 2))
+    return pairs
+
+
 def load_ground_truth(dataset: Dataset) -> MatchSet:
     """Expand per-product cluster IDs into all unordered matching pairs."""
-    clusters: Dict[int, List[int]] = {}
     for p in dataset.products:
         if p.truth_cluster_id is None:
             raise FeedFormatError(f"product {p.product_id} has no ground-truth cluster")
-        clusters.setdefault(p.truth_cluster_id, []).append(p.product_id)
-    pairs: MatchSet = set()
-    for members in clusters.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                a, b = members[i], members[j]
-                pairs.add((a, b) if a < b else (b, a))
-    return pairs
+    return pairs_from_assignment({p.product_id: p.truth_cluster_id for p in dataset.products})

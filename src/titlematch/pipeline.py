@@ -196,16 +196,3 @@ def write_clusters(path, result: MatchResult) -> None:
         for p, cid in enumerate(result.universe.assignment):
             writer.writerow([pids[p], cid])
 
-
-def pairs_from_assignment(assignment: Dict[int, int]) -> MatchSet:
-    """Expand a product-to-cluster map into unordered matching pairs."""
-    groups: Dict[int, List[int]] = {}
-    for pid, cid in assignment.items():
-        groups.setdefault(cid, []).append(pid)
-    pairs: MatchSet = set()
-    for members in groups.values():
-        members.sort()
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.add((members[i], members[j]))
-    return pairs

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .combinatorics import position_patterns
-from .index import CombinationLexicon, CombinationRecord, ProductIndex
+from .index import CombinationLexicon, CombinationRecord, ProductIndex, length_buckets
 from .textprep import Semantics
 
 VARIANTS = ("upm", "upm+")
@@ -101,7 +101,6 @@ class Cluster:
     """A dominating combination with its member products, grouped by vendor."""
 
     key_ids: Tuple[int, ...]
-    record: Optional[CombinationRecord]
     vendors: List[int] = field(default_factory=list)
     members: Dict[int, List[int]] = field(default_factory=dict)
     pi: int = -1
@@ -130,14 +129,7 @@ class ClusterUniverse:
     def __len__(self) -> int:
         return len(self.clusters)
 
-    def insert(
-        self,
-        key: tuple,
-        product: int,
-        vendor: int,
-        s1: float,
-        record: Optional[CombinationRecord] = None,
-    ) -> int:
+    def insert(self, key: tuple, product: int, vendor: int, s1: float) -> int:
         """Insert a product under its dominating combination.
 
         Appends a new cluster when the combination is unseen, files the
@@ -147,7 +139,7 @@ class ClusterUniverse:
         idx = self.by_key.get(key)
         if idx is None:
             idx = len(self.clusters)
-            self.clusters.append(Cluster(key_ids=key, record=record))
+            self.clusters.append(Cluster(key_ids=key))
             self.by_key[key] = idx
         cluster = self.clusters[idx]
         if vendor not in cluster.members:
@@ -186,46 +178,24 @@ class ClusterUniverse:
         self.assignment[product] = cluster_idx
 
 
-def _tiebreak_zero(candidates: List[Tuple[float, int, int, int]]) -> int:
-    """All-zero rows: larger Y, then larger k, then smaller signature."""
-    best = min(candidates, key=lambda t: (-t[0], -t[1], t[2]))
-    return best[3]
-
-
-def _tiebreak_positive(candidates: List[Tuple[int, float, int, int]]) -> int:
-    """Equal positive scores: larger k, then smaller mean distance, then
-    smaller signature."""
-    best = min(candidates, key=lambda t: (-t[0], t[1], t[2]))
-    return best[3]
-
-
 def _resolve_row(
     i_row: np.ndarray,
     y_row: np.ndarray,
-    combo_idx_row: np.ndarray,
+    ids: np.ndarray,
     combos: CombinationLexicon,
     avgd: np.ndarray,
-    k_arr: np.ndarray,
 ) -> int:
-    """Tie-break one product's combination choice; returns a local column."""
-    row_max = i_row.max()
-    cols = np.nonzero(i_row == row_max)[0]
-    if row_max == 0.0:
-        cands = [
-            (float(y_row[c]), int(k_arr[combo_idx_row[c]]), combos.sigs[combo_idx_row[c]], int(c))
-            for c in range(len(i_row))
-        ]
-        return _tiebreak_zero(cands)
-    cands_pos = [
-        (
-            int(k_arr[combo_idx_row[c]]),
-            float(avgd[combo_idx_row[c]]),
-            combos.sigs[combo_idx_row[c]],
-            int(c),
-        )
-        for c in cols
-    ]
-    return _tiebreak_positive(cands_pos)
+    """Tie-break one product's combination choice; returns a local column.
+
+    All-zero rows prefer the larger Y, then the larger k, then the smaller
+    signature. Equal positive scores prefer the larger k, then the smaller
+    mean distance, then the smaller signature.
+    """
+    k, sigs = combos.k[ids], combos.sigs[ids]
+    if i_row.max() == 0.0:
+        return int(np.lexsort((sigs, -k, -y_row))[0])
+    tied = i_row == i_row.max()
+    return next(c for c in np.lexsort((sigs, avgd[ids], -k)).tolist() if tied[c])
 
 
 # Upper bound on elements gathered per batch in the scoring pass.
@@ -235,14 +205,17 @@ _SCORE_BUDGET = 1 << 23
 def _score_bucket(
     index: ProductIndex,
     config: ScoringConfig,
-    members: List[int],
+    members: np.ndarray,
     length: int,
+    block: np.ndarray,
     quality: np.ndarray,
     avgd: np.ndarray,
-    k_arr: np.ndarray,
     chosen: np.ndarray,
 ) -> None:
-    """Score every combination of every product in one equal-length bucket."""
+    """Score every combination of every product in one equal-length bucket.
+
+    block holds the bucket's record IDs, one row per member.
+    """
     fw = index.forward
     idf = index.idf
     total_tokens = len(index.tokens)
@@ -258,8 +231,9 @@ def _score_bucket(
 
     for c0 in range(0, len(members), step):
         batch = members[c0 : c0 + step]
-        ids_mat = np.vstack([fw.token_rows[p] for p in batch])
-        sem_mat = np.vstack([fw.sem_rows[p] for p in batch])
+        cells = fw.tok_offsets[batch][:, None] + np.arange(length)
+        ids_mat = fw.tok_flat[cells]
+        sem_mat = fw.sem_flat[cells]
         t = len(batch)
         x = np.stack([(sem_mat == s).sum(axis=1) for s in range(1, 6)], axis=1)
         x_per_token = x[np.arange(t)[:, None], sem_mat - 1]
@@ -270,64 +244,44 @@ def _score_bucket(
         ]
         y_mat = np.hstack(y_blocks)
 
-        idx_mat = np.vstack([fw.combo_rows[p] for p in batch])
+        idx_mat = block[c0 : c0 + step]
         i_mat = (y_mat * y_mat) * quality[idx_mat]
 
         row_max = i_mat.max(axis=1)
         n_max = (i_mat == row_max[:, None]).sum(axis=1)
         plain = (n_max == 1) & (row_max > 0.0)
         best = np.argmax(i_mat, axis=1)
-        for r, p in enumerate(batch):
-            if plain[r]:
-                chosen[p] = idx_mat[r, best[r]]
-            else:
-                col = _resolve_row(i_mat[r], y_mat[r], idx_mat[r], index.combos, avgd, k_arr)
-                chosen[p] = idx_mat[r, col]
+        chosen[batch[plain]] = idx_mat[plain, best[plain]]
+        for r in np.flatnonzero(~plain):
+            col = _resolve_row(i_mat[r], y_mat[r], idx_mat[r], index.combos, avgd)
+            chosen[batch[r]] = idx_mat[r, col]
 
 
-def select_clusters(
-    index: ProductIndex, config: ScoringConfig, prune: bool = True
-) -> ClusterUniverse:
+def select_clusters(index: ProductIndex, config: ScoringConfig) -> ClusterUniverse:
     """Pick every product's dominating combination and build the universe.
 
     Products whose analyzed title is a single token cannot form combinations;
     they are filed under a one-token cluster keyed by that token, so identical
-    one-token titles still match each other.
-
-    With prune=True the combination store and forward combination lists are
-    released afterwards; only the records referenced by clusters survive (as
-    copies held by the clusters themselves).
+    one-token titles still match each other. The index is left unchanged.
     """
     fw = index.forward
     n = len(fw)
     combos = index.combos
-    f_arr, k_arr = combos.f_c.astype(np.float64), combos.k
+    f_arr = combos.f_c.astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         avgd = np.where(f_arr > 0, combos.d_acc / np.maximum(f_arr, 1), 0.0)
     quality = np.log(np.maximum(f_arr, 1)) / (config.alpha + avgd)
 
     chosen = np.full(n, -1, dtype=np.int64)
-    by_length: Dict[int, List[int]] = {}
-    for p in range(n):
-        by_length.setdefault(fw.length_of(p), []).append(p)
-
-    for length, members in sorted(by_length.items()):
-        if length >= 2:
-            _score_bucket(index, config, members, length, quality, avgd, k_arr, chosen)
+    buckets = length_buckets(np.diff(fw.tok_offsets))
+    for (length, members), block in zip(buckets, fw.combo_blocks):
+        _score_bucket(index, config, members, length, block, quality, avgd, chosen)
 
     idf = index.idf
     universe = ClusterUniverse(n)
     for p in range(n):
-        s1 = float(idf[fw.token_rows[p]].sum())
+        ids = fw.tokens_of(p)
         c = int(chosen[p])
-        if c < 0:
-            key = tuple(sorted(fw.token_rows[p].tolist()))
-            universe.insert(key, p, fw.vendor_ids[p], s1, record=None)
-        else:
-            key = tuple(combos.ids_of(c))
-            universe.insert(key, p, fw.vendor_ids[p], s1, record=combos.record(c))
-
-    if prune:
-        index.combos = CombinationLexicon()
-        index.forward.combo_rows = [np.empty(0, dtype=np.int32) for _ in range(n)]
+        key = tuple(sorted(ids.tolist())) if c < 0 else tuple(combos.ids_of(c))
+        universe.insert(key, p, fw.vendor_ids[p], float(idf[ids].sum()))
     return universe

@@ -138,7 +138,7 @@ def verify_universe(
     slot_ci[:n_init] = np.arange(n_init)
 
     # token-major, deduplicated (token, slot) pairs: a CSR from token to slots
-    rows = [fw.token_rows[q] for q in slot_product]
+    rows = [fw.tokens_of(q) for q in slot_product]
     keys = np.unique(
         np.concatenate(rows).astype(np.int64) * n_slots
         + np.repeat(np.arange(n_slots, dtype=np.int64), [len(r) for r in rows])
@@ -166,8 +166,18 @@ def verify_universe(
             num = np.bincount(np.searchsorted(cand, hits), weights=hit_w, minlength=len(cand))
             den = np.sqrt(slot_norm[own] * slot_norm[cand])
             score = np.divide(num, den, out=np.zeros(len(cand)), where=den > 0.0)
-            pre = (score > floor - _IDF_SLACK) & (slot_ci[cand] >= 0)
-            cand = cand[pre]
+            live = (score > floor - _IDF_SLACK) & (slot_ci[cand] >= 0)
+            cand, score = cand[live], score[live]
+            # the winner is vendor-free, and its exact score can only beat the
+            # best vendor-free estimate's if its own estimate is within twice
+            # the slack of it; only that window is rescored
+            window: List[int] = []
+            for i in np.lexsort((cand, -score)).tolist():
+                if window and score[i] < score[window[0]] - 2 * _IDF_SLACK:
+                    break
+                if vendor not in universe.clusters[slot_ci[cand[i]]].members:
+                    window.append(i)
+            cand = cand[window]
             score = np.array(
                 [
                     idf_cosine(p_set, index.token_set(slot_product[s]), idf_sq)
@@ -182,9 +192,7 @@ def verify_universe(
                 universe.add_member(p, vendor, target)
                 break
         else:
-            slot_ci[own] = universe.insert(
-                ("new", pids[p]), p, vendor, float(universe.s1[p]), record=None
-            )
+            slot_ci[own] = universe.insert(("new", pids[p]), p, vendor, float(universe.s1[p]))
 
     leftovers = scan_violators(universe)
     if leftovers:

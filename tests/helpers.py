@@ -5,9 +5,26 @@ from __future__ import annotations
 import csv
 from typing import Dict, List, Optional, Set
 
+import numpy as np
+
+from titlematch.index import ForwardIndex, length_buckets
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.scoring import ClusterUniverse
 from titlematch.verify import VERIFY_METRICS, binary_cosine, idf_cosine, scan_violators
+
+
+def token_rows(fw: ForwardIndex) -> List[List[int]]:
+    """Each product's token IDs in title order, from the forward CSR."""
+    return [fw.tokens_of(p).tolist() for p in range(len(fw))]
+
+
+def combo_rows(fw: ForwardIndex) -> List[List[int]]:
+    """Each product's record IDs in enumeration order, from the length blocks."""
+    rows: List[List[int]] = [[] for _ in range(len(fw))]
+    for (_, members), block in zip(length_buckets(np.diff(fw.tok_offsets)), fw.combo_blocks):
+        for p, row in zip(members.tolist(), block.tolist()):
+            rows[p] = row
+    return rows
 
 
 def make_ablation_dataset() -> Dataset:
@@ -191,9 +208,7 @@ def verify_universe_scalar(universe, index, tau: float = 0.4, metric: str = "cs"
                 if best is not None and best_sim > tau:
                     universe.add_member(p, vendor, best)
                 else:
-                    new_ci = universe.insert(
-                        ("new", pids[p]), p, vendor, float(universe.s1[p]), record=None
-                    )
+                    new_ci = universe.insert(("new", pids[p]), p, vendor, float(universe.s1[p]))
                     register(new_ci)
         ci += 1
 

@@ -66,7 +66,7 @@ def acceptance(tag):
 
 def _oracle_similarities(index):
     n = len(index.forward)
-    titles = [set(index.forward.token_rows[p].tolist()) for p in range(n)]
+    titles = [set(index.forward.tokens_of(p).tolist()) for p in range(n)]
     freq = Counter(w for t in titles for w in t)
     idf = {w: math.log(n / c) for w, c in freq.items()}
 
@@ -209,7 +209,7 @@ def test_criterion_4_verification(fixture_200):
     for name, ds in fixtures.items():
         start = time.perf_counter()
         index = build_index(ds)
-        universe = select_clusters(index, ScoringConfig(), prune=False)
+        universe = select_clusters(index, ScoringConfig())
         before = Counter(
             p for c in universe.clusters for p in c.product_ordinals()
         )

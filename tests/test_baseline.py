@@ -25,7 +25,7 @@ def tiny_dataset(titles):
 def brute_force_metrics(index):
     """Oracle: recompute all four metrics per pair with plain arithmetic."""
     n = len(index.forward)
-    titles = [set(index.forward.token_rows[p].tolist()) for p in range(n)]
+    titles = [set(index.forward.tokens_of(p).tolist()) for p in range(n)]
     f = {}
     for t in titles:
         for w in t:

@@ -255,6 +255,17 @@ def test_inspect_prints_statistics(feed, capsys):
     assert "distinct_tokens=" in out
 
 
+def test_inspect_top_lists_most_frequent_tokens(feed, capsys):
+    code = run_cli(["inspect", "--input", str(feed), "--format", "published", "--top", "3"])
+    assert code == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("token ")]
+    assert len(lines) == 3
+    freqs = [int(l.split()[2].removeprefix("f=")) for l in lines]
+    assert freqs == sorted(freqs, reverse=True)
+    assert run_cli(["inspect", "--input", str(feed), "--format", "published", "--top", "-4"]) == 2
+    assert "--top must be >= 0, got -4" in capsys.readouterr().err
+
+
 def test_missing_input_fails_cleanly(tmp_path, capsys):
     code = run_cli(["match", "--input", str(tmp_path / "nope.csv")])
     assert code == 1
@@ -351,6 +362,39 @@ def test_config_file_rejects_threads(feed, tmp_path, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err == "error: unknown config keys: ['threads']\n"
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        ({"no_verify": "false"}, "config key 'no_verify' must be true or false, got 'false'"),
+        ({"k": 1}, "config key 'k' must be 'auto' or an integer >= 2, got 1"),
+        ({"k": 3.0}, "config key 'k' must be 'auto' or an integer >= 2, got 3.0"),
+        ({"k": True}, "config key 'k' must be 'auto' or an integer >= 2, got True"),
+        ({"tau": None}, "config key 'tau' must be a number, got None"),
+        ({"alpha": "2"}, "config key 'alpha' must be a number, got '2'"),
+        ({"b": True}, "config key 'b' must be a number, got True"),
+        ({"units": 5}, "config key 'units' must be a string, got 5"),
+    ],
+    ids=[
+        "no_verify_string",
+        "k_1",
+        "k_float",
+        "k_bool",
+        "tau_null",
+        "alpha_string",
+        "b_bool",
+        "units_number",
+    ],
+)
+def test_config_file_rejects_mistyped_values(feed, tmp_path, capsys, value, error):
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps(value))
+    code = run_cli(
+        ["match", "--input", str(feed), "--format", "published", "--config", str(config)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def twenty_product_clusters(extra_lines=()):

@@ -157,7 +157,7 @@ def test_pattern_distance_is_squared_offset_gap():
 def test_forced_signature_collision_keeps_keys_distinct(monkeypatch):
     ds = planted_dataset(n_clusters=12, n_vendors=6, seed=4)
     honest = build_index(ds)
-    expected = select_clusters(honest, ScoringConfig(), prune=False)
+    expected = select_clusters(honest, ScoringConfig())
     # every key now hashes to the same signature
     monkeypatch.setattr(
         index_module, "signature_rows", lambda rows: np.zeros(len(rows), dtype=np.uint64)
@@ -168,7 +168,8 @@ def test_forced_signature_collision_keeps_keys_distinct(monkeypatch):
     assert forced.stats.collisions_resolved == len(forced.combos) - 1
     for name in ("f_c", "d_acc", "k", "key_flat", "key_offsets"):
         assert np.array_equal(getattr(forced.combos, name), getattr(honest.combos, name)), name
-    for ra, rb in zip(forced.forward.combo_rows, honest.forward.combo_rows):
+    assert len(forced.forward.combo_blocks) == len(honest.forward.combo_blocks)
+    for ra, rb in zip(forced.forward.combo_blocks, honest.forward.combo_blocks):
         assert np.array_equal(ra, rb)
     universe = select_clusters(forced, ScoringConfig())
     assert universe.assignment == expected.assignment

@@ -128,7 +128,7 @@ def test_prf1_large_random_sets_match_brute_force():
 
 def test_expand_size_is_sum_of_binomials(fixture_200):
     idx = build_index(fixture_200)
-    universe = select_clusters(idx, ScoringConfig(), prune=False)
+    universe = select_clusters(idx, ScoringConfig())
     pairs = expand_cluster_pairs(universe, idx)
     expected = sum(
         c.size * (c.size - 1) // 2 for c in universe.clusters

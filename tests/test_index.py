@@ -6,6 +6,8 @@ import itertools
 import math
 import random
 import string
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +19,22 @@ from titlematch.combinatorics import (
     generate_combinations,
     signature,
 )
-from titlematch.index import build_index, distance, load_index, resolve_k, save_index
+from titlematch.index import (
+    analyze_dataset,
+    build_index,
+    distance,
+    load_index,
+    resolve_k,
+    save_index,
+)
 from titlematch.ingest import Dataset, RawProduct
+from titlematch.scoring import ScoringConfig, select_clusters
 from titlematch.synth import planted_dataset
-from titlematch.textprep import analyze_title
+from titlematch.textprep import analyze_title, truncate_for_variant
+
+from helpers import combo_rows, token_rows
+
+DATA = Path(__file__).parent / "data"
 
 
 def tiny_dataset(titles, vendors=None):
@@ -43,7 +57,7 @@ def test_single_product_counts():
     ds = tiny_dataset(["aa bb cc"])
     idx = build_index(ds, k=2)
     assert len(idx.tokens) == 3
-    assert all(r.f_w == 1 for r in idx.tokens.records)
+    assert idx.tokens.f_w.tolist() == [1, 1, 1]
     assert len(idx.combos) == 3
 
 
@@ -89,23 +103,21 @@ def test_distance_missing_token_raises(units):
 def test_forward_list_lengths_match_counts():
     ds = planted_dataset(n_clusters=8, n_vendors=5, seed=2)
     idx = build_index(ds)
-    for p in range(len(idx.forward)):
-        l_t = idx.forward.length_of(p)
-        assert len(idx.forward.combo_rows[p]) == count_combinations(l_t, idx.k)
+    lengths = np.diff(idx.forward.tok_offsets).tolist()
+    for l_t, row in zip(lengths, combo_rows(idx.forward)):
+        assert len(row) == count_combinations(l_t, idx.k)
 
 
 def test_token_frequency_balance():
     ds = planted_dataset(n_clusters=8, n_vendors=5, seed=3)
     idx = build_index(ds)
-    total_refs = sum(len(r) for r in idx.forward.token_rows)
-    assert total_refs == sum(r.f_w for r in idx.tokens.records)
+    assert len(idx.forward.tok_flat) == idx.tokens.f_w.sum()
 
 
 def brute_force_accumulators(index):
     """Oracle: recompute f_c and d_acc per combination with plain loops."""
     expected = {}
-    for p in range(len(index.forward)):
-        ids = index.forward.token_rows[p].tolist()
+    for ids in token_rows(index.forward):
         for k in range(2, min(index.k, len(ids)) + 1):
             for positions in itertools.combinations(range(len(ids)), k):
                 key = tuple(sorted(ids[j] for j in positions))
@@ -140,13 +152,7 @@ def test_build_is_deterministic():
     ds = planted_dataset(n_clusters=12, n_vendors=6, seed=7)
     a = build_index(ds)
     b = build_index(ds)
-    assert [r.surface for r in a.tokens.records] == [r.surface for r in b.tokens.records]
-    assert [r.f_w for r in a.tokens.records] == [r.f_w for r in b.tokens.records]
-    assert np.array_equal(a.combos.sigs, b.combos.sigs)
-    assert np.array_equal(a.combos.f_c, b.combos.f_c)
-    assert np.array_equal(a.combos.d_acc, b.combos.d_acc)
-    for ra, rb in zip(a.forward.combo_rows, b.forward.combo_rows):
-        assert np.array_equal(ra, rb)
+    assert_same_columns(a, b)
 
 
 def test_k_resolution():
@@ -156,7 +162,8 @@ def test_k_resolution():
     assert resolve_k(1.0) == 2  # clamped; combinations need k >= 2
     ds = planted_dataset(n_clusters=10, n_vendors=6, seed=8)
     idx = build_index(ds)
-    analyzed_avg = sum(t.length for t in idx.analyzed) / len(idx.analyzed)
+    analyzed = analyze_dataset(ds)
+    analyzed_avg = sum(t.length for t in analyzed) / len(analyzed)
     assert idx.k == max(2, int(analyzed_avg / 2))
 
 
@@ -164,7 +171,7 @@ def test_variant_truncates_titles():
     ds = planted_dataset(n_clusters=10, n_vendors=6, noise_per_listing=(5, 9), seed=9)
     base = build_index(ds, k=3, variant="upm")
     pruned = build_index(ds, k=3, variant="upm+")
-    assert all(t.length <= 6 for t in pruned.analyzed)
+    assert np.diff(pruned.forward.tok_offsets).max() <= 6
     assert pruned.stats.combination_instances < base.stats.combination_instances
 
 
@@ -174,25 +181,51 @@ def test_avg_combination_len_in_range():
     assert 2.0 <= idx.stats.avg_combination_len <= idx.k
 
 
+def assert_same_columns(a, b):
+    """Every column of two indexes, plus their settings, stats and products."""
+    assert (a.k, a.variant, a.distance_mode) == (b.k, b.variant, b.distance_mode)
+    assert a.stats == b.stats
+    assert a.dataset.products == b.dataset.products
+    assert a.tokens.surfaces == b.tokens.surfaces
+    for name in ("f_w", "s_w"):
+        assert np.array_equal(getattr(a.tokens, name), getattr(b.tokens, name)), name
+    for name in ("sigs", "f_c", "d_acc", "k", "key_flat", "key_offsets"):
+        assert np.array_equal(getattr(a.combos, name), getattr(b.combos, name)), name
+    assert a.forward.product_ids == b.forward.product_ids
+    assert a.forward.vendor_ids == b.forward.vendor_ids
+    for name in ("tok_flat", "sem_flat", "tok_offsets"):
+        assert np.array_equal(getattr(a.forward, name), getattr(b.forward, name)), name
+    assert len(a.forward.combo_blocks) == len(b.forward.combo_blocks)
+    for ba, bb in zip(a.forward.combo_blocks, b.forward.combo_blocks):
+        assert ba.shape == bb.shape and np.array_equal(ba, bb)
+
+
 def test_snapshot_round_trip(tmp_path):
     ds = planted_dataset(n_clusters=8, n_vendors=5, seed=11)
-    idx = build_index(ds)
-    path = tmp_path / "index.npz"
-    save_index(idx, path)
-    loaded = load_index(path)
-    assert loaded.k == idx.k and loaded.variant == idx.variant
-    assert loaded.stats == idx.stats
-    assert [r.surface for r in loaded.tokens.records] == [
-        r.surface for r in idx.tokens.records
-    ]
-    for name in ("sigs", "f_c", "d_acc", "k", "key_flat", "key_offsets"):
-        assert np.array_equal(getattr(loaded.combos, name), getattr(idx.combos, name)), name
-    for ra, rb in zip(loaded.forward.combo_rows, idx.forward.combo_rows):
-        assert np.array_equal(ra, rb)
-    assert [p.title for p in loaded.dataset.products] == [
-        p.title for p in idx.dataset.products
-    ]
-    assert loaded.analyzed == idx.analyzed
+    ds.products.append(RawProduct(999, "widget", 0, None))
+    for variant, mode in [("upm", "squared"), ("upm+", "euclidean")]:
+        idx = build_index(ds, variant=variant, distance_mode=mode)
+        path = tmp_path / f"{variant}.npz"
+        save_index(idx, path)
+        assert_same_columns(load_index(path), idx)
+
+
+def snapshot_corpus():
+    """The corpus of tests/data/index_v1.npz: 40 planted titles and one
+    one-token title, indexed with k=3."""
+    ds = planted_dataset(n_clusters=9, n_vendors=4, seed=21)
+    return Dataset(products=ds.products + [RawProduct(9001, "widget", 0, 999)])
+
+
+def test_v1_snapshot_loads_as_fresh_build():
+    # written by the release that stored per-product forward lists
+    loaded = load_index(DATA / "index_v1.npz")
+    fresh = build_index(snapshot_corpus(), k=3)
+    assert loaded.stats.title_count == 41
+    assert_same_columns(loaded, fresh)
+    assert select_clusters(loaded, ScoringConfig()).assignment == (
+        select_clusters(fresh, ScoringConfig()).assignment
+    )
 
 
 def test_snapshot_rejects_foreign_files(tmp_path):
@@ -221,20 +254,29 @@ def test_euclidean_accumulation(units):
 def scalar_reference(index):
     """Oracle over generate_combinations + signature + distance.
 
-    Titles are visited by ascending length, file order within a length: the
-    order the index sums d_acc in, so even euclidean sums compare exactly.
-    Returns ({key: (f_c, d_acc, signature)}, each product's keys in
+    Titles come from analyze_dataset and truncate_for_variant, token IDs from
+    interning their surfaces in first-encounter order. Titles are visited by
+    ascending length, file order within a length: the order the index sums
+    d_acc in, so even euclidean sums compare exactly. Returns (the titles,
+    the token IDs, {key: (f_c, d_acc, signature)}, each product's keys in
     enumeration order).
     """
+    titles = [
+        truncate_for_variant(t, index.variant, index.k) for t in analyze_dataset(index.dataset)
+    ]
+    token_ids = {}
+    for title in titles:
+        for surface in title.surfaces:
+            token_ids.setdefault(surface, len(token_ids))
     records = {}
-    keys_of = [[] for _ in index.analyzed]
-    order = sorted(range(len(index.analyzed)), key=lambda p: index.analyzed[p].length)
+    keys_of = [[] for _ in titles]
+    order = sorted(range(len(titles)), key=lambda p: titles[p].length)
     for p in order:
-        title = index.analyzed[p]
+        title = titles[p]
         if title.length < 2:
             continue
         for c in generate_combinations(title, index.k):
-            ids = [index.tokens.id_of(surface) for surface in c.surfaces]
+            ids = [token_ids[surface] for surface in c.surfaces]
             key = tuple(sorted(ids))
             f, d, _ = records.get(key, (0, 0.0, None))
             records[key] = (
@@ -243,11 +285,25 @@ def scalar_reference(index):
                 signature(ids).value,
             )
             keys_of[p].append(key)
-    return records, keys_of
+    return titles, token_ids, records, keys_of
 
 
 def assert_matches_reference(index):
-    expected, keys_of = scalar_reference(index)
+    titles, token_ids, expected, keys_of = scalar_reference(index)
+    tok_flat = [token_ids[surface] for t in titles for surface in t.surfaces]
+    first_sem = {}
+    for t in titles:
+        for tok in t.tokens:
+            first_sem.setdefault(tok.surface, int(tok.semantics))
+    assert index.tokens.surfaces == list(token_ids)
+    counts = Counter(tok_flat)
+    assert index.tokens.f_w.tolist() == [counts[i] for i in range(len(token_ids))]
+    assert index.tokens.s_w.tolist() == list(first_sem.values())
+    assert index.forward.tok_flat.tolist() == tok_flat
+    assert index.forward.sem_flat.tolist() == [int(x) for t in titles for x in t.semantics]
+    assert index.forward.tok_offsets.tolist() == [0] + list(
+        itertools.accumulate(t.length for t in titles)
+    )
     combos = index.combos
     keys = [tuple(combos.ids_of(i)) for i in range(len(combos))]
     assert keys == sorted(expected, key=lambda key: (len(key), key))
@@ -257,7 +313,7 @@ def assert_matches_reference(index):
         assert combos.f_c[i] == f, key
         assert combos.d_acc[i] == d, key
         assert combos.sigs[i] == sig, key
-    for p, row in enumerate(index.forward.combo_rows):
+    for p, row in enumerate(combo_rows(index.forward)):
         assert [keys[r] for r in row] == keys_of[p], f"product {p}"
     assert index.stats.distinct_combinations == len(expected)
     assert index.stats.combination_instances == sum(len(k) for k in keys_of)

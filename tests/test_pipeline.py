@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
-from titlematch.pipeline import pairs_from_assignment, run_match
+from titlematch.ingest import pairs_from_assignment
+from titlematch.pipeline import run_match
 from titlematch.synth import efficiency_dataset, long_title_dataset, planted_dataset
 
 
@@ -54,7 +56,10 @@ def test_pairs_from_assignment_matches_expansion():
         result.index.forward.product_ids[p]: c
         for p, c in enumerate(result.universe.assignment)
     }
-    assert pairs_from_assignment(assignment) == result.predicted
+    pids = result.index.forward.product_ids
+    members = [sorted(pids[p] for p in c.product_ordinals()) for c in result.universe.clusters]
+    expected = {pair for m in members for pair in itertools.combinations(m, 2)}
+    assert pairs_from_assignment(assignment) == result.predicted == expected
 
 
 def test_stage_timings_reported():

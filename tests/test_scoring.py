@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 
@@ -22,6 +23,8 @@ from titlematch.scoring import (
 )
 from titlematch.synth import planted_dataset
 from titlematch.textprep import Semantics
+
+from helpers import token_rows
 
 
 def record(f_c=1, d_acc=0.0, k=2, sig=1, ids=(0, 1)):
@@ -150,7 +153,7 @@ def test_universe_equal_s1_keeps_earlier():
 def test_s1_zero_when_every_token_everywhere():
     ds = tiny_dataset(["common words", "common words"])
     idx = build_index(ds, k=2)
-    universe = select_clusters(idx, ScoringConfig(), prune=False)
+    universe = select_clusters(idx, ScoringConfig())
     assert universe.s1.tolist() == [0.0, 0.0]
 
 
@@ -167,36 +170,50 @@ def test_shared_top_combination_matches_products():
             "other thing entirely unrelated",
         ]
     )
-    universe = select_clusters(build_index(ds, k=2), ScoringConfig(), prune=False)
+    universe = select_clusters(build_index(ds, k=2), ScoringConfig())
     assert universe.assignment[0] == universe.assignment[1]
     assert universe.assignment[2] != universe.assignment[0]
 
 
 def test_all_unique_corpus_yields_singletons():
     ds = tiny_dataset(["alpha beta gamma", "delta epsilon zeta", "eta theta iota"])
-    universe = select_clusters(build_index(ds, k=2), ScoringConfig(), prune=False)
+    universe = select_clusters(build_index(ds, k=2), ScoringConfig())
     assert len(universe) == 3
     assert sorted(universe.assignment) == [0, 1, 2]
 
 
 def test_single_combination_product():
     ds = tiny_dataset(["left right"])
-    universe = select_clusters(build_index(ds, k=2), ScoringConfig(), prune=False)
+    universe = select_clusters(build_index(ds, k=2), ScoringConfig())
     assert len(universe) == 1
-    assert universe.clusters[0].record is not None
-    assert universe.clusters[0].record.k == 2
+    assert len(universe.clusters[0].key_ids) == 2
+
+
+def test_all_zero_row_prefers_larger_k_then_smaller_signature():
+    # a lone title: every combination is unique and every idf is 0, so every
+    # score and every Y is 0
+    ds = tiny_dataset(["aa bb cc dd"])
+    idx = build_index(ds, k=2)
+    sigs = {tuple(idx.combos.ids_of(i)): idx.combos.sigs[i] for i in range(len(idx.combos))}
+    assert select_clusters(idx, ScoringConfig()).clusters[0].key_ids == min(sigs, key=sigs.get)
+    idx = build_index(ds, k=3)
+    sigs = {
+        tuple(idx.combos.ids_of(i)): idx.combos.sigs[i]
+        for i in np.flatnonzero(idx.combos.k == 3)
+    }
+    assert select_clusters(idx, ScoringConfig()).clusters[0].key_ids == min(sigs, key=sigs.get)
 
 
 def test_one_token_titles_cluster_by_token():
     ds = tiny_dataset(["ps4", "ps4", "ps5"], vendors=[0, 1, 2])
-    universe = select_clusters(build_index(ds, k=2), ScoringConfig(), prune=False)
+    universe = select_clusters(build_index(ds, k=2), ScoringConfig())
     assert universe.assignment[0] == universe.assignment[1]
     assert universe.assignment[2] != universe.assignment[0]
 
 
 def test_every_product_assigned_exactly_once(fixture_200):
     idx = build_index(fixture_200)
-    universe = select_clusters(idx, ScoringConfig(), prune=False)
+    universe = select_clusters(idx, ScoringConfig())
     assert all(c >= 0 for c in universe.assignment)
     assert sum(c.size for c in universe.clusters) == fixture_200.title_count
     seen = set()
@@ -207,15 +224,22 @@ def test_every_product_assigned_exactly_once(fixture_200):
     assert len(seen) == fixture_200.title_count
 
 
-def test_prune_releases_combination_store():
+def test_selection_leaves_index_unchanged():
     ds = planted_dataset(n_clusters=6, n_vendors=5, seed=3)
     idx = build_index(ds)
     assert len(idx.combos) > 0
-    universe = select_clusters(idx, ScoringConfig(), prune=True)
-    assert len(idx.combos) == 0
-    assert all(len(r) == 0 for r in idx.forward.combo_rows)
-    # clusters keep their own record copies
-    assert any(c.record is not None for c in universe.clusters)
+    combos = copy.deepcopy(idx.combos)
+    forward = copy.deepcopy(idx.forward)
+    select_clusters(idx, ScoringConfig())
+    for name in ("sigs", "f_c", "d_acc", "k", "key_flat", "key_offsets"):
+        assert np.array_equal(getattr(idx.combos, name), getattr(combos, name)), name
+    for name in ("tok_flat", "sem_flat", "tok_offsets"):
+        assert np.array_equal(getattr(idx.forward, name), getattr(forward, name)), name
+    assert idx.forward.product_ids == forward.product_ids
+    assert idx.forward.vendor_ids == forward.vendor_ids
+    assert len(idx.forward.combo_blocks) == len(forward.combo_blocks) > 0
+    for a, b in zip(idx.forward.combo_blocks, forward.combo_blocks):
+        assert np.array_equal(a, b)
 
 
 def test_scale_invariance_of_argmax():
@@ -258,8 +282,8 @@ def oracle_selection(index, config):
     """
     fw = index.forward
     n = len(fw)
-    rows = [fw.token_rows[p].tolist() for p in range(n)]
-    sems = [fw.sem_rows[p].tolist() for p in range(n)]
+    rows = token_rows(fw)
+    sems = [fw.sem_flat[fw.tok_offsets[p] : fw.tok_offsets[p + 1]].tolist() for p in range(n)]
 
     f_w = {}
     for ids in rows:
@@ -332,7 +356,7 @@ def test_selection_matches_brute_force_oracle():
     idx = build_index(ds)
     config = ScoringConfig()
     expected = oracle_selection(idx, config)
-    universe = select_clusters(idx, config, prune=False)
+    universe = select_clusters(idx, config)
     skipped = 0
     for p, key in enumerate(expected):
         if key is None:

@@ -31,7 +31,7 @@ def tiny_dataset(titles, vendors):
 def built(titles, vendors):
     ds = tiny_dataset(titles, vendors)
     idx = build_index(ds, k=2)
-    universe = select_clusters(idx, ScoringConfig(), prune=False)
+    universe = select_clusters(idx, ScoringConfig())
     return idx, universe
 
 
@@ -174,7 +174,7 @@ def test_migration_above_threshold():
     # migrates to the cluster formed by the other vendors' black listings
     ds = make_ablation_dataset()
     idx = build_index(ds)
-    universe = select_clusters(idx, ScoringConfig(), prune=False)
+    universe = select_clusters(idx, ScoringConfig())
     assert len(scan_violators(universe)) > 0
     verify_universe(universe, idx, tau=0.4)
     groups = members_by_product_id(universe, idx)
@@ -288,7 +288,7 @@ def test_similarity_equal_to_tau_is_not_taken(tau, target):
 
 def _check_invariants(ds):
     idx = build_index(ds)
-    universe = select_clusters(idx, ScoringConfig(), prune=False)
+    universe = select_clusters(idx, ScoringConfig())
     before_products = Counter(
         p for cluster in universe.clusters for p in cluster.product_ordinals()
     )
@@ -333,7 +333,7 @@ def test_invariants_on_random_corpora(seed):
 
 def test_assignment_map_consistent_after_verify(ablation_dataset):
     idx = build_index(ablation_dataset)
-    universe = select_clusters(idx, ScoringConfig(), prune=False)
+    universe = select_clusters(idx, ScoringConfig())
     verify_universe(universe, idx, tau=0.4)
     for ci, cluster in enumerate(universe.clusters):
         for p in cluster.product_ordinals():
@@ -353,7 +353,7 @@ def test_verify_matches_scalar_reference(seed):
         seed=seed,
     )
     idx = build_index(ds)
-    initial = select_clusters(idx, ScoringConfig(), prune=False)
+    initial = select_clusters(idx, ScoringConfig())
     for metric in ("cs", "cs-idf"):
         for tau in (0.0, 0.4, 1.0):
             verify_both(idx, copy.deepcopy(initial), tau=tau, metric=metric)
