@@ -23,11 +23,11 @@ print(f"signature collisions:   {stats.collisions_resolved}")
 universe = select_clusters(index, ScoringConfig())
 print(f"\n{len(universe)} clusters for {dataset.title_count} products")
 
-largest = max(universe.clusters, key=lambda c: c.size)
-print(f"\nlargest cluster ({largest.size} products):")
-surfaces = [index.tokens.surfaces[i] for i in largest.key_ids]
+largest = max(universe.clusters, key=lambda c: len(c.products))
+print(f"\nlargest cluster ({len(largest.products)} products):")
+surfaces = [index.tokens.surfaces[i] for i in index.combos.ids_of(largest.key)]
 print(f"  winning combination: {surfaces}")
-for p in largest.product_ordinals():
+for p in largest.products:
     marker = "*" if p == largest.pi else " "
     print(f"  {marker} v{index.forward.vendor_ids[p]}: {dataset.products[p].title}")
 print("  (* = representative, the highest summed-idf title)")

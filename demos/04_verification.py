@@ -63,10 +63,10 @@ universe = select_clusters(index, ScoringConfig())
 
 print("before verification:")
 for ci, cluster in enumerate(universe.clusters):
-    if cluster.size < 2:
+    if len(cluster.products) < 2:
         continue
     vendors = {v: len(m) for v, m in cluster.members.items()}
-    print(f"  cluster {ci}: {cluster.size} products, per-vendor counts {vendors}")
+    print(f"  cluster {ci}: {len(cluster.products)} products, per-vendor counts {vendors}")
 scores = prf1(expand_cluster_pairs(universe, index), truth)
 print(f"  F1 = {scores['f1']:.4f}")
 
@@ -74,9 +74,9 @@ verify_universe(universe, index, tau=0.4)
 
 print("\nafter verification:")
 for ci, cluster in enumerate(universe.clusters):
-    if cluster.size < 2:
+    if len(cluster.products) < 2:
         continue
-    titles = [dataset.products[p].title for p in cluster.product_ordinals()]
+    titles = [dataset.products[p].title for p in cluster.products]
     print(f"  cluster {ci}:")
     for t in titles:
         print(f"    {t}")

@@ -30,7 +30,6 @@ from .index import (
 from .ingest import Dataset, RawProduct, load_ground_truth, load_products, load_truth_file
 from .pipeline import MatchResult, run_baseline, run_match
 from .scoring import (
-    Cluster,
     ClusterUniverse,
     ScoringConfig,
     avg_distance,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyzedTitle",
-    "Cluster",
     "ClusterUniverse",
     "Combination",
     "Dataset",

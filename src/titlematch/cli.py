@@ -38,9 +38,8 @@ from .ingest import (
     read_clusters,
 )
 from .pipeline import run_baseline, run_match, write_clusters
-from .scoring import ScoringConfig
+from .scoring import VARIANTS, VERIFY_METRICS, ScoringConfig
 from .textprep import UnitLexicon
-from .verify import VERIFY_METRICS
 
 
 def _wide_formatter(prog: str) -> argparse.HelpFormatter:
@@ -108,7 +107,7 @@ _PARAM_DEFAULTS = {
 
 _CHOICE_KEYS = {
     "format": FORMATS,
-    "variant": ("upm", "upm+"),
+    "variant": VARIANTS,
     "verify_metric": VERIFY_METRICS,
     "distance": DISTANCE_MODES,
 }
@@ -209,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="max combination size; auto = half the average title length",
     )
     p_match.add_argument(
-        "--variant", choices=("upm", "upm+"), default=_UNSET, help="title pruning variant"
+        "--variant", choices=VARIANTS, default=_UNSET, help="title pruning variant"
     )
     p_match.add_argument(
         "--tau", type=float, default=_UNSET, help="verification similarity threshold (default: 0.4)"
@@ -262,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_input_args(p_ins)
     p_ins.add_argument("--k", type=_parse_k, default=_UNSET, metavar="auto|INT")
-    p_ins.add_argument("--variant", choices=("upm", "upm+"), default=_UNSET)
+    p_ins.add_argument("--variant", choices=VARIANTS, default=_UNSET)
     p_ins.add_argument("--distance", choices=DISTANCE_MODES, default=_UNSET)
     p_ins.add_argument(
         "--top", type=_parse_top, default=10, help="how many frequent tokens to list"

@@ -14,6 +14,8 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from .index import ProductIndex
 from .ingest import MatchSet, pairs_from_assignment
 from .scoring import ClusterUniverse
@@ -39,7 +41,7 @@ SUMMARY_COLUMNS = (
 
 def expand_cluster_pairs(universe: ClusterUniverse, index: ProductIndex) -> MatchSet:
     """All unordered intra-cluster product-ID pairs."""
-    return pairs_from_assignment(dict(zip(index.forward.product_ids, universe.assignment)))
+    return pairs_from_assignment(dict(zip(index.forward.product_ids, universe.assignment.tolist())))
 
 
 def prf1(predicted: MatchSet, truth: MatchSet) -> Dict[str, float]:
@@ -58,11 +60,8 @@ def prf1(predicted: MatchSet, truth: MatchSet) -> Dict[str, float]:
 
 
 def cluster_size_histogram(universe: ClusterUniverse) -> Dict[str, int]:
-    hist: Dict[int, int] = {}
-    for cluster in universe.clusters:
-        size = cluster.size
-        hist[size] = hist.get(size, 0) + 1
-    return {str(size): hist[size] for size in sorted(hist)}
+    hist = np.bincount(np.bincount(universe.assignment, minlength=len(universe)))
+    return {str(size): count for size, count in enumerate(hist.tolist()) if count}
 
 
 def run_report(

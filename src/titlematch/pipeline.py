@@ -193,6 +193,6 @@ def write_clusters(path, result: MatchResult) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CLUSTERS_HEADER)
-        for p, cid in enumerate(result.universe.assignment):
+        for p, cid in enumerate(result.universe.assignment.tolist()):
             writer.writerow([pids[p], cid])
 

@@ -12,6 +12,11 @@ token. The highest-scoring combination becomes the product's dominating
 cluster, and all products that select the same combination are declared
 matching.
 
+The universe is columns: per product its cluster (assignment), vendor and
+summed idf s1; per cluster, ordered by first member in file order, its
+representative pi (the first member with the largest s1) and its key (the
+chosen record ID, or -1 for one-token titles and verification singletons).
+
 Ties are resolved deterministically: equal positive scores prefer the longer
 combination, then the smaller average distance, then the smaller signature;
 all-zero products (every combination unique in the corpus) prefer the larger
@@ -23,16 +28,25 @@ one fixed order, so exact comparison is reproducible across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .combinatorics import position_patterns
-from .index import CombinationLexicon, CombinationRecord, ProductIndex, length_buckets
+from .index import (
+    DISTANCE_MODES,
+    CombinationLexicon,
+    CombinationRecord,
+    ProductIndex,
+    length_buckets,
+)
 from .textprep import Semantics
 
 VARIANTS = ("upm", "upm+")
+VERIFY_METRICS = ("cs", "cs-idf")
 
 
 @dataclass(frozen=True)
@@ -56,6 +70,13 @@ class ScoringConfig:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.distance_mode not in DISTANCE_MODES:
+            raise ValueError(f"unknown distance mode {self.distance_mode!r}")
+        if self.verify_metric not in VERIFY_METRICS:
+            raise ValueError(f"unknown verify metric {self.verify_metric!r}")
+        k = self.k
+        if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 2):
+            raise ValueError(f"k must be None or an integer >= 2, got {k!r}")
 
 
 def field_population(semantics: Sequence[int]) -> np.ndarray:
@@ -96,86 +117,78 @@ def combination_score(c: CombinationRecord, y_c: float, alpha: float = 1.0) -> f
     return y_c * y_c * math.log(c.f_c) / (alpha + avg_distance(c))
 
 
-@dataclass
-class Cluster:
-    """A dominating combination with its member products, grouped by vendor."""
+@dataclass(frozen=True)
+class ClusterView:
+    """One cluster read from the columns: its representative, its key, its
+    products and its members by vendor, all in file order."""
 
-    key_ids: Tuple[int, ...]
-    vendors: List[int] = field(default_factory=list)
-    members: Dict[int, List[int]] = field(default_factory=dict)
-    pi: int = -1
-    max_s1: float = float("-inf")
-
-    @property
-    def size(self) -> int:
-        return sum(len(v) for v in self.members.values())
-
-    def product_ordinals(self) -> List[int]:
-        out: List[int] = []
-        for v in self.vendors:
-            out.extend(self.members[v])
-        return out
+    pi: int
+    key: int
+    products: List[int]
+    members: Dict[int, List[int]]
 
 
-class ClusterUniverse:
-    """All clusters in creation order plus the product-to-cluster map."""
+class ClusterViews(Sequence):
+    """Per-cluster views over one stable sort of the assignment; a lookup
+    costs O(cluster size)."""
 
-    def __init__(self, n_products: int) -> None:
-        self.clusters: List[Cluster] = []
-        self.by_key: Dict[tuple, int] = {}
-        self.assignment: List[int] = [-1] * n_products
-        self.s1: np.ndarray = np.zeros(n_products, dtype=np.float64)
+    def __init__(self, u: "ClusterUniverse") -> None:
+        self.u, self.order = u, np.argsort(u.assignment, kind="stable")
+        self.bounds = np.searchsorted(u.assignment[self.order], np.arange(len(u) + 1))
 
     def __len__(self) -> int:
-        return len(self.clusters)
+        return len(self.bounds) - 1
 
-    def insert(self, key: tuple, product: int, vendor: int, s1: float) -> int:
-        """Insert a product under its dominating combination.
+    def __getitem__(self, ci: int) -> ClusterView:
+        ci = range(len(self))[ci]
+        products = self.order[self.bounds[ci] : self.bounds[ci + 1]]
+        members: Dict[int, List[int]] = {}
+        for p, v in zip(products.tolist(), self.u.vendor[products].tolist()):
+            members.setdefault(v, []).append(p)
+        return ClusterView(int(self.u.pi[ci]), int(self.u.key[ci]), products.tolist(), members)
 
-        Appends a new cluster when the combination is unseen, files the
-        product under its vendor, and promotes it to representative when its
-        token-rarity score strictly exceeds the running maximum.
-        """
-        idx = self.by_key.get(key)
-        if idx is None:
-            idx = len(self.clusters)
-            self.clusters.append(Cluster(key_ids=key))
-            self.by_key[key] = idx
-        cluster = self.clusters[idx]
-        if vendor not in cluster.members:
-            cluster.members[vendor] = []
-            cluster.vendors.append(vendor)
-        cluster.members[vendor].append(product)
-        if s1 > cluster.max_s1:
-            cluster.max_s1 = s1
-            cluster.pi = product
-        self.assignment[product] = idx
-        self.s1[product] = s1
-        return idx
 
-    def remove(self, product: int, cluster_idx: int) -> None:
-        cluster = self.clusters[cluster_idx]
-        vendor = None
-        for v, members in cluster.members.items():
-            if product in members:
-                vendor = v
-                members.remove(product)
-                break
-        if vendor is None:
-            raise ValueError(f"product {product} not in cluster {cluster_idx}")
-        if not cluster.members[vendor]:
-            del cluster.members[vendor]
-            cluster.vendors.remove(vendor)
-        self.assignment[product] = -1
+@dataclass(eq=False)
+class ClusterUniverse:
+    """Clusters as columns: per product its cluster (assignment), vendor and
+    summed idf s1; per cluster, in creation order, its representative pi and
+    its key, the chosen record ID or -1 when no combination chose it."""
 
-    def add_member(self, product: int, vendor: int, cluster_idx: int) -> None:
-        """Plain membership move; the representative is left untouched."""
-        cluster = self.clusters[cluster_idx]
-        if vendor not in cluster.members:
-            cluster.members[vendor] = []
-            cluster.vendors.append(vendor)
-        cluster.members[vendor].append(product)
-        self.assignment[product] = cluster_idx
+    assignment: np.ndarray
+    vendor: np.ndarray
+    s1: np.ndarray
+    pi: np.ndarray
+    key: np.ndarray
+
+    @classmethod
+    def from_choices(
+        cls, chosen: np.ndarray, token: np.ndarray, vendor: np.ndarray, s1: np.ndarray
+    ) -> "ClusterUniverse":
+        """Group products by chosen record ID, or by token where none was
+        chosen (-1); clusters follow their first member in file order, and a
+        representative is the first member with the largest s1."""
+        group = np.where(chosen >= 0, chosen, -1 - token)
+        _, first, inverse = np.unique(group, return_index=True, return_inverse=True)
+        assignment = np.argsort(np.argsort(first))[inverse]
+        order = np.lexsort((-s1, assignment))
+        pi = order[np.flatnonzero(np.diff(assignment[order], prepend=-1))]
+        return cls(assignment=assignment, vendor=vendor, s1=s1, pi=pi, key=chosen[pi])
+
+    def __len__(self) -> int:
+        return len(self.pi)
+
+    @cached_property
+    def clusters(self) -> ClusterViews:
+        """Read-only per-cluster views for tests, demos and tracing."""
+        return ClusterViews(self)
+
+    def add_singletons(self, products: List[int]) -> None:
+        """Found one cluster per product; verification calls this once, after
+        its in-place assignment writes, so it also drops the cached views."""
+        self.assignment[products] = np.arange(len(self.pi), len(self.pi) + len(products))
+        self.pi = np.concatenate([self.pi, np.asarray(products, dtype=np.int64)])
+        self.key = np.concatenate([self.key, np.full(len(products), -1, dtype=np.int64)])
+        self.__dict__.pop("clusters", None)
 
 
 def _resolve_row(
@@ -211,8 +224,10 @@ def _score_bucket(
     quality: np.ndarray,
     avgd: np.ndarray,
     chosen: np.ndarray,
+    s1: np.ndarray,
 ) -> None:
-    """Score every combination of every product in one equal-length bucket.
+    """Score every combination of every product in one equal-length bucket
+    and fill in the members' chosen record IDs and summed idf s1.
 
     block holds the bucket's record IDs, one row per member.
     """
@@ -223,9 +238,7 @@ def _score_bucket(
     b = config.b
 
     patterns = [position_patterns(length, kk) for kk in range(2, min(index.k, length) + 1)]
-    denoms = [
-        1.0 - b + b * kk / l_avg_c for kk in range(2, min(index.k, length) + 1)
-    ]
+    denoms = [1.0 - b + b * kk / l_avg_c for kk in range(2, min(index.k, length) + 1)]
     weight = sum(p.size for p in patterns)
     step = max(1, _SCORE_BUDGET // max(1, weight))
 
@@ -237,12 +250,12 @@ def _score_bucket(
         t = len(batch)
         x = np.stack([(sem_mat == s).sum(axis=1) for s in range(1, 6)], axis=1)
         x_per_token = x[np.arange(t)[:, None], sem_mat - 1]
-        a = idf[ids_mat] * (total_tokens / x_per_token)
+        idf_mat = idf[ids_mat]
+        # a row sum equals float(idf[ids].sum()) of the title bit for bit
+        s1[batch] = idf_mat.sum(axis=1)
+        a = idf_mat * (total_tokens / x_per_token)
 
-        y_blocks = [
-            a[:, pattern].sum(axis=2) / denom for pattern, denom in zip(patterns, denoms)
-        ]
-        y_mat = np.hstack(y_blocks)
+        y_mat = np.hstack([a[:, pat].sum(axis=2) / den for pat, den in zip(patterns, denoms)])
 
         idx_mat = block[c0 : c0 + step]
         i_mat = (y_mat * y_mat) * quality[idx_mat]
@@ -261,8 +274,8 @@ def select_clusters(index: ProductIndex, config: ScoringConfig) -> ClusterUniver
     """Pick every product's dominating combination and build the universe.
 
     Products whose analyzed title is a single token cannot form combinations;
-    they are filed under a one-token cluster keyed by that token, so identical
-    one-token titles still match each other. The index is left unchanged.
+    they are grouped by that token, so identical one-token titles still match
+    each other. The index is left unchanged.
     """
     fw = index.forward
     n = len(fw)
@@ -272,16 +285,15 @@ def select_clusters(index: ProductIndex, config: ScoringConfig) -> ClusterUniver
         avgd = np.where(f_arr > 0, combos.d_acc / np.maximum(f_arr, 1), 0.0)
     quality = np.log(np.maximum(f_arr, 1)) / (config.alpha + avgd)
 
+    lengths = np.diff(fw.tok_offsets)
+    buckets = length_buckets(lengths)
+    if len(buckets) != len(fw.combo_blocks):
+        raise ValueError("index was built without combinations")
     chosen = np.full(n, -1, dtype=np.int64)
-    buckets = length_buckets(np.diff(fw.tok_offsets))
+    s1 = np.zeros(n, dtype=np.float64)
     for (length, members), block in zip(buckets, fw.combo_blocks):
-        _score_bucket(index, config, members, length, block, quality, avgd, chosen)
-
-    idf = index.idf
-    universe = ClusterUniverse(n)
-    for p in range(n):
-        ids = fw.tokens_of(p)
-        c = int(chosen[p])
-        key = tuple(sorted(ids.tolist())) if c < 0 else tuple(combos.ids_of(c))
-        universe.insert(key, p, fw.vendor_ids[p], float(idf[ids].sum()))
-    return universe
+        _score_bucket(index, config, members, length, block, quality, avgd, chosen, s1)
+    first_token = fw.tok_flat[fw.tok_offsets[:-1]]
+    s1[lengths == 1] = index.idf[first_token[lengths == 1]]
+    vendor = np.asarray(fw.vendor_ids, dtype=np.int64)
+    return ClusterUniverse.from_choices(chosen, first_token, vendor, s1)

@@ -13,7 +13,10 @@ The evicted products are known before any of them moves. Representatives
 never change during verification, and a migration only enters a cluster that
 holds no product of the migrant's vendor, so it cannot create a violation:
 every violating (cluster, vendor) group keeps its initial members until it is
-visited. The eviction plan is therefore fixed by the initial universe.
+visited. The eviction plan is therefore fixed by the initial universe. Vendor
+occupancy is a set of (cluster, vendor) pairs; it only grows, as an eviction
+leaves its group's keeper behind. Moves rewrite assignment in place, and
+founded singletons are appended to pi and key once, at the end.
 
 Candidates are scored from one token-to-slot posting array. The slots are the
 initial representatives (slot = cluster index) followed by the evicted
@@ -28,14 +31,12 @@ lose no valid candidate.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .index import ProductIndex
-from .scoring import ClusterUniverse
-
-VERIFY_METRICS = ("cs", "cs-idf")
+from .scoring import VERIFY_METRICS, ClusterUniverse
 
 # the vectorised cs-idf score sums in a different order than idf_cosine, so
 # it only preselects; survivors are rescored with idf_cosine itself
@@ -69,44 +70,26 @@ def product_similarity(index: ProductIndex, p: int, pi: int, metric: str = "cs")
     return idf_cosine(a, b, idf_sq)
 
 
+def _violating_groups(universe: ClusterUniverse) -> List[Tuple[int, int, List[int]]]:
+    """(cluster, vendor, members) of every (cluster, vendor) group of two or more
+    products, from one stable sort: by cluster, then by first member; members
+    in file order."""
+    order = np.lexsort((universe.vendor, universe.assignment))
+    a, v = universe.assignment[order], universe.vendor[order]
+    cuts = np.flatnonzero((a[1:] != a[:-1]) | (v[1:] != v[:-1])) + 1
+    starts, ends = np.append(0, cuts), np.append(cuts, len(order))
+    big = np.flatnonzero(ends - starts >= 2)
+    big = big[np.lexsort((order[starts[big]], a[starts[big]]))]
+    return [(int(a[s]), int(v[s]), order[s:e].tolist()) for s, e in zip(starts[big], ends[big])]
+
+
 def scan_violators(universe: ClusterUniverse) -> List[Tuple[int, int]]:
     """(cluster index, vendor) pairs that still break the one-per-vendor rule."""
-    out = []
-    for ci, cluster in enumerate(universe.clusters):
-        for v, members in cluster.members.items():
-            if len(members) > 1:
-                out.append((ci, v))
-    return out
-
-
-def _eviction_plan(
-    universe: ClusterUniverse, sim: Callable[[int, int], float], pids: Sequence[int]
-) -> List[Tuple[int, int, int]]:
-    """(cluster index, vendor, product) of every product to evict, in order."""
-    plan = []
-    for ci, cluster in enumerate(universe.clusters):
-        for vendor in cluster.vendors:
-            members = cluster.members[vendor]
-            if len(members) < 2:
-                continue
-            sims = {p: sim(p, cluster.pi) for p in members}
-            if cluster.pi in members:
-                keeper = cluster.pi
-            else:
-                keeper = min(members, key=lambda p: (-sims[p], pids[p]))
-            evicted = sorted(
-                (p for p in members if p != keeper),
-                key=lambda p: (-sims[p], pids[p]),
-            )
-            plan.extend((ci, vendor, p) for p in evicted)
-    return plan
+    return [(ci, v) for ci, v, _ in _violating_groups(universe)]
 
 
 def verify_universe(
-    universe: ClusterUniverse,
-    index: ProductIndex,
-    tau: float = 0.4,
-    metric: str = "cs",
+    universe: ClusterUniverse, index: ProductIndex, tau: float = 0.4, metric: str = "cs"
 ) -> ClusterUniverse:
     """Evict surplus same-vendor products and re-home them (in place).
 
@@ -121,17 +104,21 @@ def verify_universe(
     idf_sq = (index.idf * index.idf).tolist() if metric == "cs-idf" else None
 
     def sim(p: int, q: int) -> float:
-        if idf_sq is None:
-            return binary_cosine(index.token_set(p), index.token_set(q))
-        return idf_cosine(index.token_set(p), index.token_set(q), idf_sq)
+        a, b = index.token_set(p), index.token_set(q)
+        return binary_cosine(a, b) if idf_sq is None else idf_cosine(a, b, idf_sq)
 
     pids = fw.product_ids
-    plan = _eviction_plan(universe, sim, pids)
+    plan: List[Tuple[int, int]] = []  # (vendor, product), in eviction order
+    for ci, vendor, members in _violating_groups(universe):
+        pi = int(universe.pi[ci])
+        ranked = sorted(members, key=lambda p: (-sim(p, pi), pids[p]))
+        keeper = pi if pi in members else ranked[0]
+        plan.extend((vendor, p) for p in ranked if p != keeper)
     if not plan:
         return universe
 
-    n_init = len(universe.clusters)
-    slot_product = [c.pi for c in universe.clusters] + [p for _, _, p in plan]
+    n_init = len(universe)
+    slot_product = universe.pi.tolist() + [p for _, p in plan]
     n_slots = len(slot_product)
     # cluster index of each slot, -1 while an evicted slot founded nothing
     slot_ci = np.full(n_slots, -1, dtype=np.int64)
@@ -151,10 +138,11 @@ def verify_universe(
         slot_norm = np.bincount(post_slot, weights=idf_sq_arr[post_tok], minlength=n_slots)
     # a zero score never wins, whatever tau is
     floor = max(tau, 0.0)
+    occupied = set(zip(universe.assignment.tolist(), universe.vendor.tolist()))
+    founded: List[int] = []
 
-    for j, (ci, vendor, p) in enumerate(plan):
+    for j, (vendor, p) in enumerate(plan):
         own = n_init + j
-        universe.remove(p, ci)
         p_set = index.token_set(p)
         toks = np.fromiter(p_set, dtype=np.int64)
         hits = np.concatenate([post_slot[indptr[w] : indptr[w + 1]] for w in toks])
@@ -175,7 +163,7 @@ def verify_universe(
             for i in np.lexsort((cand, -score)).tolist():
                 if window and score[i] < score[window[0]] - 2 * _IDF_SLACK:
                     break
-                if vendor not in universe.clusters[slot_ci[cand[i]]].members:
+                if (int(slot_ci[cand[i]]), vendor) not in occupied:
                     window.append(i)
             cand = cand[window]
             score = np.array(
@@ -188,11 +176,14 @@ def verify_universe(
         cand, score = cand[keep], score[keep]
         for s in cand[np.lexsort((cand, -score))].tolist():
             target = int(slot_ci[s])
-            if vendor not in universe.clusters[target].members:
-                universe.add_member(p, vendor, target)
+            if (target, vendor) not in occupied:
+                universe.assignment[p] = target
                 break
         else:
-            slot_ci[own] = universe.insert(("new", pids[p]), p, vendor, float(universe.s1[p]))
+            target = slot_ci[own] = n_init + len(founded)
+            founded.append(p)
+        occupied.add((target, vendor))
+    universe.add_singletons(founded)
 
     leftovers = scan_violators(universe)
     if leftovers:

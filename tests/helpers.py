@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import csv
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass, field
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from titlematch.index import ForwardIndex, length_buckets
 from titlematch.ingest import Dataset, RawProduct
-from titlematch.scoring import ClusterUniverse
-from titlematch.verify import VERIFY_METRICS, binary_cosine, idf_cosine, scan_violators
+from titlematch.scoring import VERIFY_METRICS
+from titlematch.verify import binary_cosine, idf_cosine
 
 
 def token_rows(fw: ForwardIndex) -> List[List[int]]:
@@ -128,6 +129,106 @@ def write_truth_csv(path, dataset: Dataset) -> None:
 
 
 # ---------------------------------------------------------------------------
+# object universe: the reference for the columnar ClusterUniverse
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Cluster:
+    """A dominating combination with its member products, grouped by vendor."""
+
+    key: Hashable
+    vendors: List[int] = field(default_factory=list)
+    members: Dict[int, List[int]] = field(default_factory=dict)
+    pi: int = -1
+    max_s1: float = float("-inf")
+
+
+class ObjectUniverse:
+    """All clusters in creation order plus the product-to-cluster map, kept
+    in step by insert, remove and add_member."""
+
+    def __init__(self, n_products: int) -> None:
+        self.clusters: List[Cluster] = []
+        self.by_key: Dict[Hashable, int] = {}
+        self.assignment: List[int] = [-1] * n_products
+        self.s1: List[float] = [0.0] * n_products
+
+    def __len__(self) -> int:
+        return len(self.clusters)
+
+    def insert(self, key: Hashable, product: int, vendor: int, s1: float) -> int:
+        """File a product under key, creating the cluster when unseen; a
+        strictly larger s1 takes over as representative."""
+        idx = self.by_key.get(key)
+        if idx is None:
+            idx = len(self.clusters)
+            self.clusters.append(Cluster(key=key))
+            self.by_key[key] = idx
+        cluster = self.clusters[idx]
+        if vendor not in cluster.members:
+            cluster.members[vendor] = []
+            cluster.vendors.append(vendor)
+        cluster.members[vendor].append(product)
+        if s1 > cluster.max_s1:
+            cluster.max_s1 = s1
+            cluster.pi = product
+        self.assignment[product] = idx
+        self.s1[product] = s1
+        return idx
+
+    def remove(self, product: int, cluster_idx: int) -> None:
+        cluster = self.clusters[cluster_idx]
+        vendor = None
+        for v, members in cluster.members.items():
+            if product in members:
+                vendor = v
+                members.remove(product)
+                break
+        if vendor is None:
+            raise ValueError(f"product {product} not in cluster {cluster_idx}")
+        if not cluster.members[vendor]:
+            del cluster.members[vendor]
+            cluster.vendors.remove(vendor)
+        self.assignment[product] = -1
+
+    def add_member(self, product: int, vendor: int, cluster_idx: int) -> None:
+        """Plain membership move; the representative is left untouched."""
+        cluster = self.clusters[cluster_idx]
+        if vendor not in cluster.members:
+            cluster.members[vendor] = []
+            cluster.vendors.append(vendor)
+        cluster.members[vendor].append(product)
+        self.assignment[product] = cluster_idx
+
+
+def object_universe(chosen, token, vendor, s1) -> ObjectUniverse:
+    """The insert loop that select_clusters once ran, over the same
+    per-product inputs as ClusterUniverse.from_choices."""
+    u = ObjectUniverse(len(chosen))
+    for p, (c, t, v, s) in enumerate(zip(chosen, token, vendor, s1)):
+        u.insert(("token", int(t)) if c < 0 else int(c), p, int(v), float(s))
+    return u
+
+
+def cluster_state(universe) -> Tuple[List[int], List[Tuple[int, Dict[int, List[int]]]]]:
+    """Assignment plus each cluster's (representative, {vendor: sorted
+    members}), for either universe; vendor order is left out."""
+    return [int(c) for c in universe.assignment], [
+        (int(c.pi), {v: sorted(m) for v, m in c.members.items()}) for c in universe.clusters
+    ]
+
+
+def scan_violators_scalar(universe: ObjectUniverse) -> List[Tuple[int, int]]:
+    return [
+        (ci, v)
+        for ci, cluster in enumerate(universe.clusters)
+        for v, members in cluster.members.items()
+        if len(members) > 1
+    ]
+
+
+# ---------------------------------------------------------------------------
 # scalar verification reference
 # ---------------------------------------------------------------------------
 
@@ -135,7 +236,7 @@ def write_truth_csv(path, dataset: Dataset) -> None:
 def find_candidates(
     p: int,
     vendor: int,
-    universe: ClusterUniverse,
+    universe: ObjectUniverse,
     token_sets: List[frozenset],
     token_map: Dict[int, List[int]],
 ) -> List[int]:
@@ -151,9 +252,12 @@ def find_candidates(
     return out
 
 
-def verify_universe_scalar(universe, index, tau: float = 0.4, metric: str = "cs"):
+def verify_universe_scalar(
+    universe: ObjectUniverse, index, tau: float = 0.4, metric: str = "cs"
+) -> ObjectUniverse:
     """Reference for titlematch.verify.verify_universe: one pass over the
-    live universe, scoring every token-sharing candidate pair by pair."""
+    live object universe, scoring every token-sharing candidate pair by
+    pair."""
     if metric not in VERIFY_METRICS:
         raise ValueError(f"unknown verify metric {metric!r}")
     fw = index.forward
@@ -212,7 +316,7 @@ def verify_universe_scalar(universe, index, tau: float = 0.4, metric: str = "cs"
                     register(new_ci)
         ci += 1
 
-    leftovers = scan_violators(universe)
+    leftovers = scan_violators_scalar(universe)
     if leftovers:
         raise RuntimeError(f"verification left violators: {leftovers[:5]}")
     return universe

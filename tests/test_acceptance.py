@@ -211,15 +211,15 @@ def test_criterion_4_verification(fixture_200):
         index = build_index(ds)
         universe = select_clusters(index, ScoringConfig())
         before = Counter(
-            p for c in universe.clusters for p in c.product_ordinals()
+            p for c in universe.clusters for p in c.products
         )
         verify_universe(universe, index, tau=0.4)
         assert scan_violators(universe) == [], name
-        after = Counter(p for c in universe.clusters for p in c.product_ordinals())
+        after = Counter(p for c in universe.clusters for p in c.products)
         assert after == before, name
-        snapshot = [sorted(c.product_ordinals()) for c in universe.clusters]
+        snapshot = [sorted(c.products) for c in universe.clusters]
         verify_universe(universe, index, tau=0.4)
-        assert [sorted(c.product_ordinals()) for c in universe.clusters] == snapshot, name
+        assert [sorted(c.products) for c in universe.clusters] == snapshot, name
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"{name} took {elapsed:.1f}s"
         details.append(f"{name}={elapsed:.2f}s")

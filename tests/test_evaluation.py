@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,11 +25,12 @@ from titlematch.scoring import ClusterUniverse, ScoringConfig, select_clusters
 def universe_with_groups(groups):
     """Build a universe holding the given product-ordinal groups."""
     n = sum(len(g) for g in groups)
-    u = ClusterUniverse(n)
+    chosen = np.empty(n, dtype=np.int64)
     for gi, group in enumerate(groups):
-        for p in group:
-            u.insert((gi,), p, vendor=p, s1=0.0)
-    return u
+        chosen[group] = gi
+    return ClusterUniverse.from_choices(
+        chosen, np.zeros(n, dtype=np.int64), np.arange(n), np.zeros(n)
+    )
 
 
 def index_for(n):
@@ -131,7 +133,7 @@ def test_expand_size_is_sum_of_binomials(fixture_200):
     universe = select_clusters(idx, ScoringConfig())
     pairs = expand_cluster_pairs(universe, idx)
     expected = sum(
-        c.size * (c.size - 1) // 2 for c in universe.clusters
+        len(c.products) * (len(c.products) - 1) // 2 for c in universe.clusters
     )
     assert len(pairs) == expected
 

@@ -223,9 +223,9 @@ def test_v1_snapshot_loads_as_fresh_build():
     fresh = build_index(snapshot_corpus(), k=3)
     assert loaded.stats.title_count == 41
     assert_same_columns(loaded, fresh)
-    assert select_clusters(loaded, ScoringConfig()).assignment == (
-        select_clusters(fresh, ScoringConfig()).assignment
-    )
+    got, want = (select_clusters(idx, ScoringConfig()) for idx in (loaded, fresh))
+    for name in ("assignment", "pi", "key", "s1"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_snapshot_rejects_foreign_files(tmp_path):

@@ -57,7 +57,7 @@ def test_pairs_from_assignment_matches_expansion():
         for p, c in enumerate(result.universe.assignment)
     }
     pids = result.index.forward.product_ids
-    members = [sorted(pids[p] for p in c.product_ordinals()) for c in result.universe.clusters]
+    members = [sorted(pids[p] for p in c.products) for c in result.universe.clusters]
     expected = {pair for m in members for pair in itertools.combinations(m, 2)}
     assert pairs_from_assignment(assignment) == result.predicted == expected
 

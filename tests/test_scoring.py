@@ -1,4 +1,4 @@
-"""Combination scoring, cluster selection, and universe insertion."""
+"""Combination scoring, cluster selection, and universe grouping."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from titlematch.index import CombinationRecord, build_index
 from titlematch.ingest import Dataset, RawProduct
@@ -21,10 +22,10 @@ from titlematch.scoring import (
     ir_score,
     select_clusters,
 )
-from titlematch.synth import planted_dataset
+from titlematch.synth import long_title_dataset, planted_dataset
 from titlematch.textprep import Semantics
 
-from helpers import token_rows
+from helpers import cluster_state, object_universe, token_rows
 
 
 def record(f_c=1, d_acc=0.0, k=2, sig=1, ids=(0, 1)):
@@ -123,31 +124,69 @@ def test_combination_score_finite_for_positive_alpha():
 
 
 # ---------------------------------------------------------------------------
-# universe insertion
+# universe grouping
 # ---------------------------------------------------------------------------
 
 
+def universe_of(chosen, vendor, s1, token=None):
+    token = [0] * len(chosen) if token is None else token
+    return ClusterUniverse.from_choices(
+        np.array(chosen, dtype=np.int64),
+        np.array(token, dtype=np.int64),
+        np.array(vendor, dtype=np.int64),
+        np.array(s1, dtype=np.float64),
+    )
+
+
 def test_universe_first_insert_sets_representative():
-    u = ClusterUniverse(2)
-    u.insert((1, 2), product=0, vendor=4, s1=1.5)
+    u = universe_of([7], vendor=[4], s1=[1.5])
     assert len(u) == 1
     assert u.clusters[0].pi == 0
-    assert u.clusters[0].vendors == [4]
+    assert list(u.clusters[0].members) == [4]
 
 
 def test_universe_lower_s1_keeps_representative():
-    u = ClusterUniverse(2)
-    u.insert((1, 2), product=0, vendor=4, s1=1.5)
-    u.insert((1, 2), product=1, vendor=5, s1=1.0)
+    u = universe_of([7, 7], vendor=[4, 5], s1=[1.5, 1.0])
     assert u.clusters[0].pi == 0
-    assert u.clusters[0].size == 2
+    assert len(u.clusters[0].products) == 2
 
 
 def test_universe_equal_s1_keeps_earlier():
-    u = ClusterUniverse(2)
-    u.insert((1, 2), product=0, vendor=4, s1=1.5)
-    u.insert((1, 2), product=1, vendor=5, s1=1.5)
+    u = universe_of([7, 7], vendor=[4, 5], s1=[1.5, 1.5])
     assert u.clusters[0].pi == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-1, max_value=5),  # chosen record, -1: one token
+            st.integers(min_value=0, max_value=3),  # token
+            st.integers(min_value=0, max_value=3),  # vendor
+            st.sampled_from([0.0, 0.5, 1.5, 2.0]),  # s1, ties likely
+        ),
+        max_size=40,
+    )
+)
+def test_grouping_matches_insert_loop(rows):
+    chosen, token, vendor, s1 = (list(col) for col in zip(*rows)) if rows else ([],) * 4
+    u = universe_of(chosen, vendor, s1, token)
+    ref = object_universe(chosen, token, vendor, s1)
+    assert cluster_state(u) == cluster_state(ref)
+    assert u.pi.tolist() == [c.pi for c in ref.clusters]
+    assert u.key.tolist() == [-1 if isinstance(c.key, tuple) else c.key for c in ref.clusters]
+    assert u.s1.tolist() == ref.s1
+
+
+def test_s1_is_the_summed_idf_of_each_title_bit_for_bit():
+    ds = long_title_dataset(300, seed=2)
+    idx = build_index(ds, k=2)
+    lengths = np.diff(idx.forward.tok_offsets)
+    assert lengths.max() - lengths.min() >= 10
+    universe = select_clusters(idx, ScoringConfig())
+    fw = idx.forward
+    expected = [float(idx.idf[fw.tokens_of(p)].sum()) for p in range(len(fw))]
+    assert universe.s1.tolist() == expected
 
 
 def test_s1_zero_when_every_token_everywhere():
@@ -184,9 +223,10 @@ def test_all_unique_corpus_yields_singletons():
 
 def test_single_combination_product():
     ds = tiny_dataset(["left right"])
-    universe = select_clusters(build_index(ds, k=2), ScoringConfig())
+    idx = build_index(ds, k=2)
+    universe = select_clusters(idx, ScoringConfig())
     assert len(universe) == 1
-    assert len(universe.clusters[0].key_ids) == 2
+    assert len(idx.combos.ids_of(universe.clusters[0].key)) == 2
 
 
 def test_all_zero_row_prefers_larger_k_then_smaller_signature():
@@ -195,13 +235,15 @@ def test_all_zero_row_prefers_larger_k_then_smaller_signature():
     ds = tiny_dataset(["aa bb cc dd"])
     idx = build_index(ds, k=2)
     sigs = {tuple(idx.combos.ids_of(i)): idx.combos.sigs[i] for i in range(len(idx.combos))}
-    assert select_clusters(idx, ScoringConfig()).clusters[0].key_ids == min(sigs, key=sigs.get)
+    key = select_clusters(idx, ScoringConfig()).clusters[0].key
+    assert tuple(idx.combos.ids_of(key)) == min(sigs, key=sigs.get)
     idx = build_index(ds, k=3)
     sigs = {
         tuple(idx.combos.ids_of(i)): idx.combos.sigs[i]
         for i in np.flatnonzero(idx.combos.k == 3)
     }
-    assert select_clusters(idx, ScoringConfig()).clusters[0].key_ids == min(sigs, key=sigs.get)
+    key = select_clusters(idx, ScoringConfig()).clusters[0].key
+    assert tuple(idx.combos.ids_of(key)) == min(sigs, key=sigs.get)
 
 
 def test_one_token_titles_cluster_by_token():
@@ -215,10 +257,10 @@ def test_every_product_assigned_exactly_once(fixture_200):
     idx = build_index(fixture_200)
     universe = select_clusters(idx, ScoringConfig())
     assert all(c >= 0 for c in universe.assignment)
-    assert sum(c.size for c in universe.clusters) == fixture_200.title_count
+    assert sum(len(c.products) for c in universe.clusters) == fixture_200.title_count
     seen = set()
     for cluster in universe.clusters:
-        for p in cluster.product_ordinals():
+        for p in cluster.products:
             assert p not in seen
             seen.add(p)
     assert len(seen) == fixture_200.title_count
@@ -264,6 +306,15 @@ def test_config_validation():
         ScoringConfig(tau=2.0)
     with pytest.raises(ValueError):
         ScoringConfig(variant="fast")
+    with pytest.raises(ValueError):
+        ScoringConfig(verify_metric="bogus")
+    with pytest.raises(ValueError):
+        ScoringConfig(distance_mode="manhattan")
+    for bad_k in (2.7, 1, 0, True, "3"):
+        with pytest.raises(ValueError):
+            ScoringConfig(k=bad_k)
+    assert ScoringConfig(k=2).k == 2
+    assert ScoringConfig(k=np.int64(3)).k == 3
 
 
 # ---------------------------------------------------------------------------
@@ -362,5 +413,11 @@ def test_selection_matches_brute_force_oracle():
         if key is None:
             skipped += 1
             continue
-        assert universe.clusters[universe.assignment[p]].key_ids == key, f"product {p}"
+        ci = universe.assignment[p]
+        got = (
+            tuple(idx.combos.ids_of(universe.key[ci]))
+            if universe.key[ci] >= 0
+            else tuple(sorted(idx.forward.tokens_of(p).tolist()))
+        )
+        assert got == key, f"product {p}"
     assert skipped <= ds.title_count * 0.05

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +20,7 @@ from titlematch.verify import (
     verify_universe,
 )
 
-from helpers import make_ablation_dataset, verify_universe_scalar
+from helpers import cluster_state, make_ablation_dataset, object_universe, verify_universe_scalar
 
 
 def tiny_dataset(titles, vendors):
@@ -42,23 +43,22 @@ def hand_built(rows):
     becomes its representative and clusters are numbered by first key seen.
     """
     idx = build_index(tiny_dataset([r[0] for r in rows], [r[1] for r in rows]), k=2)
-    universe = ClusterUniverse(len(rows))
-    for p, (_, vendor, key, s1) in enumerate(rows):
-        universe.insert(key, p, vendor, s1)
+    keys = {key: i for i, key in enumerate(dict.fromkeys(r[2] for r in rows))}
+    universe = ClusterUniverse.from_choices(
+        np.array([keys[r[2]] for r in rows]),
+        np.zeros(len(rows), dtype=np.int64),
+        np.array([r[1] for r in rows]),
+        np.array([r[3] for r in rows], dtype=np.float64),
+    )
     return idx, universe
 
 
-def cluster_state(universe):
-    return list(universe.assignment), [
-        (c.pi, list(c.vendors), {v: list(m) for v, m in c.members.items()})
-        for c in universe.clusters
-    ]
-
-
 def verify_both(idx, universe, tau=0.4, metric="cs"):
-    """Run verify_universe and the scalar reference; return the verified
-    universe after checking that both agree exactly."""
-    ref = copy.deepcopy(universe)
+    """Run verify_universe and the scalar reference on an object copy;
+    return the verified universe after checking that both agree, vendor
+    order aside."""
+    # every product is assigned, so its cluster index serves as its key
+    ref = object_universe(universe.assignment, universe.assignment, universe.vendor, universe.s1)
     verify_universe(universe, idx, tau=tau, metric=metric)
     verify_universe_scalar(ref, idx, tau=tau, metric=metric)
     assert cluster_state(universe) == cluster_state(ref)
@@ -68,9 +68,9 @@ def verify_both(idx, universe, tau=0.4, metric="cs"):
 def members_by_product_id(universe, index):
     pids = index.forward.product_ids
     return [
-        sorted(pids[p] for p in cluster.product_ordinals())
+        sorted(pids[p] for p in cluster.products)
         for cluster in universe.clusters
-        if cluster.size
+        if len(cluster.products)
     ]
 
 
@@ -161,7 +161,7 @@ def test_low_similarity_eviction_founds_new_cluster():
         ],
         [0, 0, 1],
     )
-    n_before = universe.clusters[universe.assignment[0]].size
+    n_before = len(universe.clusters[universe.assignment[0]].products)
     assert n_before == 2
     verify_universe(universe, idx, tau=0.4)
     assert scan_violators(universe) == []
@@ -290,23 +290,23 @@ def _check_invariants(ds):
     idx = build_index(ds)
     universe = select_clusters(idx, ScoringConfig())
     before_products = Counter(
-        p for cluster in universe.clusters for p in cluster.product_ordinals()
+        p for cluster in universe.clusters for p in cluster.products
     )
-    before_pis = [c.pi for c in universe.clusters]
+    before_pis = universe.pi.tolist()
     n_before = len(universe.clusters)
 
     verify_universe(universe, idx, tau=0.4)
     assert scan_violators(universe) == []
     after_products = Counter(
-        p for cluster in universe.clusters for p in cluster.product_ordinals()
+        p for cluster in universe.clusters for p in cluster.products
     )
     assert after_products == before_products
     assert all(v == 1 for v in after_products.values())
-    assert [c.pi for c in universe.clusters[:n_before]] == before_pis
+    assert universe.pi[:n_before].tolist() == before_pis
 
-    snapshot = [sorted(c.product_ordinals()) for c in universe.clusters]
+    snapshot = [sorted(c.products) for c in universe.clusters]
     verify_universe(universe, idx, tau=0.4)
-    assert [sorted(c.product_ordinals()) for c in universe.clusters] == snapshot
+    assert [sorted(c.products) for c in universe.clusters] == snapshot
 
 
 def test_invariants_on_planted_corpora():
@@ -336,7 +336,7 @@ def test_assignment_map_consistent_after_verify(ablation_dataset):
     universe = select_clusters(idx, ScoringConfig())
     verify_universe(universe, idx, tau=0.4)
     for ci, cluster in enumerate(universe.clusters):
-        for p in cluster.product_ordinals():
+        for p in cluster.products:
             assert universe.assignment[p] == ci
 
 
