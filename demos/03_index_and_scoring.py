@@ -18,7 +18,6 @@ print(f"K resolved to {index.k} (half the {stats.avg_title_len:.2f}-token averag
 print(f"distinct tokens:        {stats.distinct_tokens}")
 print(f"combination instances:  {stats.combination_instances}")
 print(f"distinct combinations:  {stats.distinct_combinations}")
-print(f"signature collisions:   {stats.collisions_resolved}")
 
 universe = select_clusters(index, ScoringConfig())
 print(f"\n{len(universe)} clusters for {dataset.title_count} products")

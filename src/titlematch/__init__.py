@@ -2,7 +2,7 @@
 
 The pipeline clusters titles from multi-vendor feeds without training data:
 titles are tokenized and morphologically analyzed, every 2..K token subset is
-indexed under an order-invariant signature, each product adopts its
+indexed under its sorted token-ID key, each product adopts its
 highest-scoring combination as a cluster, and a verification pass enforces
 that no vendor appears twice inside one cluster. Quadratic pairwise baselines
 (cosine / Jaccard, plain and idf-weighted) and a pair-level F1 harness are

@@ -380,7 +380,7 @@ def cmd_inspect(args) -> int:
     print(f"distinct_tokens={s.distinct_tokens} avg_title_len={s.avg_title_len:.3f}")
     print(
         f"combinations={s.distinct_combinations} instances={s.combination_instances} "
-        f"avg_combination_len={s.avg_combination_len:.3f} collisions={s.collisions_resolved}"
+        f"avg_combination_len={s.avg_combination_len:.3f}"
     )
     tokens = index.tokens
     for i in np.argsort(-tokens.f_w, kind="stable")[: args.top].tolist():

@@ -8,9 +8,9 @@ a title can still be brought together.
 A combination's signature is a 64-bit FNV-1a hash of its canonical key: the
 member token IDs sorted ascending and joined by single spaces in decimal.
 Equal token multisets therefore hash identically regardless of token order.
-The index groups records by the exact sorted-ID key, never by the hash, so
-equality does not depend on the hash being perfect; signatures serve scoring
-tie-breaks and snapshots only.
+The index groups records by the exact sorted-ID key and stores no hash.
+Signatures serve only scoring's last tie-break, which hashes the still-tied
+keys of one product with signature_rows when the tie occurs.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ the sorted member-ID sequence, in one whole-array pass per combination size
 k: every instance's key row is gathered, the rows are dense-ranked
 lexicographically, and the frequency f_c and the positional distance
 accumulator d_acc of each distinct key come from np.bincount. Records are
-therefore ordered by (k, key). Equality never rests on a hash; the 64-bit
-FNV-1a signature is computed once per distinct key and serves scoring
-tie-breaks and snapshots only.
+therefore ordered by (k, key). Equality never rests on a hash, and the index
+stores none: scoring computes the FNV-1a signature of a key only when a tie
+reaches it.
 
 Titles are bucketed by length (length_buckets), ascending, file order within
 a length. A bucket's record IDs form one block with a row per title, which
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -35,7 +35,6 @@ from .combinatorics import (
     count_combinations,
     pattern_distances,
     position_patterns,
-    signature_rows,
 )
 from .ingest import Dataset, RawProduct
 from .textprep import (
@@ -47,7 +46,9 @@ from .textprep import (
 )
 
 SNAPSHOT_FORMAT = "titlematch-index"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+# v1 snapshots also stored per-record signatures (combo_sigs); loading skips them
+SNAPSHOT_VERSIONS = (1, 2)
 
 DISTANCE_MODES = ("squared", "euclidean")
 
@@ -77,7 +78,6 @@ class CombinationRecord:
     """Read-only view over one combination lexicon slot."""
 
     index: int
-    signature: int
     key_ids: Tuple[int, ...]
     f_c: int
     d_acc: float
@@ -88,12 +88,10 @@ class CombinationRecord:
 class CombinationLexicon:
     """Combination records as numpy columns, ordered by (k, key).
 
-    Record i has signature sigs[i], frequency f_c[i], distance accumulator
-    d_acc[i] and size k[i]; its sorted member IDs are
-    key_flat[key_offsets[i] : key_offsets[i + 1]].
+    Record i has frequency f_c[i], distance accumulator d_acc[i] and size
+    k[i]; its sorted member IDs are key_flat[key_offsets[i] : key_offsets[i + 1]].
     """
 
-    sigs: np.ndarray = field(default_factory=lambda: _empty(np.uint64))
     f_c: np.ndarray = field(default_factory=lambda: _empty(np.int64))
     d_acc: np.ndarray = field(default_factory=lambda: _empty(np.float64))
     k: np.ndarray = field(default_factory=lambda: _empty(np.int64))
@@ -109,7 +107,6 @@ class CombinationLexicon:
     def record(self, idx: int) -> CombinationRecord:
         return CombinationRecord(
             index=idx,
-            signature=int(self.sigs[idx]),
             key_ids=tuple(self.ids_of(idx)),
             f_c=int(self.f_c[idx]),
             d_acc=float(self.d_acc[idx]),
@@ -151,7 +148,13 @@ class IndexStats:
     avg_combination_len: float
     combination_instances: int
     distinct_combinations: int
-    collisions_resolved: int
+
+    @property
+    def collisions_resolved(self) -> int:
+        """Always 0: records are grouped by exact key and no hash is stored.
+        perfbench/worker.py still reads it for index.collisions; it goes when
+        the benchmark is re-pinned."""
+        return 0
 
 
 @dataclass
@@ -229,13 +232,6 @@ def _group_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         (rank << 32) | rows[:, -1], return_index=True, return_inverse=True
     )
     return first, rank
-
-
-def _shared_signatures(sigs: np.ndarray) -> int:
-    """Distinct keys that share a signature with an earlier key."""
-    # a sort, not np.unique: numpy's hash-based unique is slow on millions of keys
-    ordered = np.sort(sigs)
-    return int(np.count_nonzero(ordered[1:] == ordered[:-1]))
 
 
 def _group_size(
@@ -324,7 +320,6 @@ def _index_combinations(
         return CombinationLexicon(), 0, 0
     k_col = np.repeat(np.arange(2, 2 + len(keys)), [len(key) for key in keys])
     combos = CombinationLexicon(
-        sigs=np.concatenate([signature_rows(key) for key in keys]),
         f_c=np.concatenate(f_c),
         d_acc=np.concatenate(d_acc),
         k=k_col,
@@ -405,7 +400,6 @@ def build_index(
         avg_combination_len=(total_member_count / total_instances) if total_instances else 0.0,
         combination_instances=total_instances,
         distinct_combinations=len(combos),
-        collisions_resolved=_shared_signatures(combos.sigs),
     )
     return ProductIndex(
         dataset=dataset,
@@ -448,15 +442,7 @@ def save_index(index: ProductIndex, path) -> None:
         "k": index.k,
         "variant": index.variant,
         "distance_mode": index.distance_mode,
-        "stats": {
-            "title_count": index.stats.title_count,
-            "distinct_tokens": index.stats.distinct_tokens,
-            "avg_title_len": index.stats.avg_title_len,
-            "avg_combination_len": index.stats.avg_combination_len,
-            "combination_instances": index.stats.combination_instances,
-            "distinct_combinations": index.stats.distinct_combinations,
-            "collisions_resolved": index.stats.collisions_resolved,
-        },
+        "stats": asdict(index.stats),
     }
     np.savez_compressed(
         path,
@@ -473,7 +459,6 @@ def save_index(index: ProductIndex, path) -> None:
         sem_flat=fw.sem_flat,
         combo_flat=combo_flat,
         combo_offsets=combo_offsets,
-        combo_sigs=combos.sigs,
         combo_f=combos.f_c,
         combo_d=combos.d_acc,
         combo_k=combos.k,
@@ -483,16 +468,17 @@ def save_index(index: ProductIndex, path) -> None:
 
 
 def load_index(path) -> ProductIndex:
-    """Reload a snapshot written by save_index; verifies format and version."""
+    """Reload a version 1 or 2 snapshot; verifies format and version."""
     with np.load(path, allow_pickle=False) as z:
         meta = json.loads(bytes(z["meta"]).decode("utf-8"))
         if meta.get("format") != SNAPSHOT_FORMAT:
             raise ValueError(f"not a {SNAPSHOT_FORMAT} snapshot: {path}")
-        if meta.get("version") != SNAPSHOT_VERSION:
+        if meta.get("version") not in SNAPSHOT_VERSIONS:
             raise ValueError(
                 f"snapshot version {meta.get('version')} unsupported "
-                f"(expected {SNAPSHOT_VERSION})"
+                f"(expected one of {SNAPSHOT_VERSIONS})"
             )
+        meta["stats"].pop("collisions_resolved", None)
         product_ids = z["product_ids"].tolist()
         vendor_ids = z["vendor_ids"].tolist()
         products = [
@@ -525,7 +511,6 @@ def load_index(path) -> ProductIndex:
                 for l, members in length_buckets(np.diff(forward.tok_offsets))
             ]
         combos = CombinationLexicon(
-            sigs=z["combo_sigs"],
             f_c=z["combo_f"],
             d_acc=z["combo_d"],
             k=z["combo_k"],

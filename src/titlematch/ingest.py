@@ -52,6 +52,11 @@ class Dataset:
     def vendor_count(self) -> int:
         return len({p.vendor_id for p in self.products})
 
+    @property
+    def has_truth(self) -> bool:
+        """Whether the dataset is non-empty and every product has a truth cluster."""
+        return bool(self.products) and all(p.truth_cluster_id is not None for p in self.products)
+
 
 def _parse_int(value: str, row_num: int, what: str) -> int:
     try:

@@ -36,7 +36,7 @@ class MatchResult:
 
 def _dataset_block(dataset: Dataset, path: str, avg_title_tokens: float) -> dict:
     truth_clusters = None
-    if dataset.products and all(p.truth_cluster_id is not None for p in dataset.products):
+    if dataset.has_truth:
         truth_clusters = len({p.truth_cluster_id for p in dataset.products})
     return {
         "path": path,
@@ -84,7 +84,7 @@ def run_match(
     predicted = expand_cluster_pairs(universe, index)
     truth: Optional[MatchSet] = None
     scores = {"precision": None, "recall": None, "f1": None}
-    if dataset.products and all(p.truth_cluster_id is not None for p in dataset.products):
+    if dataset.has_truth:
         truth = load_ground_truth(dataset)
         if truth:
             scores = prf1(predicted, truth)
@@ -152,7 +152,7 @@ def run_baseline(
     timings["pairs"] = (time.perf_counter() - t2) * 1000.0
 
     truth: Optional[MatchSet] = None
-    if dataset.products and all(p.truth_cluster_id is not None for p in dataset.products):
+    if dataset.has_truth:
         truth = load_ground_truth(dataset)
 
     n = dataset.title_count

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .combinatorics import position_patterns
+from .combinatorics import position_patterns, signature_rows
 from .index import (
     DISTANCE_MODES,
     CombinationLexicon,
@@ -202,13 +202,20 @@ def _resolve_row(
 
     All-zero rows prefer the larger Y, then the larger k, then the smaller
     signature. Equal positive scores prefer the larger k, then the smaller
-    mean distance, then the smaller signature.
+    mean distance, then the smaller signature. Equal signatures keep the
+    earliest column.
     """
-    k, sigs = combos.k[ids], combos.sigs[ids]
-    if i_row.max() == 0.0:
-        return int(np.lexsort((sigs, -k, -y_row))[0])
-    tied = i_row == i_row.max()
-    return next(c for c in np.lexsort((sigs, avgd[ids], -k)).tolist() if tied[c])
+    k = combos.k[ids]
+    prefs = (y_row, k) if i_row.max() == 0.0 else (i_row, k, -avgd[ids])
+    cols = np.arange(len(ids))
+    for pref in prefs:
+        vals = pref[cols]
+        cols = cols[vals == vals.max()]
+    if len(cols) == 1:
+        return int(cols[0])
+    # only the columns still tied are hashed; they share one k
+    rows = combos.key_flat[combos.key_offsets[ids[cols]][:, None] + np.arange(k[cols[0]])]
+    return int(cols[np.argmin(signature_rows(rows))])
 
 
 # Upper bound on elements gathered per batch in the scoring pass.

@@ -13,7 +13,7 @@ products sold by largely the same vendors:
 
 * family siblings share everything except the model token itself, which
   differs by a trailing letter ("kx450" vs "kx450s"). Set-overlap metrics
-  see near-identical titles; distinct combination signatures keep them apart.
+  see near-identical titles; distinct combination keys keep them apart.
 * attribute siblings share the model token but differ in one attribute value
   (the 32gb-vs-64gb situation). These tend to merge under the shared
   combination, which is the error mode the verification stage corrects.

@@ -8,7 +8,8 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from titlematch.index import ForwardIndex, length_buckets
+from titlematch.combinatorics import signature, signature_rows
+from titlematch.index import CombinationLexicon, ForwardIndex, length_buckets
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.scoring import VERIFY_METRICS
 from titlematch.verify import binary_cosine, idf_cosine
@@ -26,6 +27,16 @@ def combo_rows(fw: ForwardIndex) -> List[List[int]]:
         for p, row in zip(members.tolist(), block.tolist()):
             rows[p] = row
     return rows
+
+
+def assert_key_signatures(combos: CombinationLexicon, recs: np.ndarray) -> None:
+    """signature_rows over the key rows of records recs, one call per k, as
+    scoring hashes tied keys, equals the scalar signature() of each key."""
+    for kk in np.unique(combos.k[recs]).tolist():
+        group = recs[combos.k[recs] == kk]
+        rows = combos.key_flat[combos.key_offsets[group][:, None] + np.arange(kk)]
+        for i, value in zip(group.tolist(), signature_rows(rows).tolist()):
+            assert signature(combos.ids_of(i)).value == value, combos.ids_of(i)
 
 
 def make_ablation_dataset() -> Dataset:

@@ -20,8 +20,9 @@ from titlematch.combinatorics import (
     signature,
     signature_rows,
 )
-import titlematch.index as index_module
+import titlematch.scoring as scoring_module
 from titlematch.index import build_index
+from titlematch.ingest import Dataset, RawProduct
 from titlematch.scoring import ScoringConfig, select_clusters
 from titlematch.synth import planted_dataset
 from titlematch.textprep import UnitLexicon, classify_tokens
@@ -156,24 +157,21 @@ def test_pattern_distance_is_squared_offset_gap():
 
 def test_forced_signature_collision_keeps_keys_distinct(monkeypatch):
     ds = planted_dataset(n_clusters=12, n_vendors=6, seed=4)
-    honest = build_index(ds)
-    expected = select_clusters(honest, ScoringConfig())
-    # every key now hashes to the same signature
+    idx = build_index(ds)
+    expected = select_clusters(idx, ScoringConfig())
+    # every key now hashes to the same signature; the index never hashes,
+    # so only scoring's last tie-break can see it
     monkeypatch.setattr(
-        index_module, "signature_rows", lambda rows: np.zeros(len(rows), dtype=np.uint64)
+        scoring_module, "signature_rows", lambda rows: np.zeros(len(rows), dtype=np.uint64)
     )
-    forced = build_index(ds)
-    assert not forced.combos.sigs.any()
-    assert len(forced.combos) == len(honest.combos)
-    assert forced.stats.collisions_resolved == len(forced.combos) - 1
-    for name in ("f_c", "d_acc", "k", "key_flat", "key_offsets"):
-        assert np.array_equal(getattr(forced.combos, name), getattr(honest.combos, name)), name
-    assert len(forced.forward.combo_blocks) == len(honest.forward.combo_blocks)
-    for ra, rb in zip(forced.forward.combo_blocks, honest.forward.combo_blocks):
-        assert np.array_equal(ra, rb)
-    universe = select_clusters(forced, ScoringConfig())
+    assert len({tuple(idx.combos.ids_of(i)) for i in range(len(idx.combos))}) == len(idx.combos)
+    universe = select_clusters(idx, ScoringConfig())
     assert np.array_equal(universe.assignment, expected.assignment)
     assert np.array_equal(universe.key, expected.key)
+    # a lone title ties on every pair; equal signatures keep the first column
+    lone = build_index(Dataset(products=[RawProduct(1, "aa bb cc dd", 0)]), k=2)
+    key = select_clusters(lone, ScoringConfig()).key[0]
+    assert lone.combos.ids_of(key) == sorted(lone.forward.tokens_of(0).tolist()[:2])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=2, max_size=6, unique=True))

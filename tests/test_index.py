@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import string
@@ -32,7 +33,7 @@ from titlematch.scoring import ScoringConfig, select_clusters
 from titlematch.synth import planted_dataset
 from titlematch.textprep import analyze_title, truncate_for_variant
 
-from helpers import combo_rows, token_rows
+from helpers import assert_key_signatures, combo_rows, token_rows
 
 DATA = Path(__file__).parent / "data"
 
@@ -140,12 +141,12 @@ def test_accumulators_match_brute_force():
         assert idx.combos.d_acc[i] == acc
 
 
-def test_stored_signatures_match_keys():
+def test_key_signatures_match_scalar():
+    # the index stores no signatures; scoring hashes key rows on demand
     ds = planted_dataset(n_clusters=10, n_vendors=6, seed=6)
     idx = build_index(ds)
-    for i in range(len(idx.combos)):
-        assert signature(idx.combos.ids_of(i)).value == idx.combos.sigs[i]
     assert idx.stats.collisions_resolved == 0
+    assert_key_signatures(idx.combos, np.arange(len(idx.combos)))
 
 
 def test_build_is_deterministic():
@@ -189,7 +190,7 @@ def assert_same_columns(a, b):
     assert a.tokens.surfaces == b.tokens.surfaces
     for name in ("f_w", "s_w"):
         assert np.array_equal(getattr(a.tokens, name), getattr(b.tokens, name)), name
-    for name in ("sigs", "f_c", "d_acc", "k", "key_flat", "key_offsets"):
+    for name in ("f_c", "d_acc", "k", "key_flat", "key_offsets"):
         assert np.array_equal(getattr(a.combos, name), getattr(b.combos, name)), name
     assert a.forward.product_ids == b.forward.product_ids
     assert a.forward.vendor_ids == b.forward.vendor_ids
@@ -228,6 +229,29 @@ def test_v1_snapshot_loads_as_fresh_build():
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def test_snapshot_v2_stores_no_signatures(tmp_path):
+    path = tmp_path / "index.npz"
+    save_index(build_index(snapshot_corpus(), k=3), path)
+    with np.load(path) as z:
+        assert json.loads(bytes(z["meta"]).decode("utf-8"))["version"] == 2
+        assert "combo_sigs" not in z.files
+    with np.load(DATA / "index_v1.npz") as z:
+        assert "combo_sigs" in z.files
+
+
+def test_snapshot_rejects_unsupported_version(tmp_path):
+    path = tmp_path / "index.npz"
+    save_index(build_index(snapshot_corpus(), k=3), path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    meta["version"] = 3
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match="snapshot version 3 unsupported"):
+        load_index(path)
+
+
 def test_snapshot_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.npz"
     np.savez(path, meta=np.frombuffer(b'{"format": "something-else"}', dtype=np.uint8))
@@ -252,13 +276,13 @@ def test_euclidean_accumulation(units):
 
 
 def scalar_reference(index):
-    """Oracle over generate_combinations + signature + distance.
+    """Oracle over generate_combinations + distance.
 
     Titles come from analyze_dataset and truncate_for_variant, token IDs from
     interning their surfaces in first-encounter order. Titles are visited by
     ascending length, file order within a length: the order the index sums
     d_acc in, so even euclidean sums compare exactly. Returns (the titles,
-    the token IDs, {key: (f_c, d_acc, signature)}, each product's keys in
+    the token IDs, {key: (f_c, d_acc)}, each product's keys in
     enumeration order).
     """
     titles = [
@@ -278,12 +302,8 @@ def scalar_reference(index):
         for c in generate_combinations(title, index.k):
             ids = [token_ids[surface] for surface in c.surfaces]
             key = tuple(sorted(ids))
-            f, d, _ = records.get(key, (0, 0.0, None))
-            records[key] = (
-                f + 1,
-                d + distance(c, title, index.distance_mode),
-                signature(ids).value,
-            )
+            f, d = records.get(key, (0, 0.0))
+            records[key] = (f + 1, d + distance(c, title, index.distance_mode))
             keys_of[p].append(key)
     return titles, token_ids, records, keys_of
 
@@ -308,11 +328,10 @@ def assert_matches_reference(index):
     keys = [tuple(combos.ids_of(i)) for i in range(len(combos))]
     assert keys == sorted(expected, key=lambda key: (len(key), key))
     for i, key in enumerate(keys):
-        f, d, sig = expected[key]
+        f, d = expected[key]
         assert combos.k[i] == len(key)
         assert combos.f_c[i] == f, key
         assert combos.d_acc[i] == d, key
-        assert combos.sigs[i] == sig, key
     for p, row in enumerate(combo_rows(index.forward)):
         assert [keys[r] for r in row] == keys_of[p], f"product {p}"
     assert index.stats.distinct_combinations == len(expected)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from titlematch.combinatorics import signature
 from titlematch.index import CombinationRecord, build_index
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.scoring import (
@@ -28,10 +29,8 @@ from titlematch.textprep import Semantics
 from helpers import cluster_state, object_universe, token_rows
 
 
-def record(f_c=1, d_acc=0.0, k=2, sig=1, ids=(0, 1)):
-    return CombinationRecord(
-        index=0, signature=sig, key_ids=tuple(ids), f_c=f_c, d_acc=d_acc, k=k
-    )
+def record(f_c=1, d_acc=0.0, k=2, ids=(0, 1)):
+    return CombinationRecord(index=0, key_ids=tuple(ids), f_c=f_c, d_acc=d_acc, k=k)
 
 
 def tiny_dataset(titles, vendors=None):
@@ -233,17 +232,27 @@ def test_all_zero_row_prefers_larger_k_then_smaller_signature():
     # a lone title: every combination is unique and every idf is 0, so every
     # score and every Y is 0
     ds = tiny_dataset(["aa bb cc dd"])
+    for k in (2, 3):
+        idx = build_index(ds, k=k)
+        keys = [tuple(idx.combos.ids_of(i)) for i in np.flatnonzero(idx.combos.k == k)]
+        key = select_clusters(idx, ScoringConfig()).clusters[0].key
+        assert tuple(idx.combos.ids_of(key)) == min(keys, key=lambda ids: signature(ids).value)
+
+
+def test_positive_tie_prefers_smaller_signature():
+    # {aa, bb} and {aa, cc} tie on I(c), k and mean distance (0 + 1 over two
+    # titles each); {bb, cc} sits farther from the head. The tied pair is
+    # enumerated in opposite orders by the two titles, so only the signature
+    # rule lets both pick the same key.
+    ds = tiny_dataset(["aa bb cc", "aa cc bb", "xx yy", "zz ww"])
     idx = build_index(ds, k=2)
-    sigs = {tuple(idx.combos.ids_of(i)): idx.combos.sigs[i] for i in range(len(idx.combos))}
-    key = select_clusters(idx, ScoringConfig()).clusters[0].key
-    assert tuple(idx.combos.ids_of(key)) == min(sigs, key=sigs.get)
-    idx = build_index(ds, k=3)
-    sigs = {
-        tuple(idx.combos.ids_of(i)): idx.combos.sigs[i]
-        for i in np.flatnonzero(idx.combos.k == 3)
-    }
-    key = select_clusters(idx, ScoringConfig()).clusters[0].key
-    assert tuple(idx.combos.ids_of(key)) == min(sigs, key=sigs.get)
+    universe = select_clusters(idx, ScoringConfig())
+    ids = {s: i for i, s in enumerate(idx.tokens.surfaces)}
+    tied = [(ids["aa"], ids["bb"]), (ids["aa"], ids["cc"])]
+    assert signature(tied[0]).value != signature(tied[1]).value
+    want = min(tied, key=lambda key: signature(key).value)
+    for p in (0, 1):
+        assert tuple(idx.combos.ids_of(universe.key[universe.assignment[p]])) == want
 
 
 def test_one_token_titles_cluster_by_token():
@@ -273,7 +282,7 @@ def test_selection_leaves_index_unchanged():
     combos = copy.deepcopy(idx.combos)
     forward = copy.deepcopy(idx.forward)
     select_clusters(idx, ScoringConfig())
-    for name in ("sigs", "f_c", "d_acc", "k", "key_flat", "key_offsets"):
+    for name in ("f_c", "d_acc", "k", "key_flat", "key_offsets"):
         assert np.array_equal(getattr(idx.combos, name), getattr(combos, name)), name
     for name in ("tok_flat", "sem_flat", "tok_offsets"):
         assert np.array_equal(getattr(idx.forward, name), getattr(forward, name)), name
@@ -362,8 +371,6 @@ def oracle_selection(index, config):
         per_product.append(combos)
 
     avg_comb_len = member_count / instances if instances else 0.0
-
-    from titlematch.combinatorics import signature
 
     chosen = []
     for p in range(n):
