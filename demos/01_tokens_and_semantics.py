@@ -5,7 +5,7 @@ then assigned one of five semantics classes (attribute, three model flavours,
 normal) that later drive the field weighting of the scorer.
 """
 
-from titlematch import Semantics, UnitLexicon, analyze_title, normalize_title
+from titlematch import UnitLexicon, analyze_title, normalize_title
 
 units = UnitLexicon.default()
 
@@ -22,5 +22,5 @@ for raw in titles:
     analyzed = analyze_title(raw, units)
     print(f"\n{raw}")
     print(f"  tokens:   {tokens}")
-    for tok in analyzed.tokens:
-        print(f"  {tok.position}: {tok.surface:<12} {Semantics(tok.semantics).name}")
+    for position, (surface, sem) in enumerate(zip(analyzed.surfaces, analyzed.semantics)):
+        print(f"  {position}: {surface:<12} {sem.name}")

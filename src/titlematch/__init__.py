@@ -41,7 +41,6 @@ from .scoring import (
 from .textprep import (
     AnalyzedTitle,
     Semantics,
-    Token,
     UnitLexicon,
     analyze_title,
     classify_tokens,
@@ -64,7 +63,6 @@ __all__ = [
     "ScoringConfig",
     "Semantics",
     "Signature",
-    "Token",
     "UnitLexicon",
     "analyze_title",
     "avg_distance",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -69,13 +70,25 @@ def _parse_top(value: str) -> int:
     return top
 
 
+# each threshold is one report row; a longer sweep is a typo, not an experiment
+MAX_SWEEP_THRESHOLDS = 1000
+
+
 def _parse_sweep(value: str) -> List[float]:
     try:
         start, stop, step = (float(x) for x in value.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected start:stop:step, got {value!r}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(f"sweep bounds and step must be finite, got {value!r}")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad sweep range {value!r}")
+    if not 0 < start <= stop < 1:
+        raise argparse.ArgumentTypeError(f"sweep range must lie inside (0, 1), got {value!r}")
+    if (stop - start) / step >= MAX_SWEEP_THRESHOLDS:
+        raise argparse.ArgumentTypeError(
+            f"sweep {value!r} yields more than {MAX_SWEEP_THRESHOLDS} thresholds"
+        )
     taus: List[float] = []
     i = 0
     while True:

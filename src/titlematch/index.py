@@ -196,7 +196,7 @@ def distance(c: Combination, t: AnalyzedTitle, mode: str = "squared") -> float:
         raise ValueError(f"unknown distance mode {mode!r}")
     if not c.surfaces:
         raise ValueError("combination carries no surfaces to resolve against the title")
-    pos = {tok.surface: tok.position for tok in t.tokens}
+    pos = {surface: i for i, surface in enumerate(t.surfaces)}
     total = 0
     for rank, surface in enumerate(c.surfaces):
         if surface not in pos:
@@ -363,14 +363,14 @@ def build_index(
     ids: List[int] = []
     sems: List[int] = []
     for title in titles:
-        for tok in title.tokens:
-            i = by_surface.get(tok.surface)
+        for surface, sem in zip(title.surfaces, title.semantics):
+            i = by_surface.get(surface)
             if i is None:
-                i = by_surface[tok.surface] = len(surfaces)
-                surfaces.append(tok.surface)
-                first_sem.append(int(tok.semantics))
+                i = by_surface[surface] = len(surfaces)
+                surfaces.append(surface)
+                first_sem.append(int(sem))
             ids.append(i)
-            sems.append(int(tok.semantics))
+            sems.append(int(sem))
     tok_flat = np.asarray(ids, dtype=np.int64)
     # analyzed titles hold no duplicate tokens, so occurrences are products
     tokens = TokenLexicon(

@@ -62,8 +62,9 @@ class ScoringConfig:
     verify_metric: str = "cs"
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        # NaN compares False with everything, so test for the good range
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be a finite number > 0, got {self.alpha}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
         if not 0.0 <= self.tau <= 1.0:

@@ -12,7 +12,13 @@ field weighting used by the scorer:
 
 Normalization keeps dots and commas only when they act as numeric separators,
 keeps hyphen/slash compounds while appending their parts at the end of the
-title, and drops exact duplicate tokens.
+title, and drops exact duplicate tokens. It works on whole strings with
+compiled regexes, never character by character.
+
+An AnalyzedTitle is two parallel tuples, surfaces and semantics; a token's
+position is its index. Every semantics class but the model split is a
+function of the surface alone (surface_semantics); only MODEL_FIRST versus
+MODEL_OTHER depends on where the token sits.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 class Semantics(IntEnum):
@@ -38,27 +45,16 @@ class TitleNormalizationError(ValueError):
 
 
 @dataclass(frozen=True)
-class Token:
-    surface: str
-    semantics: Semantics
-    position: int
-
-
-@dataclass(frozen=True)
 class AnalyzedTitle:
-    tokens: Tuple[Token, ...]
+    """Parallel tuples: token i has surface surfaces[i] and semantics
+    semantics[i]; its position in the title is i."""
+
+    surfaces: Tuple[str, ...]
+    semantics: Tuple[Semantics, ...]
 
     @property
     def length(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def surfaces(self) -> List[str]:
-        return [t.surface for t in self.tokens]
-
-    @property
-    def semantics(self) -> List[Semantics]:
-        return [t.semantics for t in self.tokens]
+        return len(self.surfaces)
 
 
 @dataclass(frozen=True)
@@ -72,6 +68,13 @@ class UnitLexicon:
 
     def __len__(self) -> int:
         return len(self.units)
+
+    @cached_property
+    def attribute_re(self) -> re.Pattern:
+        """Full-matches a numeric prefix fused with a unit suffix ("3.2ghz");
+        backtracking tries every numeric prefix against every unit."""
+        alternatives = "|".join(map(re.escape, sorted(self.units))) or "(?!)"
+        return re.compile(rf"[0-9]+(?:[.,][0-9]+)*(?:{alternatives})")
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "UnitLexicon":
@@ -93,18 +96,26 @@ class UnitLexicon:
         return cls.from_lines(text.splitlines())
 
 
-_NUMERIC_RE = re.compile(r"^[0-9]+(?:[.,][0-9]+)*$")
+_NUMERIC_RE = re.compile(r"[0-9]+(?:[.,][0-9]+)*")
+_SEPARATOR_RE = re.compile(r"[.,]")
+# everything but alphanumerics ([^\W_] is exactly str.isalnum) and ".,-/"
+_DROPPED_RE = re.compile(r"[^\w.,/-]|_")
 _COMPOUND_SPLIT_RE = re.compile(r"[-/]+")
 
 
 def is_numeric(surface: str) -> bool:
     """Digits only, allowing interior thousands/decimal separators."""
-    return _NUMERIC_RE.match(surface) is not None
+    # fullmatch: "$" would also accept a trailing newline
+    return _NUMERIC_RE.fullmatch(surface) is not None
 
 
-def is_mixed(surface: str) -> bool:
-    """Contains at least one digit and at least one letter."""
-    return any(c.isdigit() for c in surface) and any(c.isalpha() for c in surface)
+def _keep_digit_separator(m: re.Match) -> str:
+    # str.isdigit, which is wider than \d ("²", "①"); a dropped neighbour is
+    # already a space and never a digit
+    s, i = m.string, m.start()
+    if 0 < i < len(s) - 1 and s[i - 1].isdigit() and s[i + 1].isdigit():
+        return m.group()
+    return " "
 
 
 def normalize_title(raw: str) -> List[str]:
@@ -115,95 +126,63 @@ def normalize_title(raw: str) -> List[str]:
     token list, then removes exact duplicates keeping the first occurrence.
     Raises TitleNormalizationError if nothing survives.
     """
-    lowered = raw.lower()
-    n = len(lowered)
-    chars = []
-    for i, ch in enumerate(lowered):
-        if ch.isalnum():
-            chars.append(ch)
-        elif ch in ".,":
-            if 0 < i < n - 1 and lowered[i - 1].isdigit() and lowered[i + 1].isdigit():
-                chars.append(ch)
-            else:
-                chars.append(" ")
-        elif ch in "-/":
-            chars.append(ch)
-        else:
-            chars.append(" ")
-
-    base: List[str] = []
-    appended: List[str] = []
-    for tok in "".join(chars).split():
-        tok = tok.strip("-/")
-        if not tok:
-            continue
-        base.append(tok)
-        if "-" in tok or "/" in tok:
-            appended.extend(p for p in _COMPOUND_SPLIT_RE.split(tok) if p)
-
-    seen = set()
-    result: List[str] = []
-    for tok in base + appended:
-        if tok not in seen:
-            seen.add(tok)
-            result.append(tok)
+    text = _DROPPED_RE.sub(" ", raw.lower())
+    text = _SEPARATOR_RE.sub(_keep_digit_separator, text)
+    base = [tok for tok in (w.strip("-/") for w in text.split()) if tok]
+    compounds = [tok for tok in base if "-" in tok or "/" in tok]
+    appended = [p for tok in compounds for p in _COMPOUND_SPLIT_RE.split(tok) if p]
+    result = list(dict.fromkeys(base + appended))
     if not result:
         raise TitleNormalizationError(f"title normalizes to zero tokens: {raw!r}")
     return result
 
 
-def _attribute_split(surface: str, units: UnitLexicon) -> bool:
-    """True when the token is a numeric prefix fused with a unit suffix."""
-    for cut in range(1, len(surface)):
-        suffix = surface[cut:]
-        if suffix in units and is_numeric(surface[:cut]):
-            return True
-    return False
+def surface_semantics(surface: str, units: UnitLexicon) -> Semantics:
+    """Semantics of a token that depend on its surface alone.
+
+    ATTRIBUTE: a numeric prefix fused with a unit suffix ("3.2ghz").
+    MODEL_FIRST: any other token holding a digit and a letter; whether it
+    stays first or becomes MODEL_OTHER depends on its position.
+    MODEL_NUMERIC: digits with interior separators only. NORMAL: the rest.
+    """
+    if is_numeric(surface):
+        return Semantics.MODEL_NUMERIC
+    if not (any(map(str.isdigit, surface)) and any(map(str.isalpha, surface))):
+        return Semantics.NORMAL
+    if units.attribute_re.fullmatch(surface):
+        return Semantics.ATTRIBUTE
+    return Semantics.MODEL_FIRST
 
 
 def classify_tokens(tokens: Sequence[str], units: UnitLexicon) -> AnalyzedTitle:
     """Assign semantics to normalized tokens.
 
     Adjacent (numeric, unit) pairs are concatenated into a single attribute
-    token first; the fused surface may duplicate an existing token, in which
-    case the first occurrence wins. Positions are reassigned consecutively.
+    token; the fused surface may duplicate an existing token, in which case
+    the first occurrence wins. Only the first model token is MODEL_FIRST.
     """
-    merged: List[Tuple[str, Semantics | None]] = []
+    out: Dict[str, Semantics] = {}
+    model_seen = False
     i = 0
     while i < len(tokens):
-        tok = tokens[i]
-        if i + 1 < len(tokens) and is_numeric(tok) and tokens[i + 1] in units:
-            merged.append((tok + tokens[i + 1], Semantics.ATTRIBUTE))
+        surface = tokens[i]
+        if i + 1 < len(tokens) and tokens[i + 1] in units and is_numeric(surface):
+            surface += tokens[i + 1]
+            sem = Semantics.ATTRIBUTE
             i += 2
+        else:
+            sem = None
+            i += 1
+        if surface in out:
             continue
-        merged.append((tok, None))
-        i += 1
-
-    seen = set()
-    deduped: List[Tuple[str, Semantics | None]] = []
-    for surface, sem in merged:
-        if surface not in seen:
-            seen.add(surface)
-            deduped.append((surface, sem))
-
-    out: List[Token] = []
-    first_mixed_taken = False
-    for pos, (surface, sem) in enumerate(deduped):
         if sem is None:
-            if is_mixed(surface):
-                if _attribute_split(surface, units):
-                    sem = Semantics.ATTRIBUTE
-                elif not first_mixed_taken:
-                    sem = Semantics.MODEL_FIRST
-                    first_mixed_taken = True
-                else:
-                    sem = Semantics.MODEL_OTHER
-            elif is_numeric(surface):
-                sem = Semantics.MODEL_NUMERIC
-            else:
-                sem = Semantics.NORMAL
-        out.append(Token(surface=surface, semantics=sem, position=pos))
-    return AnalyzedTitle(tokens=tuple(out))
+            sem = surface_semantics(surface, units)
+        if sem == Semantics.MODEL_FIRST:
+            if model_seen:
+                sem = Semantics.MODEL_OTHER
+            model_seen = True
+        out[surface] = sem
+    return AnalyzedTitle(surfaces=tuple(out), semantics=tuple(out.values()))
 
 
 def analyze_title(raw: str, units: UnitLexicon) -> AnalyzedTitle:
@@ -224,5 +203,5 @@ def truncate_for_variant(title: AnalyzedTitle, variant: str, k_star: int) -> Ana
         limit = 2 * k_star
         if title.length <= limit:
             return title
-        return AnalyzedTitle(tokens=title.tokens[:limit])
+        return AnalyzedTitle(surfaces=title.surfaces[:limit], semantics=title.semantics[:limit])
     raise ValueError(f"unknown variant: {variant!r}")

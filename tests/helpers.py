@@ -1,10 +1,12 @@
-"""Dataset builders and CSV writers shared across test modules."""
+"""Dataset builders, CSV writers and scalar reference implementations
+shared across test modules."""
 
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -12,6 +14,7 @@ from titlematch.combinatorics import signature, signature_rows
 from titlematch.index import CombinationLexicon, ForwardIndex, length_buckets
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.scoring import VERIFY_METRICS
+from titlematch.textprep import Semantics, TitleNormalizationError, UnitLexicon, is_numeric
 from titlematch.verify import binary_cosine, idf_cosine
 
 
@@ -331,3 +334,103 @@ def verify_universe_scalar(
     if leftovers:
         raise RuntimeError(f"verification left violators: {leftovers[:5]}")
     return universe
+
+
+# ---------------------------------------------------------------------------
+# character-loop text preparation: the reference for titlematch.textprep
+# ---------------------------------------------------------------------------
+
+
+def normalize_title_scalar(raw: str) -> List[str]:
+    """Reference for titlematch.textprep.normalize_title: one character at a
+    time over the lowered title."""
+    lowered = raw.lower()
+    n = len(lowered)
+    chars = []
+    for i, ch in enumerate(lowered):
+        if ch.isalnum():
+            chars.append(ch)
+        elif ch in ".,":
+            if 0 < i < n - 1 and lowered[i - 1].isdigit() and lowered[i + 1].isdigit():
+                chars.append(ch)
+            else:
+                chars.append(" ")
+        elif ch in "-/":
+            chars.append(ch)
+        else:
+            chars.append(" ")
+
+    base: List[str] = []
+    appended: List[str] = []
+    for tok in "".join(chars).split():
+        tok = tok.strip("-/")
+        if not tok:
+            continue
+        base.append(tok)
+        if "-" in tok or "/" in tok:
+            appended.extend(p for p in re.split(r"[-/]+", tok) if p)
+
+    seen = set()
+    result: List[str] = []
+    for tok in base + appended:
+        if tok not in seen:
+            seen.add(tok)
+            result.append(tok)
+    if not result:
+        raise TitleNormalizationError(f"title normalizes to zero tokens: {raw!r}")
+    return result
+
+
+def _is_mixed_scalar(surface: str) -> bool:
+    return any(c.isdigit() for c in surface) and any(c.isalpha() for c in surface)
+
+
+def _attribute_split_scalar(surface: str, units: UnitLexicon) -> bool:
+    for cut in range(1, len(surface)):
+        if surface[cut:] in units and is_numeric(surface[:cut]):
+            return True
+    return False
+
+
+def classify_tokens_scalar(
+    tokens: Sequence[str], units: UnitLexicon
+) -> List[Tuple[str, Semantics]]:
+    """Reference for titlematch.textprep.classify_tokens as (surface,
+    semantics) pairs: merge (number, unit) pairs, dedup, then classify in a
+    three-branch loop with every cut of every mixed token tried."""
+    merged: List[Tuple[str, Optional[Semantics]]] = []
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        if i + 1 < len(tokens) and is_numeric(tok) and tokens[i + 1] in units:
+            merged.append((tok + tokens[i + 1], Semantics.ATTRIBUTE))
+            i += 2
+            continue
+        merged.append((tok, None))
+        i += 1
+
+    seen = set()
+    deduped: List[Tuple[str, Optional[Semantics]]] = []
+    for surface, sem in merged:
+        if surface not in seen:
+            seen.add(surface)
+            deduped.append((surface, sem))
+
+    out: List[Tuple[str, Semantics]] = []
+    first_mixed_taken = False
+    for surface, sem in deduped:
+        if sem is None:
+            if _is_mixed_scalar(surface):
+                if _attribute_split_scalar(surface, units):
+                    sem = Semantics.ATTRIBUTE
+                elif not first_mixed_taken:
+                    sem = Semantics.MODEL_FIRST
+                    first_mixed_taken = True
+                else:
+                    sem = Semantics.MODEL_OTHER
+            elif is_numeric(surface):
+                sem = Semantics.MODEL_NUMERIC
+            else:
+                sem = Semantics.NORMAL
+        out.append((surface, sem))
+    return out

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from titlematch.cli import build_parser, main
+from titlematch.cli import MAX_SWEEP_THRESHOLDS, _parse_sweep, build_parser, main
 from titlematch.evaluation import strip_timings
 from titlematch.ingest import Dataset, RawProduct, read_clusters
 
@@ -188,6 +188,44 @@ def test_baseline_sweep_emits_nine_rows(feed, tmp_path, capsys):
     assert len(rows) == 9
     assert [r["params"]["tau"] for r in rows] == [round(0.1 * i, 1) for i in range(1, 10)]
     assert capsys.readouterr().out.count("metric=cs") == 9
+
+
+@pytest.mark.parametrize(
+    "sweep, error",
+    [
+        ("nan:0.9:0.1", "sweep bounds and step must be finite"),
+        ("0.1:inf:0.1", "sweep bounds and step must be finite"),
+        ("0.1:0.9:nan", "sweep bounds and step must be finite"),
+        ("0:0.9:0.1", "sweep range must lie inside (0, 1)"),
+        ("0.1:1.5:0.1", "sweep range must lie inside (0, 1)"),
+        ("0.1:0.9:1e-9", f"yields more than {MAX_SWEEP_THRESHOLDS} thresholds"),
+    ],
+    ids=["nan_start", "inf_stop", "nan_step", "zero_start", "stop_above_one", "too_many"],
+)
+def test_bad_sweep_is_usage_error(feed, capsys, sweep, error):
+    code = run_cli(["baseline", "--input", str(feed), "--baseline", "cs", "--sweep", sweep])
+    assert code == 2
+    assert error in capsys.readouterr().err
+
+
+def test_sweep_below_threshold_cap_is_accepted():
+    taus = _parse_sweep("0.1:0.9:0.001")
+    assert len(taus) == 801 < MAX_SWEEP_THRESHOLDS
+    assert taus[0] == 0.1 and taus[-1] == 0.9
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_non_finite_alpha_is_rejected(feed, tmp_path, capsys, how, alpha):
+    args = ["match", "--input", str(feed), "--format", "published"]
+    if how == "flag":
+        args += ["--alpha", alpha]
+    else:
+        config = tmp_path / "params.json"
+        config.write_text(json.dumps({"alpha": float(alpha)}))
+        args += ["--config", str(config)]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err == f"error: alpha must be a finite number > 0, got {alpha}\n"
 
 
 def test_baseline_single_tau_deterministic(feed, tmp_path):

@@ -313,8 +313,8 @@ def assert_matches_reference(index):
     tok_flat = [token_ids[surface] for t in titles for surface in t.surfaces]
     first_sem = {}
     for t in titles:
-        for tok in t.tokens:
-            first_sem.setdefault(tok.surface, int(tok.semantics))
+        for surface, sem in zip(t.surfaces, t.semantics):
+            first_sem.setdefault(surface, int(sem))
     assert index.tokens.surfaces == list(token_ids)
     counts = Counter(tok_flat)
     assert index.tokens.f_w.tolist() == [counts[i] for i in range(len(token_ids))]

@@ -309,6 +309,9 @@ def test_scale_invariance_of_argmax():
 def test_config_validation():
     with pytest.raises(ValueError):
         ScoringConfig(alpha=0.0)
+    for bad_alpha in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="alpha"):
+            ScoringConfig(alpha=bad_alpha)
     with pytest.raises(ValueError):
         ScoringConfig(b=1.5)
     with pytest.raises(ValueError):
