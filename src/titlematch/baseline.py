@@ -1,10 +1,20 @@
 """Pairwise similarity baselines.
 
 Four token-set metrics over analyzed titles: binary cosine, IDF-weighted
-cosine, Jaccard, and IDF-weighted Jaccard. Matching evaluates every unordered
-title pair and keeps those whose similarity strictly exceeds the threshold.
-There is deliberately no blocking or candidate pruning: the quadratic sweep
-is the point of comparison for the combination-based pipeline.
+cosine, Jaccard, and IDF-weighted Jaccard. Each is one expression over a set
+weight W, and these are the only definitions: the sweep below and
+verification (titlematch.verify) call the same code.
+
+- W(S) is |S| for the plain metrics. For the idf metrics it is the sum of
+  idf(w)^2 over S, added in ascending token-ID order, so its value depends on
+  the set alone and not on the order a frozenset iterates in.
+- cosine = W(A & B) / sqrt(W(A) * W(B)), or 0 when that product is <= 0.
+- Jaccard = W(A & B) / (W(A) + W(B) - W(A & B)), or 0 when that is <= 0.
+
+Matching evaluates every unordered title pair and keeps those whose
+similarity strictly exceeds the threshold; a pair at exactly tau does not
+match. There is deliberately no blocking or candidate pruning: the quadratic
+sweep is the point of comparison for the combination-based pipeline.
 
 idf values come from the same token lexicon the main pipeline uses, so both
 routes see identical token statistics.
@@ -13,7 +23,7 @@ routes see identical token statistics.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from .index import ProductIndex
 from .ingest import MatchSet
@@ -21,117 +31,81 @@ from .ingest import MatchSet
 METRICS = ("cs", "cs-idf", "j", "j-idf")
 
 
-def cs(t: frozenset, t2: frozenset) -> float:
-    """Binary cosine similarity of two token sets."""
+def _idf_weight(idf: Sequence[float]) -> Callable[[frozenset], float]:
+    """W(S) under idf weighting: sum of idf(w)^2 over S in ascending token-ID order."""
+
+    def weight(s: frozenset) -> float:
+        total = 0.0
+        # two addends sum alike in either order; only longer sets need sorting
+        for w in sorted(s) if len(s) > 2 else s:
+            x = idf[w]
+            total += x * x
+        return total
+
+    return weight
+
+
+def _cosine(w_inter: float, w_a: float, w_b: float) -> float:
+    norm = w_a * w_b
+    return w_inter / math.sqrt(norm) if norm > 0 else 0.0
+
+
+def _jaccard(w_inter: float, w_a: float, w_b: float) -> float:
+    den = w_a + w_b - w_inter
+    return w_inter / den if den > 0 else 0.0
+
+
+def _similarity(expr, t: frozenset, t2: frozenset, weight) -> float:
     if not t or not t2:
         raise ValueError("similarity of an empty title is undefined")
-    return len(t & t2) / math.sqrt(len(t) * len(t2))
+    return expr(weight(t & t2), weight(t), weight(t2))
+
+
+def cs(t: frozenset, t2: frozenset) -> float:
+    """Binary cosine similarity of two token sets."""
+    return _similarity(_cosine, t, t2, len)
 
 
 def jaccard(t: frozenset, t2: frozenset) -> float:
-    if not t or not t2:
-        raise ValueError("similarity of an empty title is undefined")
-    return len(t & t2) / len(t | t2)
+    return _similarity(_jaccard, t, t2, len)
 
 
 def cs_idf(t: frozenset, t2: frozenset, idf: Sequence[float]) -> float:
     """Cosine over squared-idf token weights.
 
-    Sums run in sorted token order so the result is exactly symmetric.
     Titles whose every token has zero idf carry no weight; their similarity
     to anything is 0 by convention.
     """
-    if not t or not t2:
-        raise ValueError("similarity of an empty title is undefined")
-    num = sum(idf[w] * idf[w] for w in sorted(t & t2))
-    norm = sum(idf[w] * idf[w] for w in sorted(t)) * sum(idf[w] * idf[w] for w in sorted(t2))
-    if norm <= 0.0:
-        return 0.0
-    return num / math.sqrt(norm)
+    return _similarity(_cosine, t, t2, _idf_weight(idf))
 
 
 def jaccard_idf(t: frozenset, t2: frozenset, idf: Sequence[float]) -> float:
-    if not t or not t2:
-        raise ValueError("similarity of an empty title is undefined")
-    num = sum(idf[w] * idf[w] for w in sorted(t & t2))
-    den = sum(idf[w] * idf[w] for w in sorted(t | t2))
-    if den <= 0.0:
-        return 0.0
-    return num / den
-
-
-def _pair_data(index: ProductIndex, metric: str):
-    """Precompute per-title sets and norms for the tight pair loop."""
-    n = len(index.forward)
-    sets = [index.token_set(p) for p in range(n)]
-    if metric in ("cs-idf", "j-idf"):
-        idf = index.idf
-        idf2 = (idf * idf).tolist()
-        sums = [sum(idf2[w] for w in s) for s in sets]
-    else:
-        idf2 = None
-        sums = [float(len(s)) for s in sets]
-    if metric in ("cs", "cs-idf"):
-        inv = [1.0 / math.sqrt(s) if s > 0 else 0.0 for s in sums]
-    else:
-        inv = None
-    return sets, idf2, sums, inv
+    return _similarity(_jaccard, t, t2, _idf_weight(idf))
 
 
 def _sweep_pairs(index: ProductIndex, metric: str, taus: Sequence[float]) -> List[MatchSet]:
     """One match set per threshold, from a single pass over all pairs."""
-    sets, idf2, sums, inv = _pair_data(index, metric)
-    n = len(sets)
+    weight = _idf_weight(index.idf.tolist()) if metric in ("cs-idf", "j-idf") else len
+    expr = _cosine if metric in ("cs", "cs-idf") else _jaccard
+    n = len(index.forward)
+    sets = [index.token_set(p) for p in range(n)]
+    weights = [weight(s) for s in sets]
     pids = index.forward.product_ids
     out: List[MatchSet] = [set() for _ in taus]
     n_taus = len(taus)
     for i in range(n):
-        si = sets[i]
-        pid_i = pids[i]
-        if metric == "cs":
-            inv_i = inv[i]
-            for j in range(i + 1, n):
-                sim = len(si & sets[j]) * inv_i * inv[j]
-                t = 0
-                while t < n_taus and sim > taus[t]:
-                    a, b = pid_i, pids[j]
-                    out[t].add((a, b) if a < b else (b, a))
-                    t += 1
-        elif metric == "j":
-            len_i = sums[i]
-            for j in range(i + 1, n):
-                inter = len(si & sets[j])
-                sim = inter / (len_i + sums[j] - inter)
-                t = 0
-                while t < n_taus and sim > taus[t]:
-                    a, b = pid_i, pids[j]
-                    out[t].add((a, b) if a < b else (b, a))
-                    t += 1
-        elif metric == "cs-idf":
-            inv_i = inv[i]
-            for j in range(i + 1, n):
-                num = 0.0
-                for w in si & sets[j]:
-                    num += idf2[w]
-                sim = num * inv_i * inv[j]
-                t = 0
-                while t < n_taus and sim > taus[t]:
-                    a, b = pid_i, pids[j]
-                    out[t].add((a, b) if a < b else (b, a))
-                    t += 1
-        else:
-            sum_i = sums[i]
-            for j in range(i + 1, n):
-                num = 0.0
-                for w in si & sets[j]:
-                    num += idf2[w]
-                den = sum_i + sums[j] - num
-                sim = num / den if den > 0.0 else 0.0
-                t = 0
-                while t < n_taus and sim > taus[t]:
-                    a, b = pid_i, pids[j]
-                    out[t].add((a, b) if a < b else (b, a))
-                    t += 1
+        si, w_i, pid_i = sets[i], weights[i], pids[i]
+        for j in range(i + 1, n):
+            inter = si & sets[j]
+            # a token-disjoint pair scores 0, which no tau in (0, 1) clears
+            if not inter:
+                continue
+            sim = expr(weight(inter), w_i, weights[j])
+            t = 0
+            while t < n_taus and sim > taus[t]:
+                a, b = pid_i, pids[j]
+                out[t].add((a, b) if a < b else (b, a))
+                t += 1
     return out
 
 

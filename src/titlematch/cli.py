@@ -407,9 +407,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    # FeedFormatError is a ValueError; a missing path, or a directory where a
+    # file belongs, is an OSError
     try:
         return args.func(args)
-    except (FeedFormatError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

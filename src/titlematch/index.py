@@ -75,7 +75,7 @@ class TokenLexicon:
 
 @dataclass(frozen=True)
 class CombinationRecord:
-    """Read-only view over one combination lexicon slot."""
+    """One combination record's fields, for the scalar scoring functions."""
 
     index: int
     key_ids: Tuple[int, ...]
@@ -103,15 +103,6 @@ class CombinationLexicon:
 
     def ids_of(self, idx: int) -> List[int]:
         return self.key_flat[self.key_offsets[idx] : self.key_offsets[idx + 1]].tolist()
-
-    def record(self, idx: int) -> CombinationRecord:
-        return CombinationRecord(
-            index=idx,
-            key_ids=tuple(self.ids_of(idx)),
-            f_c=int(self.f_c[idx]),
-            d_acc=float(self.d_acc[idx]),
-            k=int(self.k[idx]),
-        )
 
 
 @dataclass

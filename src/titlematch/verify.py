@@ -6,8 +6,8 @@ creation order; inside a violating vendor group the product most similar to
 the cluster representative stays (the representative itself can never be
 evicted) and the rest leave. An evicted product migrates to the most similar
 cluster that holds no product of its vendor at that moment, provided the
-similarity clears the threshold; otherwise it founds a new single-product
-cluster at the end of the universe.
+similarity strictly exceeds the threshold; otherwise it founds a new
+single-product cluster at the end of the universe.
 
 The evicted products are known before any of them moves. Representatives
 never change during verification, and a migration only enters a cluster that
@@ -26,48 +26,33 @@ ascending cluster-index order, and the rule "most similar, then lowest cluster
 index" is a (-similarity, slot) sort. A cluster sharing no token with the
 product has similarity 0, which never clears the threshold, so the postings
 lose no valid candidate.
+
+Similarity is titlematch.baseline's cs or cs_idf, the one definition of each
+metric; eviction ranking calls product_similarity, which calls them. The
+posting pass computes the same floats in a few numpy calls: cs as
+|I| / sqrt(|A| * |B|), and cs-idf with np.bincount, which adds idf^2 in the
+order the product's tokens are given. Those tokens are sorted first, so every
+sum runs in ascending token-ID order, as cs_idf's do, and the vectorised score
+equals cs_idf bit for bit. No candidate is rescored.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
+from .baseline import cs, cs_idf
 from .index import ProductIndex
 from .scoring import VERIFY_METRICS, ClusterUniverse
-
-# the vectorised cs-idf score sums in a different order than idf_cosine, so
-# it only preselects; survivors are rescored with idf_cosine itself
-_IDF_SLACK = 1e-9
-
-
-def binary_cosine(a: frozenset, b: frozenset) -> float:
-    if not a or not b:
-        return 0.0
-    return len(a & b) / math.sqrt(len(a) * len(b))
-
-
-def idf_cosine(a: frozenset, b: frozenset, idf_sq: Sequence[float]) -> float:
-    num = sum(idf_sq[w] for w in a & b)
-    norm_a = sum(idf_sq[w] for w in a)
-    norm_b = sum(idf_sq[w] for w in b)
-    if norm_a <= 0.0 or norm_b <= 0.0:
-        return 0.0
-    return num / math.sqrt(norm_a * norm_b)
 
 
 def product_similarity(index: ProductIndex, p: int, pi: int, metric: str = "cs") -> float:
     """Similarity of a product to a cluster representative, in [0, 1]."""
     if metric not in VERIFY_METRICS:
         raise ValueError(f"unknown verify metric {metric!r}")
-    a = index.token_set(p)
-    b = index.token_set(pi)
-    if metric == "cs":
-        return binary_cosine(a, b)
-    idf_sq = (index.idf * index.idf).tolist()
-    return idf_cosine(a, b, idf_sq)
+    a, b = index.token_set(p), index.token_set(pi)
+    return cs(a, b) if metric == "cs" else cs_idf(a, b, index.idf)
 
 
 def _violating_groups(universe: ClusterUniverse) -> List[Tuple[int, int, List[int]]]:
@@ -101,17 +86,13 @@ def verify_universe(
     if metric not in VERIFY_METRICS:
         raise ValueError(f"unknown verify metric {metric!r}")
     fw = index.forward
-    idf_sq = (index.idf * index.idf).tolist() if metric == "cs-idf" else None
-
-    def sim(p: int, q: int) -> float:
-        a, b = index.token_set(p), index.token_set(q)
-        return binary_cosine(a, b) if idf_sq is None else idf_cosine(a, b, idf_sq)
-
     pids = fw.product_ids
     plan: List[Tuple[int, int]] = []  # (vendor, product), in eviction order
     for ci, vendor, members in _violating_groups(universe):
         pi = int(universe.pi[ci])
-        ranked = sorted(members, key=lambda p: (-sim(p, pi), pids[p]))
+        ranked = sorted(
+            members, key=lambda p: (-product_similarity(index, p, pi, metric), pids[p])
+        )
         keeper = pi if pi in members else ranked[0]
         plan.extend((vendor, p) for p in ranked if p != keeper)
     if not plan:
@@ -133,9 +114,10 @@ def verify_universe(
     post_tok, post_slot = np.divmod(keys, n_slots)
     indptr = np.searchsorted(post_tok, np.arange(len(index.tokens) + 1))
     slot_len = np.bincount(post_slot, minlength=n_slots)
-    if idf_sq is not None:
-        idf_sq_arr = np.asarray(idf_sq)
-        slot_norm = np.bincount(post_slot, weights=idf_sq_arr[post_tok], minlength=n_slots)
+    if metric == "cs-idf":
+        idf_sq = index.idf * index.idf
+        # post_tok ascends within each slot, so these are cs_idf's ordered sums
+        slot_norm = np.bincount(post_slot, weights=idf_sq[post_tok], minlength=n_slots)
     # a zero score never wins, whatever tau is
     floor = max(tau, 0.0)
     occupied = set(zip(universe.assignment.tolist(), universe.vendor.tolist()))
@@ -143,35 +125,18 @@ def verify_universe(
 
     for j, (vendor, p) in enumerate(plan):
         own = n_init + j
-        p_set = index.token_set(p)
-        toks = np.fromiter(p_set, dtype=np.int64)
+        # ascending tokens make bincount add each candidate's idf^2 in
+        # ascending token order, the order cs_idf sums in
+        toks = np.sort(fw.tokens_of(p))
         hits = np.concatenate([post_slot[indptr[w] : indptr[w + 1]] for w in toks])
         cand, inter = np.unique(hits, return_counts=True)
-        if idf_sq is None:
+        if metric == "cs":
             score = inter / np.sqrt(slot_len[own] * slot_len[cand])
         else:
-            hit_w = np.repeat(idf_sq_arr[toks], indptr[toks + 1] - indptr[toks])
+            hit_w = np.repeat(idf_sq[toks], indptr[toks + 1] - indptr[toks])
             num = np.bincount(np.searchsorted(cand, hits), weights=hit_w, minlength=len(cand))
-            den = np.sqrt(slot_norm[own] * slot_norm[cand])
-            score = np.divide(num, den, out=np.zeros(len(cand)), where=den > 0.0)
-            live = (score > floor - _IDF_SLACK) & (slot_ci[cand] >= 0)
-            cand, score = cand[live], score[live]
-            # the winner is vendor-free, and its exact score can only beat the
-            # best vendor-free estimate's if its own estimate is within twice
-            # the slack of it; only that window is rescored
-            window: List[int] = []
-            for i in np.lexsort((cand, -score)).tolist():
-                if window and score[i] < score[window[0]] - 2 * _IDF_SLACK:
-                    break
-                if (int(slot_ci[cand[i]]), vendor) not in occupied:
-                    window.append(i)
-            cand = cand[window]
-            score = np.array(
-                [
-                    idf_cosine(p_set, index.token_set(slot_product[s]), idf_sq)
-                    for s in cand.tolist()
-                ]
-            )
+            norm = slot_norm[own] * slot_norm[cand]
+            score = np.divide(num, np.sqrt(norm), out=np.zeros(len(cand)), where=norm > 0.0)
         keep = (score > floor) & (slot_ci[cand] >= 0)
         cand, score = cand[keep], score[keep]
         for s in cand[np.lexsort((cand, -score))].tolist():

@@ -10,12 +10,12 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from titlematch.baseline import cs, cs_idf
 from titlematch.combinatorics import signature, signature_rows
 from titlematch.index import CombinationLexicon, ForwardIndex, length_buckets
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.scoring import VERIFY_METRICS
 from titlematch.textprep import Semantics, TitleNormalizationError, UnitLexicon, is_numeric
-from titlematch.verify import binary_cosine, idf_cosine
 
 
 def token_rows(fw: ForwardIndex) -> List[List[int]]:
@@ -278,15 +278,15 @@ def verify_universe_scalar(
     n = len(fw)
     token_sets = [index.token_set(p) for p in range(n)]
     if metric == "cs-idf":
-        idf_sq = (index.idf * index.idf).tolist()
+        idf = index.idf.tolist()
 
         def sim(p: int, q: int) -> float:
-            return idf_cosine(token_sets[p], token_sets[q], idf_sq)
+            return cs_idf(token_sets[p], token_sets[q], idf)
 
     else:
 
         def sim(p: int, q: int) -> float:
-            return binary_cosine(token_sets[p], token_sets[q])
+            return cs(token_sets[p], token_sets[q])
 
     token_map: Dict[int, List[int]] = {}
 

@@ -78,7 +78,7 @@ def _oracle_similarities(index):
         nb = sum(idf[w] ** 2 for w in sorted(b))
         nu = sum(idf[w] ** 2 for w in sorted(union))
         return {
-            "cs": len(inter) / (math.sqrt(len(a)) * math.sqrt(len(b))),
+            "cs": len(inter) / math.sqrt(len(a) * len(b)),
             "j": len(inter) / len(union),
             "cs-idf": num / (math.sqrt(na) * math.sqrt(nb)) if na and nb else 0.0,
             "j-idf": num / nu if nu else 0.0,

@@ -6,12 +6,13 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from titlematch.baseline import cs, cs_idf, jaccard, jaccard_idf, pairwise_match, pairwise_sweep
 from titlematch.index import build_index
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.synth import planted_dataset
+from titlematch.verify import product_similarity
 
 TAUS = [round(0.1 * i, 1) for i in range(1, 10)]
 
@@ -35,7 +36,7 @@ def brute_force_metrics(index):
     def one_pair(a, b):
         inter = a & b
         union = a | b
-        cs_v = len(inter) / (math.sqrt(len(a)) * math.sqrt(len(b)))
+        cs_v = len(inter) / math.sqrt(len(a) * len(b))
         j_v = len(inter) / len(union)
         num = sum(idf[w] ** 2 for w in inter)
         na = sum(idf[w] ** 2 for w in a)
@@ -144,6 +145,72 @@ def test_matches_shrink_as_threshold_grows():
         swept = pairwise_sweep(idx, metric, TAUS)
         sizes = [len(swept[t]) for t in TAUS]
         assert sizes == sorted(sizes, reverse=True)
+
+
+@pytest.mark.parametrize("n_tokens, shared, tau", [(6, 3, 0.5), (10, 7, 0.7)])
+def test_similarity_exactly_tau_does_not_match(n_tokens, shared, tau):
+    # shared / sqrt(n * n) is exactly tau; a product of two rounded inverse
+    # square roots lands one bit above it
+    a = [f"a{i}" for i in range(n_tokens)]
+    b = a[:shared] + [f"b{i}" for i in range(n_tokens - shared)]
+    idx = build_index(tiny_dataset([" ".join(a), " ".join(b)]), with_combinations=False)
+    assert cs(idx.token_set(0), idx.token_set(1)) == tau
+    assert pairwise_match(idx, "cs", tau) == set()
+    assert pairwise_match(idx, "cs", tau - 0.01) == {(1, 2)}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=10, max_value=30))
+def test_sweep_equals_scalar_definitions(seed, n_clusters):
+    idx = build_index(
+        planted_dataset(n_clusters=n_clusters, n_vendors=5, seed=seed), with_combinations=False
+    )
+    n = len(idx.forward)
+    sets = [idx.token_set(p) for p in range(n)]
+    pids = idx.forward.product_ids
+    idf = idx.idf
+    scalar = {
+        "cs": cs,
+        "j": jaccard,
+        "cs-idf": lambda a, b: cs_idf(a, b, idf),
+        "j-idf": lambda a, b: jaccard_idf(a, b, idf),
+    }
+    for metric, fn in scalar.items():
+        sims = {
+            (pids[i], pids[j]): fn(sets[i], sets[j]) for i, j in itertools.combinations(range(n), 2)
+        }
+        swept = pairwise_sweep(idx, metric, TAUS)
+        for tau in TAUS:
+            assert swept[tau] == {pair for pair, sim in sims.items() if sim > tau}, (metric, tau)
+
+
+def test_idf_similarity_ignores_set_iteration_order():
+    # small ints hash to themselves, so IDs 3, 11, 19 and 27 collide in a
+    # frozenset's eight-slot table and iterate in insertion order
+    ids = (3, 11, 19, 27)
+    perms = list(itertools.permutations(ids))
+    assert len({tuple(frozenset(p)) for p in perms}) > 1
+    idf = [0.1 + 0.37 * w for w in range(28)]
+    other = frozenset((3, 11, 19, 5))
+    for fn in (cs_idf, jaccard_idf):
+        assert len({fn(frozenset(p), other, idf) for p in perms}) == 1
+        assert len({fn(other, frozenset(p), idf) for p in perms}) == 1
+
+    # tokens are numbered by first appearance, so the words of the first
+    # title get IDs 0..27; the filler titles spread the four words' idf
+    words = [f"w{i}x" for i in range(28)]
+    fillers = [f"{words[19]} pad"] + [f"{words[27]} pad{r}" for r in range(2)]
+    cores = [" ".join(words[w] for w in p) for p in perms]
+    query = " ".join(words[w] for w in ids[:3]) + " other"
+    idx = build_index(
+        tiny_dataset([" ".join(words)] + fillers + cores + [query]), with_combinations=False
+    )
+    first, q = 1 + len(fillers), len(idx.forward) - 1
+    products = range(first, first + len(perms))
+    assert len({idx.token_set(p) for p in products}) == 1
+    assert len({tuple(idx.token_set(p)) for p in products}) > 1
+    assert len({product_similarity(idx, p, q, "cs-idf") for p in products}) == 1
+    assert len({product_similarity(idx, q, p, "cs-idf") for p in products}) == 1
 
 
 def test_invalid_inputs_rejected():

@@ -310,6 +310,13 @@ def test_missing_input_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--units", "--report", "--clusters"])
+def test_directory_path_fails_cleanly(feed, tmp_path, flag, capsys):
+    code = run_cli(["match", "--input", str(feed), flag, str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_empty_title_error_names_product(tmp_path, capsys):
     products = [RawProduct(16, "intel core i5 8400", 1, None), RawProduct(17, "!!!", 2, None)]
     feed = tmp_path / "bad.csv"

@@ -13,12 +13,7 @@ from titlematch.index import build_index
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.scoring import ClusterUniverse, ScoringConfig, select_clusters
 from titlematch.synth import planted_dataset
-from titlematch.verify import (
-    binary_cosine,
-    product_similarity,
-    scan_violators,
-    verify_universe,
-)
+from titlematch.verify import product_similarity, scan_violators, verify_universe
 
 from helpers import cluster_state, make_ablation_dataset, object_universe, verify_universe_scalar
 
@@ -98,10 +93,6 @@ def test_similarity_idf_weighted_in_range():
     idx, _ = built(["aa bb cc", "bb cc dd", "aa xx yy"], [0, 1, 2])
     s = product_similarity(idx, 0, 1, metric="cs-idf")
     assert 0.0 <= s <= 1.0
-
-
-def test_binary_cosine_empty_set():
-    assert binary_cosine(frozenset(), frozenset({1})) == 0.0
 
 
 def test_unknown_metric_rejected():
