@@ -10,34 +10,19 @@ included for comparison.
 """
 
 from .baseline import cs, cs_idf, jaccard, jaccard_idf, pairwise_match, pairwise_sweep
-from .combinatorics import (
-    Combination,
-    Signature,
-    count_combinations,
-    generate_combinations,
-    signature,
-)
+from .combinatorics import count_combinations
 from .evaluation import expand_cluster_pairs, prf1, run_report
 from .index import (
     IndexStats,
     ProductIndex,
     build_index,
-    distance,
     load_index,
     resolve_k,
     save_index,
 )
 from .ingest import Dataset, RawProduct, load_ground_truth, load_products, load_truth_file
 from .pipeline import MatchResult, run_baseline, run_match
-from .scoring import (
-    ClusterUniverse,
-    ScoringConfig,
-    avg_distance,
-    combination_score,
-    field_weight,
-    ir_score,
-    select_clusters,
-)
+from .scoring import ClusterUniverse, ScoringConfig, select_clusters
 from .textprep import (
     AnalyzedTitle,
     Semantics,
@@ -54,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyzedTitle",
     "ClusterUniverse",
-    "Combination",
     "Dataset",
     "IndexStats",
     "MatchResult",
@@ -62,21 +46,14 @@ __all__ = [
     "RawProduct",
     "ScoringConfig",
     "Semantics",
-    "Signature",
     "UnitLexicon",
     "analyze_title",
-    "avg_distance",
     "build_index",
     "classify_tokens",
-    "combination_score",
     "count_combinations",
     "cs",
     "cs_idf",
-    "distance",
     "expand_cluster_pairs",
-    "field_weight",
-    "generate_combinations",
-    "ir_score",
     "jaccard",
     "jaccard_idf",
     "load_ground_truth",
@@ -95,7 +72,6 @@ __all__ = [
     "save_index",
     "scan_violators",
     "select_clusters",
-    "signature",
     "truncate_for_variant",
     "verify_universe",
 ]

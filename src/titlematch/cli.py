@@ -31,7 +31,7 @@ from .evaluation import prf1, run_report
 from .index import DISTANCE_MODES, build_index
 from .ingest import (
     FORMATS,
-    FeedFormatError,
+    check_assignment,
     load_ground_truth,
     load_products,
     load_truth_file,
@@ -295,6 +295,14 @@ def _load_units(args) -> Optional[UnitLexicon]:
     return UnitLexicon.from_file(args.units) if args.units else None
 
 
+def _scores_text(row: dict) -> str:
+    """The printed precision/recall/F1 of a report row; empty when the row
+    has no scores."""
+    if row["f1"] is None:
+        return ""
+    return f" precision={row['precision']:.4f} recall={row['recall']:.4f} f1={row['f1']:.4f}"
+
+
 def cmd_match(args) -> int:
     _apply_config(args)
     dataset = _load_dataset(args)
@@ -318,10 +326,7 @@ def cmd_match(args) -> int:
         write_clusters(args.clusters, result)
     run_report([result.report], args.report, args.summary)
     r = result.report
-    line = f"titles={r['dataset']['titles']} clusters={r['clusters']} k={r['k']}"
-    if r["f1"] is not None:
-        line += f" precision={r['precision']:.4f} recall={r['recall']:.4f} f1={r['f1']:.4f}"
-    print(line)
+    print(f"titles={r['dataset']['titles']} clusters={r['clusters']} k={r['k']}" + _scores_text(r))
     return 0
 
 
@@ -339,9 +344,7 @@ def cmd_baseline(args) -> int:
     run_report(rows, args.report, args.summary)
     for row in rows:
         line = f"metric={row['method']} tau={row['params']['tau']:.2f} pairs={row['predicted_pairs']}"
-        if row["f1"] is not None:
-            line += f" precision={row['precision']:.4f} recall={row['recall']:.4f} f1={row['f1']:.4f}"
-        print(line)
+        print(line + _scores_text(row))
     return 0
 
 
@@ -349,16 +352,11 @@ def cmd_eval(args) -> int:
     _apply_config(args)
     dataset = _load_dataset(args)
     assignment = read_clusters(args.clusters)
-    feed_ids = {p.product_id for p in dataset.products}
-    for pid in assignment:
-        if pid not in feed_ids:
-            raise FeedFormatError(f"product {pid} in {args.clusters} is not in the feed")
-    for p in dataset.products:
-        if p.product_id not in assignment:
-            raise FeedFormatError(f"product {p.product_id} has no cluster in {args.clusters}")
+    check_assignment(assignment, dataset, args.clusters)
     predicted = pairs_from_assignment(assignment)
     truth = load_ground_truth(dataset)
-    scores = prf1(predicted, truth)
+    # a truth set without pairs leaves the scores null, as in match
+    scores = prf1(predicted, truth) if truth else {"precision": None, "recall": None, "f1": None}
     row = {
         "command": "eval",
         "dataset": {"path": str(args.input), "titles": dataset.title_count},
@@ -374,10 +372,7 @@ def cmd_eval(args) -> int:
         "timings_ms": {},
     }
     run_report([row], args.report, args.summary)
-    print(
-        f"clusters={row['clusters']} precision={scores['precision']:.4f} "
-        f"recall={scores['recall']:.4f} f1={scores['f1']:.4f}"
-    )
+    print(f"clusters={row['clusters']}" + _scores_text(row))
     return 0
 
 

@@ -17,18 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence
 
 import numpy as np
-
-from .textprep import AnalyzedTitle
 
 # FNV-1a, 64-bit. Fixed constants; no seed.
 FNV_OFFSET_BASIS = 14695981039346656037
 FNV_PRIME = 1099511628211
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 _FNV_OFFSET_NP = np.uint64(FNV_OFFSET_BASIS)
 _FNV_PRIME_NP = np.uint64(FNV_PRIME)
@@ -39,50 +34,6 @@ _POW10 = np.array([10**e for e in range(19)], dtype=np.int64)
 _NP_ERR_IGNORE = {"over": "ignore"}
 
 
-@dataclass(frozen=True)
-class Combination:
-    """k distinct tokens in title order.
-
-    token_ids carry the numeric identity used for signatures; surfaces, when
-    present, carry the spelled-out tokens so title-level operations can
-    resolve positions without a lexicon. Within-combination offsets are the
-    ranks 0..k-1 implied by the stored order.
-    """
-
-    token_ids: tuple
-    surfaces: tuple = ()
-
-    @property
-    def k(self) -> int:
-        return len(self.token_ids)
-
-
-@dataclass(frozen=True)
-class Signature:
-    value: int
-    canonical_key: str
-
-
-def fnv1a_64(data: bytes) -> int:
-    """Reference scalar FNV-1a over a byte string."""
-    h = FNV_OFFSET_BASIS
-    for byte in data:
-        h ^= byte
-        h = (h * FNV_PRIME) & _U64_MASK
-    return h
-
-
-def canonical_key(token_ids: Sequence[int]) -> str:
-    return " ".join(str(i) for i in sorted(token_ids))
-
-
-def signature(c) -> Signature:
-    """Order-invariant signature of a combination (or bare ID sequence)."""
-    ids = c.token_ids if isinstance(c, Combination) else c
-    key = canonical_key(ids)
-    return Signature(value=fnv1a_64(key.encode("ascii")), canonical_key=key)
-
-
 def count_combinations(l_t: int, K: int) -> int:
     """Number of k-subsets of an l_t-token title summed over k = 2..min(K, l_t)."""
     if l_t < 0:
@@ -90,28 +41,6 @@ def count_combinations(l_t: int, K: int) -> int:
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
     return sum(math.comb(l_t, k) for k in range(2, min(K, l_t) + 1))
-
-
-def generate_combinations(title: AnalyzedTitle, K: int) -> List[Combination]:
-    """All 2..K combinations of a title, lexicographic over title positions.
-
-    Token IDs default to the title positions; the index rebuilds the same
-    enumeration over lexicon IDs via the batched array path.
-    """
-    if K < 2:
-        raise ValueError(f"K must be >= 2, got {K}")
-    l = title.length
-    surfaces = title.surfaces
-    out: List[Combination] = []
-    for k in range(2, min(K, l) + 1):
-        for combo in itertools.combinations(range(l), k):
-            out.append(
-                Combination(
-                    token_ids=combo,
-                    surfaces=tuple(surfaces[p] for p in combo),
-                )
-            )
-    return out
 
 
 @lru_cache(maxsize=1024)
@@ -161,8 +90,8 @@ def _fnv_mix_decimal(h: np.ndarray, vals: np.ndarray) -> np.ndarray:
 def signature_rows(sorted_ids: np.ndarray) -> np.ndarray:
     """Vectorized FNV-1a signatures for rows of ascending token IDs.
 
-    Bit-for-bit identical to signature() on each row; exercised against the
-    scalar path in the test suite.
+    Row r hashes the ASCII bytes of its canonical key,
+    " ".join(str(i) for i in sorted_ids[r]), one decimal digit at a time.
     """
     n, k = sorted_ids.shape
     h = np.full(n, _FNV_OFFSET_NP, dtype=np.uint64)

@@ -30,12 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .combinatorics import (
-    Combination,
-    count_combinations,
-    pattern_distances,
-    position_patterns,
-)
+from .combinatorics import count_combinations, pattern_distances, position_patterns
 from .ingest import Dataset, RawProduct
 from .textprep import (
     AnalyzedTitle,
@@ -71,17 +66,6 @@ class TokenLexicon:
 
     def __len__(self) -> int:
         return len(self.surfaces)
-
-
-@dataclass(frozen=True)
-class CombinationRecord:
-    """One combination record's fields, for the scalar scoring functions."""
-
-    index: int
-    key_ids: Tuple[int, ...]
-    f_c: int
-    d_acc: float
-    k: int
 
 
 @dataclass
@@ -176,24 +160,6 @@ def resolve_k(avg_title_len: float) -> int:
     """Default combination size cap: half the average title length."""
     # combinations need k >= 2, so very short corpora are clamped
     return max(2, int(avg_title_len / 2))
-
-
-def distance(c: Combination, t: AnalyzedTitle, mode: str = "squared") -> float:
-    """Positional distance of a combination from the head of a title.
-
-    Sums (rank - title_position)^2 over members; "euclidean" takes the root.
-    """
-    if mode not in DISTANCE_MODES:
-        raise ValueError(f"unknown distance mode {mode!r}")
-    if not c.surfaces:
-        raise ValueError("combination carries no surfaces to resolve against the title")
-    pos = {surface: i for i, surface in enumerate(t.surfaces)}
-    total = 0
-    for rank, surface in enumerate(c.surfaces):
-        if surface not in pos:
-            raise ValueError(f"token {surface!r} does not occur in the title")
-        total += (rank - pos[surface]) ** 2
-    return float(np.sqrt(total)) if mode == "euclidean" else float(total)
 
 
 def analyze_dataset(dataset: Dataset, units: Optional[UnitLexicon] = None) -> List[AnalyzedTitle]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
@@ -58,6 +58,12 @@ class Dataset:
         return bool(self.products) and all(p.truth_cluster_id is not None for p in self.products)
 
 
+def _csv_error(kind: str, path: Path, reader, exc: csv.Error) -> FeedFormatError:
+    """A csv parser error, such as a field over the csv module's size limit,
+    naming the file and the 1-based physical line."""
+    return FeedFormatError(f"{kind} file {path}: line {reader.line_num}: {exc}")
+
+
 def _parse_int(value: str, row_num: int, what: str) -> int:
     try:
         return int(value.strip())
@@ -81,31 +87,36 @@ def load_products(path, fmt: str = "simple") -> Dataset:
     seen_ids: Set[int] = set()
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise FeedFormatError("feed file is empty (missing header row)")
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < min_cols:
-                raise FeedFormatError(
-                    f"row {row_num}: expected {min_cols} columns for format "
-                    f"{fmt!r}, got {len(row)}"
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise FeedFormatError("feed file is empty (missing header row)")
+            for row_num, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) < min_cols:
+                    raise FeedFormatError(
+                        f"row {row_num}: expected {min_cols} columns for format "
+                        f"{fmt!r}, got {len(row)}"
+                    )
+                pid = _parse_int(row[0], row_num, "product_id")
+                title = row[1].strip()
+                if not title:
+                    raise FeedFormatError(f"row {row_num}: empty title for product {pid}")
+                vendor = _parse_int(row[2], row_num, "vendor_id")
+                truth = None
+                if fmt == "published":
+                    truth = _parse_int(row[3], row_num, "cluster_id")
+                if pid in seen_ids:
+                    raise FeedFormatError(f"row {row_num}: duplicate product_id {pid}")
+                seen_ids.add(pid)
+                products.append(
+                    RawProduct(
+                        product_id=pid, title=title, vendor_id=vendor, truth_cluster_id=truth
+                    )
                 )
-            pid = _parse_int(row[0], row_num, "product_id")
-            title = row[1].strip()
-            if not title:
-                raise FeedFormatError(f"row {row_num}: empty title for product {pid}")
-            vendor = _parse_int(row[2], row_num, "vendor_id")
-            truth = None
-            if fmt == "published":
-                truth = _parse_int(row[3], row_num, "cluster_id")
-            if pid in seen_ids:
-                raise FeedFormatError(f"row {row_num}: duplicate product_id {pid}")
-            seen_ids.add(pid)
-            products.append(
-                RawProduct(product_id=pid, title=title, vendor_id=vendor, truth_cluster_id=truth)
-            )
+        except csv.Error as exc:
+            raise _csv_error("feed", path, reader, exc) from None
     return Dataset(products=products)
 
 
@@ -138,25 +149,30 @@ def read_clusters(path, kind: str = "clusters") -> Dict[int, int]:
                 out[pid] = _parse_int(row[1], row_num, "cluster_id")
         except FeedFormatError as exc:
             raise FeedFormatError(f"{kind} file {path}: {exc}") from None
+        except csv.Error as exc:
+            raise _csv_error(kind, path, reader, exc) from None
     return out
+
+
+def check_assignment(assignment: Mapping[int, int], dataset: Dataset, source: str) -> None:
+    """Reject an assignment that names a product missing from the feed, or
+    that leaves a feed product out; source names the file in the message."""
+    feed_ids = {p.product_id for p in dataset.products}
+    for pid in assignment:
+        if pid not in feed_ids:
+            raise FeedFormatError(f"product {pid} in {source} is not in the feed")
+    for p in dataset.products:
+        if p.product_id not in assignment:
+            raise FeedFormatError(f"product {p.product_id} has no cluster in {source}")
 
 
 def load_truth_file(path, dataset: Dataset) -> Dataset:
     """Attach cluster IDs from a (product_id, cluster_id) CSV to a dataset."""
     truth = read_clusters(path, "truth")
-    products = []
-    for p in dataset.products:
-        if p.product_id not in truth:
-            raise FeedFormatError(f"truth file {path} lacks product_id {p.product_id}")
-        products.append(
-            RawProduct(
-                product_id=p.product_id,
-                title=p.title,
-                vendor_id=p.vendor_id,
-                truth_cluster_id=truth[p.product_id],
-            )
-        )
-    return Dataset(products=products)
+    check_assignment(truth, dataset, f"truth file {path}")
+    return Dataset(
+        products=[replace(p, truth_cluster_id=truth[p.product_id]) for p in dataset.products]
+    )
 
 
 def pairs_from_assignment(assignment: Mapping[int, int]) -> MatchSet:

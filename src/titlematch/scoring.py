@@ -36,14 +36,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .combinatorics import position_patterns, signature_rows
-from .index import (
-    DISTANCE_MODES,
-    CombinationLexicon,
-    CombinationRecord,
-    ProductIndex,
-    length_buckets,
-)
-from .textprep import Semantics
+from .index import DISTANCE_MODES, CombinationLexicon, ProductIndex, length_buckets
 
 VARIANTS = ("upm", "upm+")
 VERIFY_METRICS = ("cs", "cs-idf")
@@ -78,44 +71,6 @@ class ScoringConfig:
         k = self.k
         if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 2):
             raise ValueError(f"k must be None or an integer >= 2, got {k!r}")
-
-
-def field_population(semantics: Sequence[int]) -> np.ndarray:
-    """Per-title field sizes: entry i counts tokens of semantics type i+1."""
-    counts = np.bincount(np.asarray(semantics, dtype=np.int64), minlength=6)
-    return counts[1:6]
-
-
-def field_weight(s: Semantics, x: Sequence[int], total_distinct_tokens: int) -> float:
-    """Weight of the field holding a token: |W| / X[s]."""
-    population = x[int(s) - 1]
-    if population <= 0:
-        raise ValueError(f"field weight requested for empty field {s}")
-    return total_distinct_tokens / population
-
-
-def avg_distance(c: CombinationRecord) -> float:
-    """Average positional distance of a combination over its titles."""
-    if c.f_c < 1:
-        raise ValueError("combination has no occurrences")
-    return c.d_acc / c.f_c
-
-
-def ir_score(
-    token_idf: Sequence[float],
-    token_field_weights: Sequence[float],
-    k: int,
-    avg_combination_len: float,
-    b: float,
-) -> float:
-    """Field-weighted relevance score Y_c of one combination."""
-    denom = 1.0 - b + b * k / avg_combination_len
-    return sum(i * q for i, q in zip(token_idf, token_field_weights)) / denom
-
-
-def combination_score(c: CombinationRecord, y_c: float, alpha: float = 1.0) -> float:
-    """I(c) = Y_c^2 * ln(f_c) / (alpha + mean distance). Finite for alpha > 0."""
-    return y_c * y_c * math.log(c.f_c) / (alpha + avg_distance(c))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ shared across test modules."""
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
@@ -11,11 +13,17 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from titlematch.baseline import cs, cs_idf
-from titlematch.combinatorics import signature, signature_rows
-from titlematch.index import CombinationLexicon, ForwardIndex, length_buckets
+from titlematch.combinatorics import FNV_OFFSET_BASIS, FNV_PRIME, signature_rows
+from titlematch.index import DISTANCE_MODES, CombinationLexicon, ForwardIndex, length_buckets
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.scoring import VERIFY_METRICS
-from titlematch.textprep import Semantics, TitleNormalizationError, UnitLexicon, is_numeric
+from titlematch.textprep import (
+    AnalyzedTitle,
+    Semantics,
+    TitleNormalizationError,
+    UnitLexicon,
+    is_numeric,
+)
 
 
 def token_rows(fw: ForwardIndex) -> List[List[int]]:
@@ -140,6 +148,147 @@ def write_truth_csv(path, dataset: Dataset) -> None:
         writer.writerow(["product_id", "cluster_id"])
         for p in dataset.products:
             writer.writerow([p.product_id, p.truth_cluster_id])
+
+
+# ---------------------------------------------------------------------------
+# scalar combinations, signatures and scores: the reference for the
+# vectorised paths in titlematch.index, .combinatorics and .scoring
+# ---------------------------------------------------------------------------
+
+_U64_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+@dataclass(frozen=True)
+class Combination:
+    """k distinct tokens in title order.
+
+    token_ids carry the numeric identity used for signatures; surfaces, when
+    present, carry the spelled-out tokens so title-level operations can
+    resolve positions without a lexicon. Within-combination offsets are the
+    ranks 0..k-1 implied by the stored order.
+    """
+
+    token_ids: tuple
+    surfaces: tuple = ()
+
+    @property
+    def k(self) -> int:
+        return len(self.token_ids)
+
+
+@dataclass(frozen=True)
+class Signature:
+    value: int
+    canonical_key: str
+
+
+def fnv1a_64(data: bytes) -> int:
+    """Reference scalar FNV-1a over a byte string."""
+    h = FNV_OFFSET_BASIS
+    for byte in data:
+        h ^= byte
+        h = (h * FNV_PRIME) & _U64_MASK
+    return h
+
+
+def canonical_key(token_ids: Sequence[int]) -> str:
+    return " ".join(str(i) for i in sorted(token_ids))
+
+
+def signature(c) -> Signature:
+    """Order-invariant signature of a combination (or bare ID sequence)."""
+    ids = c.token_ids if isinstance(c, Combination) else c
+    key = canonical_key(ids)
+    return Signature(value=fnv1a_64(key.encode("ascii")), canonical_key=key)
+
+
+def generate_combinations(title: AnalyzedTitle, K: int) -> List[Combination]:
+    """All 2..K combinations of a title, lexicographic over title positions.
+
+    Token IDs default to the title positions; the index rebuilds the same
+    enumeration over lexicon IDs via the batched array path.
+    """
+    if K < 2:
+        raise ValueError(f"K must be >= 2, got {K}")
+    l = title.length
+    surfaces = title.surfaces
+    out: List[Combination] = []
+    for k in range(2, min(K, l) + 1):
+        for combo in itertools.combinations(range(l), k):
+            out.append(
+                Combination(
+                    token_ids=combo,
+                    surfaces=tuple(surfaces[p] for p in combo),
+                )
+            )
+    return out
+
+
+def distance(c: Combination, t: AnalyzedTitle, mode: str = "squared") -> float:
+    """Positional distance of a combination from the head of a title.
+
+    Sums (rank - title_position)^2 over members; "euclidean" takes the root.
+    """
+    if mode not in DISTANCE_MODES:
+        raise ValueError(f"unknown distance mode {mode!r}")
+    if not c.surfaces:
+        raise ValueError("combination carries no surfaces to resolve against the title")
+    pos = {surface: i for i, surface in enumerate(t.surfaces)}
+    total = 0
+    for rank, surface in enumerate(c.surfaces):
+        if surface not in pos:
+            raise ValueError(f"token {surface!r} does not occur in the title")
+        total += (rank - pos[surface]) ** 2
+    return float(np.sqrt(total)) if mode == "euclidean" else float(total)
+
+
+@dataclass(frozen=True)
+class CombinationRecord:
+    """One combination record's fields, for the scalar scoring functions."""
+
+    index: int
+    key_ids: Tuple[int, ...]
+    f_c: int
+    d_acc: float
+    k: int
+
+
+def field_population(semantics: Sequence[int]) -> np.ndarray:
+    """Per-title field sizes: entry i counts tokens of semantics type i+1."""
+    counts = np.bincount(np.asarray(semantics, dtype=np.int64), minlength=6)
+    return counts[1:6]
+
+
+def field_weight(s: Semantics, x: Sequence[int], total_distinct_tokens: int) -> float:
+    """Weight of the field holding a token: |W| / X[s]."""
+    population = x[int(s) - 1]
+    if population <= 0:
+        raise ValueError(f"field weight requested for empty field {s}")
+    return total_distinct_tokens / population
+
+
+def avg_distance(c: CombinationRecord) -> float:
+    """Average positional distance of a combination over its titles."""
+    if c.f_c < 1:
+        raise ValueError("combination has no occurrences")
+    return c.d_acc / c.f_c
+
+
+def ir_score(
+    token_idf: Sequence[float],
+    token_field_weights: Sequence[float],
+    k: int,
+    avg_combination_len: float,
+    b: float,
+) -> float:
+    """Field-weighted relevance score Y_c of one combination."""
+    denom = 1.0 - b + b * k / avg_combination_len
+    return sum(i * q for i, q in zip(token_idf, token_field_weights)) / denom
+
+
+def combination_score(c: CombinationRecord, y_c: float, alpha: float = 1.0) -> float:
+    """I(c) = Y_c^2 * ln(f_c) / (alpha + mean distance). Finite for alpha > 0."""
+    return y_c * y_c * math.log(c.f_c) / (alpha + avg_distance(c))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from collections import Counter
 import numpy as np
 
 from titlematch.baseline import pairwise_sweep
-from titlematch.combinatorics import count_combinations, signature
+from titlematch.combinatorics import count_combinations
 from titlematch.evaluation import strip_timings
 from titlematch.index import build_index
 from titlematch.ingest import load_ground_truth
@@ -31,7 +31,7 @@ from titlematch.scoring import ScoringConfig, select_clusters
 from titlematch.synth import efficiency_dataset, long_title_dataset, sized_dataset
 from titlematch.verify import scan_violators, verify_universe
 
-from helpers import assert_key_signatures, make_ablation_dataset, write_feed_csv
+from helpers import assert_key_signatures, make_ablation_dataset, signature, write_feed_csv
 from titlematch.cli import main as cli_main
 
 TAUS = [round(0.1 * i, 1) for i in range(1, 10)]

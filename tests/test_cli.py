@@ -480,6 +480,38 @@ def test_eval_rejects_bad_clusters_file(feed, tmp_path, capsys, clusters_text, e
     assert capsys.readouterr().err == "error: " + error.format(path=path) + "\n"
 
 
+@pytest.mark.parametrize("kind", ["feed", "truth", "clusters"])
+def test_oversized_csv_field_fails_cleanly(tmp_path, capsys, kind):
+    # the csv module refuses fields over 131 072 characters
+    ds = make_twenty_product_dataset()
+    paths = {name: tmp_path / f"{name}.csv" for name in ("feed", "truth", "clusters")}
+    write_feed_csv(paths["feed"], ds, "simple")
+    write_truth_csv(paths["truth"], ds)
+    paths["clusters"].write_text(twenty_product_clusters())
+    with paths[kind].open("a", encoding="utf-8") as fh:
+        fh.write(f"21,{'9' * 140_000},0\n")
+    args = ["eval", "--input", str(paths["feed"]), "--truth", str(paths["truth"])]
+    assert run_cli(args + ["--clusters", str(paths["clusters"])]) == 1
+    error = f"{kind} file {paths[kind]}: line 22: field larger than field limit (131072)"
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_eval_without_truth_pairs_reports_null_scores(tmp_path, capsys):
+    # every truth cluster is a singleton, so there is no pair to score against
+    ds = Dataset(products=[RawProduct(i, f"brand{i} model{i} case", i % 2, i) for i in range(1, 7)])
+    feed = tmp_path / "feed.csv"
+    write_feed_csv(feed, ds, "published")
+    clusters = tmp_path / "clusters.csv"
+    base = ["--input", str(feed), "--format", "published"]
+    assert run_cli(["match", *base, "--clusters", str(clusters)]) == 0
+    assert "precision" not in capsys.readouterr().out
+    report = tmp_path / "eval.jsonl"
+    assert run_cli(["eval", *base, "--clusters", str(clusters), "--report", str(report)]) == 0
+    row = read_jsonl(report)[0]
+    assert (row["precision"], row["recall"], row["f1"], row["truth_pairs"]) == (None, None, None, 0)
+    assert capsys.readouterr().out == f"clusters={row['clusters']}\n"
+
+
 @pytest.mark.parametrize("name", ["main", "match", "baseline", "eval", "inspect"])
 def test_help_snapshots(name):
     parser = build_parser()

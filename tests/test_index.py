@@ -14,26 +14,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from titlematch.combinatorics import (
-    Combination,
-    count_combinations,
-    generate_combinations,
-    signature,
-)
-from titlematch.index import (
-    analyze_dataset,
-    build_index,
-    distance,
-    load_index,
-    resolve_k,
-    save_index,
-)
+from titlematch.combinatorics import count_combinations
+from titlematch.index import analyze_dataset, build_index, load_index, resolve_k, save_index
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.scoring import ScoringConfig, select_clusters
 from titlematch.synth import planted_dataset
 from titlematch.textprep import analyze_title, truncate_for_variant
 
-from helpers import assert_key_signatures, combo_rows, token_rows
+from helpers import (
+    Combination,
+    assert_key_signatures,
+    combo_rows,
+    distance,
+    generate_combinations,
+    token_rows,
+)
 
 DATA = Path(__file__).parent / "data"
 

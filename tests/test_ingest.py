@@ -127,6 +127,27 @@ def test_truth_file_rejects_bad_rows(tmp_path, text, message):
         load_truth_file(truth, load_products(feed, "simple"))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "product_id,cluster_id\n1,0\n2,0\n3,1\n99,1\n",
+            "product 99 in truth file {path} is not in the feed",
+        ),
+        ("product_id,cluster_id\n1,0\n3,1\n", "product 2 has no cluster in truth file {path}"),
+    ],
+    ids=["not_in_feed", "no_cluster"],
+)
+def test_truth_file_must_cover_the_feed_exactly(tmp_path, text, message):
+    feed = tmp_path / "feed.csv"
+    feed.write_text("id,title,vendor\n1,a b,0\n2,a c,1\n3,d e,0\n", encoding="utf-8")
+    truth = tmp_path / "truth.csv"
+    truth.write_text(text, encoding="utf-8")
+    with pytest.raises(FeedFormatError) as exc_info:
+        load_truth_file(truth, load_products(feed, "simple"))
+    assert str(exc_info.value) == message.format(path=truth)
+
+
 def test_three_products_one_cluster():
     ds = Dataset(
         products=[

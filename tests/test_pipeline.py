@@ -5,9 +5,80 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
+import titlematch
+import titlematch.combinatorics
+import titlematch.index
+import titlematch.scoring
 from titlematch.ingest import pairs_from_assignment
 from titlematch.pipeline import run_match
 from titlematch.synth import efficiency_dataset, long_title_dataset, planted_dataset
+
+PUBLIC_API = [
+    "AnalyzedTitle",
+    "ClusterUniverse",
+    "Dataset",
+    "IndexStats",
+    "MatchResult",
+    "ProductIndex",
+    "RawProduct",
+    "ScoringConfig",
+    "Semantics",
+    "UnitLexicon",
+    "analyze_title",
+    "build_index",
+    "classify_tokens",
+    "count_combinations",
+    "cs",
+    "cs_idf",
+    "expand_cluster_pairs",
+    "jaccard",
+    "jaccard_idf",
+    "load_ground_truth",
+    "load_index",
+    "load_products",
+    "load_truth_file",
+    "normalize_title",
+    "pairwise_match",
+    "pairwise_sweep",
+    "prf1",
+    "product_similarity",
+    "resolve_k",
+    "run_baseline",
+    "run_match",
+    "run_report",
+    "save_index",
+    "scan_violators",
+    "select_clusters",
+    "truncate_for_variant",
+    "verify_universe",
+]
+
+# scalar reference formulas that live in tests/helpers.py, not in the package
+SCALAR_REFERENCES = [
+    "Combination",
+    "CombinationRecord",
+    "Signature",
+    "avg_distance",
+    "canonical_key",
+    "combination_score",
+    "distance",
+    "field_population",
+    "field_weight",
+    "fnv1a_64",
+    "generate_combinations",
+    "ir_score",
+    "signature",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(titlematch.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        assert hasattr(titlematch, name), name
+    modules = (titlematch, titlematch.index, titlematch.scoring, titlematch.combinatorics)
+    for module in modules:
+        for name in SCALAR_REFERENCES:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_generator_is_deterministic():

@@ -10,23 +10,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from titlematch.combinatorics import signature
-from titlematch.index import CombinationRecord, build_index
+from titlematch.index import build_index
 from titlematch.ingest import Dataset, RawProduct
-from titlematch.scoring import (
-    ClusterUniverse,
-    ScoringConfig,
+from titlematch.scoring import ClusterUniverse, ScoringConfig, select_clusters
+from titlematch.synth import long_title_dataset, planted_dataset
+from titlematch.textprep import Semantics
+
+from helpers import (
+    CombinationRecord,
     avg_distance,
+    cluster_state,
     combination_score,
     field_population,
     field_weight,
     ir_score,
-    select_clusters,
+    object_universe,
+    signature,
+    token_rows,
 )
-from titlematch.synth import long_title_dataset, planted_dataset
-from titlematch.textprep import Semantics
-
-from helpers import cluster_state, object_universe, token_rows
 
 
 def record(f_c=1, d_acc=0.0, k=2, ids=(0, 1)):
@@ -338,10 +339,11 @@ def oracle_selection(index, config):
     """Score every combination of every product with independent arithmetic.
 
     Rebuilds frequencies and accumulators from the analyzed titles with plain
-    dictionaries, then evaluates the scoring formula with math.log loops and
-    applies the documented tie-breaking. Returns one canonical key per
-    product, or None where the decision margin is below float noise (those
-    products are skipped by the comparison).
+    dictionaries, then scores each combination with the scalar reference
+    formulas (field_weight, ir_score, combination_score) and applies the
+    documented tie-breaking. Returns one canonical key per product, or None
+    where the decision margin is below float noise (those products are
+    skipped by the comparison).
     """
     fw = index.forward
     n = len(fw)
@@ -381,33 +383,30 @@ def oracle_selection(index, config):
         if not per_product[p]:
             chosen.append(tuple(sorted(ids)))
             continue
-        x = [0] * 5
-        for s in sem:
-            x[s - 1] += 1
-        weight = {w: idf[w] * (total_tokens / x[s - 1]) for w, s in zip(ids, sem)}
+        x = field_population(sem).tolist()
+        weight = {w: field_weight(s, x, total_tokens) for w, s in zip(ids, sem)}
         scored = []
         for key in per_product[p]:
-            k = len(key)
-            denom = 1.0 - config.b + config.b * k / avg_comb_len
-            y = sum(weight[w] for w in key) / denom
             f, dacc = acc[key]
-            i_score = y * y * math.log(f) / (config.alpha + dacc / f)
-            scored.append((i_score, y, k, signature(key).value, key))
+            rec = CombinationRecord(index=0, key_ids=key, f_c=f, d_acc=dacc, k=len(key))
+            y = ir_score(
+                [idf[w] for w in key], [weight[w] for w in key], rec.k, avg_comb_len, config.b
+            )
+            i_score = combination_score(rec, y, config.alpha)
+            scored.append((i_score, y, rec.k, signature(key).value, rec))
         best_i = max(s[0] for s in scored)
         if best_i == 0.0:
             pick = min(scored, key=lambda s: (-s[1], -s[2], s[3]))[4]
             ranked = sorted({round(s[1], 15) for s in scored}, reverse=True)
         else:
             ties = [s for s in scored if s[0] == best_i]
-            pick = min(
-                ties, key=lambda s: (-s[2], acc[s[4]][1] / acc[s[4]][0], s[3])
-            )[4]
+            pick = min(ties, key=lambda s: (-s[2], avg_distance(s[4]), s[3]))[4]
             ranked = sorted({s[0] for s in scored}, reverse=True)
         # near-ties are legitimate either-way decisions across summation orders
         if len(ranked) > 1 and abs(ranked[0] - ranked[1]) <= 1e-9 * max(1.0, abs(ranked[0])):
             chosen.append(None)
         else:
-            chosen.append(pick)
+            chosen.append(pick.key_ids)
     return chosen
 
 
