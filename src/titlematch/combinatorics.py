@@ -30,9 +30,6 @@ _FNV_PRIME_NP = np.uint64(FNV_PRIME)
 _SPACE_NP = np.uint64(32)
 _POW10 = np.array([10**e for e in range(19)], dtype=np.int64)
 
-# uint64 FNV multiplication wraps modulo 2^64 by design
-_NP_ERR_IGNORE = {"over": "ignore"}
-
 
 def count_combinations(l_t: int, K: int) -> int:
     """Number of k-subsets of an l_t-token title summed over k = 2..min(K, l_t)."""
@@ -47,14 +44,23 @@ def count_combinations(l_t: int, K: int) -> int:
 def position_patterns(l: int, k: int) -> np.ndarray:
     """(C(l,k), k) matrix of title-position subsets in lexicographic order."""
     c = math.comb(l, k)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(l), k)),
-        dtype=np.int64,
-        count=c * k,
-    )
-    m = flat.reshape(c, k)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(l), k))
+    m = np.fromiter(flat, dtype=np.int64, count=c * k).reshape(c, k)
     m.setflags(write=False)
     return m
+
+
+@lru_cache(maxsize=1024)
+def drop_patterns(l: int, k: int) -> np.ndarray:
+    """(C(l,k), k) table: [r, j] is the row of position_patterns(l, k - 1)
+    that is position_patterns(l, k)[r] without member j. Read as base-l
+    numbers, patterns keep their lexicographic order, so searchsorted finds it."""
+    pats, weights = position_patterns(l, k), l ** np.arange(k - 2, -1, -1, dtype=np.int64)
+    codes = position_patterns(l, k - 1) @ weights
+    drop = [np.searchsorted(codes, np.delete(pats, j, axis=1) @ weights) for j in range(k)]
+    table = np.stack(drop, axis=1)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=1024)
@@ -95,7 +101,8 @@ def signature_rows(sorted_ids: np.ndarray) -> np.ndarray:
     """
     n, k = sorted_ids.shape
     h = np.full(n, _FNV_OFFSET_NP, dtype=np.uint64)
-    with np.errstate(**_NP_ERR_IGNORE):
+    # uint64 FNV multiplication wraps modulo 2^64 by design
+    with np.errstate(over="ignore"):
         for j in range(k):
             if j:
                 h = (h ^ _SPACE_NP) * _FNV_PRIME_NP

@@ -6,12 +6,13 @@ token's surface, its product frequency f_w and the semantics seen at first
 encounter. The forward index keeps every product's token IDs and semantics
 as one CSR in product order. Combinations are grouped by their exact key,
 the sorted member-ID sequence, in one whole-array pass per combination size
-k: every instance's key row is gathered, the rows are dense-ranked
-lexicographically, and the frequency f_c and the positional distance
-accumulator d_acc of each distinct key come from np.bincount. Records are
-therefore ordered by (k, key). Equality never rests on a hash, and the index
-stores none: scoring computes the FNV-1a signature of a key only when a tie
-reaches it.
+k. A size-k key is the key of the size-(k-1) subset without its largest
+member, plus that member's ID, so each pass packs the subset's rank from the
+pass below with the largest ID, and one np.unique ranks the packed values in
+key order. Records are therefore ordered by (k, key); f_c and the positional
+distance accumulator d_acc come from np.bincount. Equality never rests on a
+hash, and the index stores none: scoring computes the FNV-1a signature of a
+key only when a tie reaches it.
 
 Titles are bucketed by length (length_buckets), ascending, file order within
 a length. A bucket's record IDs form one block with a row per title, which
@@ -24,13 +25,12 @@ the accumulator is integral and therefore exact.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .combinatorics import count_combinations, pattern_distances, position_patterns
+from .combinatorics import count_combinations, drop_patterns, pattern_distances, position_patterns
 from .ingest import Dataset, RawProduct
 from .textprep import (
     AnalyzedTitle,
@@ -174,50 +174,53 @@ def analyze_dataset(dataset: Dataset, units: Optional[UnitLexicon] = None) -> Li
     return analyzed
 
 
-def _group_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Group the rows of an (n, k) matrix of non-negative int32 IDs, k >= 2.
+def _check_int32(count: int, what: str) -> None:
+    if count > 2**31:
+        raise OverflowError(f"{count} {what} overflow the index's int32 IDs")
 
-    Iterated dense-rank: the rank of the first j columns, shifted up 32 bits
-    and joined with column j, ranks the first j + 1 columns, so the packed
-    value always fits in 64 bits. Returns (first, rank): the first row of
-    each distinct key, keys in lexicographic order, and each row's key rank.
-    """
-    rank = rows[:, 0].astype(np.int64)
-    for j in range(1, rows.shape[1] - 1):
-        rank = np.unique((rank << 32) | rows[:, j], return_inverse=True)[1]
-    _, first, rank = np.unique(
-        (rank << 32) | rows[:, -1], return_index=True, return_inverse=True
-    )
-    return first, rank
+
+def _pack(packed: np.ndarray, l: int, kk: int, ids: np.ndarray, prefix_ranks: np.ndarray) -> None:
+    """Write (prefix rank << 32) | largest ID for every size-kk instance of a
+    length-l bucket into its (titles, C(l, kk)) view of packed. An instance's
+    prefix is its size-(kk-1) subset without the largest member; prefix_ranks
+    holds each title's subset ranks in position_patterns(l, kk - 1) order."""
+    members = ids[:, position_patterns(l, kk)]
+    top = members.argmax(axis=2)
+    largest = members.max(axis=2)
+    del members
+    subsets = drop_patterns(l, kk)[np.arange(top.shape[1]), top]
+    packed[:] = np.take_along_axis(prefix_ranks, subsets, axis=1)
+    packed <<= 32
+    packed |= largest
 
 
 def _group_size(
-    kk: int, buckets: List[Tuple[np.ndarray, np.ndarray]], offset: int, euclidean: bool
+    kk: int, blocks: list, prev_keys: np.ndarray, prev_offset: int, offset: int, euclidean: bool
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group every size-kk combination instance by exact key.
 
-    buckets pairs each title length's (titles, length) ID matrix with the
-    (titles, C(length, kk)) block that receives the record IDs, ascending by
-    length. Returns the distinct keys in lexicographic order with their f_c
-    and d_acc; record IDs are offset + key rank.
+    blocks holds (l, ID matrix, size-(kk-1) record IDs, size-kk record-ID
+    block) per title length l >= kk, ascending. A sorted key is its prefix's
+    key plus the largest ID, so one np.unique of (prefix rank, largest ID)
+    ranks the keys lexicographically. Returns the distinct keys, from
+    prev_keys, with their f_c and d_acc; record IDs are offset + key rank.
     """
-    rows = np.concatenate(
-        [
-            np.sort(ids[:, position_patterns(ids.shape[1], kk)], axis=2).reshape(-1, kk)
-            for ids, _ in buckets
-        ]
-    )
-    dist = np.concatenate(
-        [np.tile(pattern_distances(ids.shape[1], kk), len(ids)) for ids, _ in buckets]
-    ).astype(np.float64)
-    if euclidean:
-        dist = np.sqrt(dist)
-    first, rank = _group_rows(rows)
-    start = 0
-    for _, block in buckets:
+    bounds = np.cumsum([0] + [block.size for *_, block in blocks])
+    packed = np.empty(bounds[-1], dtype=np.int64)
+    for (l, ids, prev, block), start in zip(blocks, bounds):
+        part = packed[start : start + block.size].reshape(block.shape)
+        _pack(part, l, kk, ids, prev - prev_offset)
+    distinct, rank = np.unique(packed, return_inverse=True)
+    del packed
+    _check_int32(offset + len(distinct), "combination records")
+    dist = np.empty(len(rank))
+    for (l, _, _, block), start in zip(blocks, bounds):
         block[:] = rank[start : start + block.size].reshape(block.shape) + offset
-        start += block.size
-    return rows[first], np.bincount(rank), np.bincount(rank, weights=dist)
+        dist[start : start + block.size].reshape(block.shape)[:] = pattern_distances(l, kk)
+    keys = np.empty((len(distinct), kk), dtype=np.int32)
+    keys[:, :-1] = prev_keys[distinct >> 32]
+    keys[:, -1] = distinct & 0xFFFFFFFF
+    return keys, np.bincount(rank), np.bincount(rank, np.sqrt(dist) if euclidean else dist)
 
 
 def length_buckets(lengths: np.ndarray) -> List[Tuple[int, np.ndarray]]:
@@ -236,54 +239,53 @@ def length_buckets(lengths: np.ndarray) -> List[Tuple[int, np.ndarray]]:
 def _index_combinations(
     forward: ForwardIndex, k_max: int, euclidean: bool
 ) -> Tuple[CombinationLexicon, int, int]:
-    """Group every 2..K combination instance by exact key, one pass per k.
+    """Group every 2..K combination instance by exact key, one pass per k,
+    each extending the ranks the pass below wrote (Apriori's prefix join).
 
     Fills forward.combo_blocks (each product's record IDs in enumeration
     order) and returns the lexicon, the instance count and the summed member
     count.
     """
     offsets = forward.tok_offsets
-    # (length, ID matrix, record-ID block) per length bucket
-    buckets = [
-        (
-            l,
-            forward.tok_flat[offsets[members][:, None] + np.arange(l)].astype(np.int32),
-            np.empty((len(members), count_combinations(l, k_max)), dtype=np.int32),
-        )
-        for l, members in length_buckets(np.diff(offsets))
-    ]
-    forward.combo_blocks = [out for _, _, out in buckets]
+    n_tokens = int(forward.tok_flat.max(initial=-1)) + 1
+    _check_int32(n_tokens, "distinct tokens")
+    forward.combo_blocks, buckets = [], []
+    for l, members in length_buckets(np.diff(offsets)):
+        ids = forward.tok_flat[offsets[members][:, None] + np.arange(l)].astype(np.int32)
+        out = np.empty((len(members), count_combinations(l, k_max)), dtype=np.int32)
+        forward.combo_blocks.append(out)
+        # the record-ID columns of each size; token IDs stand in for size 1
+        cuts = [count_combinations(l, kk) for kk in range(2, min(l, k_max))]
+        buckets.append((l, ids, [ids] + np.split(out, cuts, axis=1)))
 
-    keys, f_c, d_acc = [], [], []
-    n_records = instances = members = 0
+    keys, f_c, d_acc = [np.arange(n_tokens, dtype=np.int32)[:, None]], [], []
+    prev_offset = offset = 0
     for kk in range(2, k_max + 1):
-        blocks = []
-        for l, ids, out in buckets:
-            if l >= kk:
-                # a title's size-kk records follow those of its smaller sizes
-                end = count_combinations(l, kk)
-                blocks.append((ids, out[:, end - math.comb(l, kk) : end]))
+        blocks = [(l, ids, cols[kk - 2], cols[kk - 1]) for l, ids, cols in buckets if l >= kk]
         if not blocks:
             break
-        key_rows, f, d = _group_size(kk, blocks, n_records, euclidean)
+        key_rows, f, d = _group_size(kk, blocks, keys[-1], prev_offset, offset, euclidean)
         keys.append(key_rows)
         f_c.append(f)
         d_acc.append(d)
-        n_records += len(f)
-        instances += int(f.sum())
-        members += int(f.sum()) * kk
+        prev_offset, offset = offset, offset + len(f)
 
-    if not n_records:
+    if not f_c:
         return CombinationLexicon(), 0, 0
-    k_col = np.repeat(np.arange(2, 2 + len(keys)), [len(key) for key in keys])
+    # one column at a time, so no two columns' per-k parts are alive at once
+    del key_rows, f, d
+    key_flat = np.concatenate([key.ravel() for key in keys[1:]])
+    del keys
+    k_col = np.repeat(np.arange(2, 2 + len(f_c)), [len(f) for f in f_c])
+    f_c, d_acc = np.concatenate(f_c), np.concatenate(d_acc)
     combos = CombinationLexicon(
-        f_c=np.concatenate(f_c),
-        d_acc=np.concatenate(d_acc),
+        f_c=f_c,
+        d_acc=d_acc,
         k=k_col,
-        key_flat=np.concatenate([key.ravel() for key in keys]),
+        key_flat=key_flat,
         key_offsets=np.concatenate([[0], np.cumsum(k_col)]),
     )
-    return combos, instances, members
+    return combos, int(f_c.sum()), int((f_c * k_col).sum())
 
 
 def build_index(
@@ -386,13 +388,8 @@ def save_index(index: ProductIndex, path) -> None:
     for (_, members), block in zip(buckets, fw.combo_blocks):
         combo_flat[combo_offsets[members][:, None] + np.arange(block.shape[1])] = block
     combos = index.combos
-    truth = np.asarray(
-        [
-            -1 if p.truth_cluster_id is None else p.truth_cluster_id
-            for p in index.dataset.products
-        ],
-        dtype=np.int64,
-    )
+    products = index.dataset.products
+    truth = [-1 if p.truth_cluster_id is None else p.truth_cluster_id for p in products]
     meta = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
@@ -406,8 +403,8 @@ def save_index(index: ProductIndex, path) -> None:
         meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
         product_ids=np.asarray(fw.product_ids, dtype=np.int64),
         vendor_ids=np.asarray(fw.vendor_ids, dtype=np.int64),
-        truth=truth,
-        titles=np.asarray([p.title for p in index.dataset.products], dtype=np.str_),
+        truth=np.asarray(truth, dtype=np.int64),
+        titles=np.asarray([p.title for p in products], dtype=np.str_),
         token_surfaces=np.asarray(index.tokens.surfaces, dtype=np.str_),
         token_f=index.tokens.f_w,
         token_sem=index.tokens.s_w,
@@ -439,12 +436,7 @@ def load_index(path) -> ProductIndex:
         product_ids = z["product_ids"].tolist()
         vendor_ids = z["vendor_ids"].tolist()
         products = [
-            RawProduct(
-                product_id=pid,
-                title=title,
-                vendor_id=vid,
-                truth_cluster_id=None if t < 0 else t,
-            )
+            RawProduct(pid, title, vid, None if t < 0 else t)
             for pid, title, vid, t in zip(
                 product_ids, z["titles"].tolist(), vendor_ids, z["truth"].tolist()
             )

@@ -74,7 +74,7 @@ def _parse_int(value: str, row_num: int, what: str) -> int:
 def load_products(path, fmt: str = "simple") -> Dataset:
     """Load a feed file into a Dataset, preserving file order.
 
-    Row numbers in error messages are 1-based and count the header.
+    Errors name the file and the 1-based row, counting the header.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -90,7 +90,7 @@ def load_products(path, fmt: str = "simple") -> Dataset:
         try:
             header = next(reader, None)
             if header is None:
-                raise FeedFormatError("feed file is empty (missing header row)")
+                raise FeedFormatError("empty (missing header row)")
             for row_num, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -115,6 +115,8 @@ def load_products(path, fmt: str = "simple") -> Dataset:
                         product_id=pid, title=title, vendor_id=vendor, truth_cluster_id=truth
                     )
                 )
+        except FeedFormatError as exc:
+            raise FeedFormatError(f"feed file {path}: {exc}") from None
         except csv.Error as exc:
             raise _csv_error("feed", path, reader, exc) from None
     return Dataset(products=products)

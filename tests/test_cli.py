@@ -480,6 +480,19 @@ def test_eval_rejects_bad_clusters_file(feed, tmp_path, capsys, clusters_text, e
     assert capsys.readouterr().err == "error: " + error.format(path=path) + "\n"
 
 
+def test_bad_feed_row_names_the_feed(tmp_path, capsys):
+    ds = make_twenty_product_dataset()
+    feed, truth = tmp_path / "bad_feed.csv", tmp_path / "truth.csv"
+    write_feed_csv(feed, ds, "simple")
+    write_truth_csv(truth, ds)
+    lines = feed.read_text().splitlines()
+    lines[2] = "2,short row"
+    feed.write_text("\n".join(lines) + "\n")
+    assert run_cli(["match", "--input", str(feed), "--truth", str(truth)]) == 1
+    error = f"feed file {feed}: row 3: expected 3 columns for format 'simple', got 2"
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 @pytest.mark.parametrize("kind", ["feed", "truth", "clusters"])
 def test_oversized_csv_field_fails_cleanly(tmp_path, capsys, kind):
     # the csv module refuses fields over 131 072 characters

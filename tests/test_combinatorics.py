@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from titlematch.combinatorics import (
     count_combinations,
+    drop_patterns,
     pattern_distances,
     position_patterns,
     signature_rows,
@@ -143,6 +145,18 @@ def test_pattern_distance_is_squared_offset_gap():
     d = pattern_distances(3, 2)
     row = m.tolist().index([1, 2])
     assert d[row] == 2  # (0-1)^2 + (1-2)^2
+
+
+def test_drop_table_names_the_subset_without_each_member():
+    for l in range(2, 13):
+        for k in range(2, min(l, 6) + 1):
+            rows = {tuple(row): r for r, row in enumerate(position_patterns(l, k - 1).tolist())}
+            assert list(rows) == list(itertools.combinations(range(l), k - 1))
+            table = drop_patterns(l, k)
+            assert table.shape == (math.comb(l, k), k)
+            for r, pattern in enumerate(itertools.combinations(range(l), k)):
+                for j in range(k):
+                    assert table[r, j] == rows[pattern[:j] + pattern[j + 1 :]], (l, k, r, j)
 
 
 def test_forced_signature_collision_keeps_keys_distinct(monkeypatch):

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import string
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -14,11 +15,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from titlematch.combinatorics import count_combinations
+from titlematch import index as index_module
+from titlematch.combinatorics import (
+    count_combinations,
+    drop_patterns,
+    pattern_distances,
+    position_patterns,
+)
 from titlematch.index import analyze_dataset, build_index, load_index, resolve_k, save_index
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.scoring import ScoringConfig, select_clusters
-from titlematch.synth import planted_dataset
+from titlematch.synth import long_title_dataset, planted_dataset
 from titlematch.textprep import analyze_title, truncate_for_variant
 
 from helpers import (
@@ -396,3 +403,25 @@ def test_index_matches_reference_past_64_bit_keys():
     five = np.flatnonzero((idx.combos.k == 5) & (idx.combos.f_c > 1))
     assert max(max(idx.combos.ids_of(i)) for i in five) >= 8192
     assert_matches_reference(idx)
+
+
+def test_index_memory_per_instance_is_bounded():
+    # 2.4M instances at K=5 peak at about 50 bytes each, while the last size
+    # is grouped; parts of a size kept alive past it push that to about 60
+    ds = long_title_dataset(1000, seed=5)
+    analyzed = analyze_dataset(ds)
+    for table in (position_patterns, drop_patterns, pattern_distances):
+        table.cache_clear()
+    tracemalloc.start()
+    try:
+        idx = build_index(ds, k=5, analyzed=analyzed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / idx.stats.combination_instances <= 56
+
+
+def test_id_overflow_error_gives_the_count():
+    with pytest.raises(OverflowError, match="^2147483649 combination records overflow"):
+        index_module._check_int32(2**31 + 1, "combination records")
+    index_module._check_int32(2**31, "combination records")
