@@ -30,7 +30,6 @@ from .textprep import (
     analyze_title,
     classify_tokens,
     normalize_title,
-    truncate_for_variant,
 )
 from .verify import product_similarity, scan_violators, verify_universe
 
@@ -72,6 +71,5 @@ __all__ = [
     "save_index",
     "scan_violators",
     "select_clusters",
-    "truncate_for_variant",
     "verify_universe",
 ]

@@ -1,15 +1,19 @@
 """One-pass construction of the token lexicon, combination lexicon and
 forward index, all held as numpy columns.
 
-Tokens are interned in first-encounter order; the lexicon keeps each
-token's surface, its product frequency f_w and the semantics seen at first
-encounter. The forward index keeps every product's token IDs and semantics
-as one CSR in product order. Combinations are grouped by their exact key,
-the sorted member-ID sequence, in one whole-array pass per combination size
-k. A size-k key is the key of the size-(k-1) subset without its largest
-member, plus that member's ID, so each pass packs the subset's rank from the
-pass below with the largest ID, and one np.unique ranks the packed values in
-key order. Records are therefore ordered by (k, key); f_c and the positional
+The token columns come from analyze_dataset, a TitleCorpus whose IDs are
+already interned in first-encounter order; the index does no per-token
+Python work. The pruning variant clips the corpus's offsets and re-interns
+the surviving IDs (TitleCorpus.clip). The lexicon keeps each token's
+surface, its product frequency f_w (one bincount) and the semantics at its
+first occurrence. The forward index keeps every product's token IDs and
+semantics as one CSR in product order: the corpus columns themselves.
+
+Combinations are grouped by their exact key, the sorted member-ID sequence,
+in one whole-array pass per combination size k. A size-k key is the key of
+the size-(k-1) subset without its largest member, plus that member's ID, so
+each pass packs the subset's rank from the pass below with the largest ID,
+and one np.unique ranks the packed values in key order. Records are therefore ordered by (k, key); f_c and the positional
 distance accumulator d_acc come from np.bincount. Equality never rests on a
 hash, and the index stores none: scoring computes the FNV-1a signature of a
 key only when a tie reaches it.
@@ -26,18 +30,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .combinatorics import count_combinations, drop_patterns, pattern_distances, position_patterns
 from .ingest import Dataset, RawProduct
 from .textprep import (
-    AnalyzedTitle,
+    TitleCorpus,
     TitleNormalizationError,
     UnitLexicon,
-    analyze_title,
-    truncate_for_variant,
+    classify_corpus,
+    normalize_title,
 )
 
 SNAPSHOT_FORMAT = "titlematch-index"
@@ -162,16 +166,17 @@ def resolve_k(avg_title_len: float) -> int:
     return max(2, int(avg_title_len / 2))
 
 
-def analyze_dataset(dataset: Dataset, units: Optional[UnitLexicon] = None) -> List[AnalyzedTitle]:
-    """Analyze every title; a title that normalizes to nothing names its product."""
-    units = units or UnitLexicon.default()
-    analyzed = []
-    for p in dataset.products:
-        try:
-            analyzed.append(analyze_title(p.title, units))
-        except TitleNormalizationError as exc:
-            raise TitleNormalizationError(f"product {p.product_id}: {exc}") from None
-    return analyzed
+def _normalize_product(product: RawProduct) -> List[str]:
+    try:
+        return normalize_title(product.title)
+    except TitleNormalizationError as exc:
+        raise TitleNormalizationError(f"product {product.product_id}: {exc}") from None
+
+
+def analyze_dataset(dataset: Dataset, units: Optional[UnitLexicon] = None) -> TitleCorpus:
+    """Analyze every title into one TitleCorpus, in product order; a title
+    that normalizes to nothing names its product."""
+    return classify_corpus(map(_normalize_product, dataset.products), units or UnitLexicon.default())
 
 
 def _check_int32(count: int, what: str) -> None:
@@ -294,55 +299,41 @@ def build_index(
     variant: str = "upm",
     distance_mode: str = "squared",
     units: Optional[UnitLexicon] = None,
-    analyzed: Optional[List[AnalyzedTitle]] = None,
+    analyzed: Optional[TitleCorpus] = None,
     with_combinations: bool = True,
 ) -> ProductIndex:
     """Build lexicons and forward index for a dataset.
 
     k=None resolves the combination cap from the average analyzed title
-    length. The pruning variant truncates each title to its first 2k tokens
-    before indexing. with_combinations=False stops after the token pass;
-    pairwise baselines only need token sets and idf.
+    length. The pruning variant clips each title to its first 2k tokens
+    before indexing (TitleCorpus.clip). with_combinations=False stops after
+    the token pass; pairwise baselines only need token sets and idf.
     """
     if distance_mode not in DISTANCE_MODES:
         raise ValueError(f"unknown distance mode {distance_mode!r}")
     if analyzed is None:
         analyzed = analyze_dataset(dataset, units)
     n = len(analyzed)
-    avg_len = sum(t.length for t in analyzed) / n if n else 0.0
-    k_resolved = resolve_k(avg_len) if k is None else int(k)
+    k_resolved = resolve_k(analyzed.mean_length) if k is None else int(k)
     if k_resolved < 2:
         raise ValueError(f"K must be >= 2, got {k_resolved}")
 
-    titles = [truncate_for_variant(t, variant, k_resolved) for t in analyzed]
-
-    by_surface: Dict[str, int] = {}
-    surfaces: List[str] = []
-    first_sem: List[int] = []
-    ids: List[int] = []
-    sems: List[int] = []
-    for title in titles:
-        for surface, sem in zip(title.surfaces, title.semantics):
-            i = by_surface.get(surface)
-            if i is None:
-                i = by_surface[surface] = len(surfaces)
-                surfaces.append(surface)
-                first_sem.append(int(sem))
-            ids.append(i)
-            sems.append(int(sem))
-    tok_flat = np.asarray(ids, dtype=np.int64)
+    corpus = analyzed.clip(variant, k_resolved)
+    tok_flat = corpus.tok_flat
+    # IDs are in first-encounter order, so first occurrences come out ascending
+    first = np.unique(tok_flat, return_index=True)[1]
     # analyzed titles hold no duplicate tokens, so occurrences are products
     tokens = TokenLexicon(
-        surfaces=surfaces,
-        f_w=np.bincount(tok_flat, minlength=len(surfaces)),
-        s_w=np.asarray(first_sem, dtype=np.int64),
+        surfaces=corpus.surfaces,
+        f_w=np.bincount(tok_flat, minlength=len(corpus.surfaces)),
+        s_w=corpus.sem_flat[first],
     )
     forward = ForwardIndex(
         product_ids=[p.product_id for p in dataset.products],
         vendor_ids=[p.vendor_id for p in dataset.products],
         tok_flat=tok_flat,
-        sem_flat=np.asarray(sems, dtype=np.int64),
-        tok_offsets=np.cumsum([0] + [t.length for t in titles], dtype=np.int64),
+        sem_flat=corpus.sem_flat,
+        tok_offsets=corpus.offsets,
     )
 
     if with_combinations:

@@ -91,11 +91,9 @@ def run_match(
     timings["evaluate"] = (time.perf_counter() - t4) * 1000.0
     timings["total"] = (time.perf_counter() - t0) * 1000.0
 
-    n = dataset.title_count
-    avg_tokens = sum(t.length for t in analyzed) / n if n else 0.0
     report = {
         "command": "match",
-        "dataset": _dataset_block(dataset, dataset_path, avg_tokens),
+        "dataset": _dataset_block(dataset, dataset_path, analyzed.mean_length),
         "method": config.variant,
         "params": {
             "alpha": config.alpha,
@@ -155,8 +153,6 @@ def run_baseline(
     if dataset.has_truth:
         truth = load_ground_truth(dataset)
 
-    n = dataset.title_count
-    avg_tokens = sum(t.length for t in analyzed) / n if n else 0.0
     rows: List[dict] = []
     for tau in taus:
         predicted = match_sets[tau]
@@ -168,7 +164,7 @@ def run_baseline(
         rows.append(
             {
                 "command": "baseline",
-                "dataset": _dataset_block(dataset, dataset_path, avg_tokens),
+                "dataset": _dataset_block(dataset, dataset_path, analyzed.mean_length),
                 "method": metric,
                 # constant; kept so baseline rows share the match rows' params schema
                 "params": {"tau": tau, "threads": 1},

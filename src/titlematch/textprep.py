@@ -15,10 +15,16 @@ keeps hyphen/slash compounds while appending their parts at the end of the
 title, and drops exact duplicate tokens. It works on whole strings with
 compiled regexes, never character by character.
 
-An AnalyzedTitle is two parallel tuples, surfaces and semantics; a token's
-position is its index. Every semantics class but the model split is a
-function of the surface alone (surface_semantics); only MODEL_FIRST versus
-MODEL_OTHER depends on where the token sits.
+A corpus of titles is analyzed in one pass into columns (TitleCorpus): the
+distinct surfaces in first-encounter order, every occurrence's token ID and
+semantics, and per-title offsets. Fusing (number, unit) pairs and dropping
+repeats depend on neighbours, so they run per title (_fuse). Every other
+semantics class is a function of the surface alone (surface_semantics) and is
+computed once per distinct surface; only MODEL_FIRST versus MODEL_OTHER
+depends on where the token sits, and that is one array pass over the
+semantics column. An AnalyzedTitle, two parallel tuples of surfaces and
+semantics, is the one-title view that classify_tokens and analyze_title
+return; the pipeline never builds one.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ from enum import IntEnum
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 
 class Semantics(IntEnum):
@@ -154,54 +162,132 @@ def surface_semantics(surface: str, units: UnitLexicon) -> Semantics:
     return Semantics.MODEL_FIRST
 
 
+def _fuse(tokens: Sequence[str], units: UnitLexicon) -> Dict[str, bool]:
+    """The per-title rule: concatenate each adjacent (numeric, unit) pair into
+    one surface, then drop repeated surfaces, keeping the first occurrence.
+    Maps every surviving surface, in title order, to whether it was fused."""
+    if units.units.isdisjoint(tokens[1:]):
+        # no token after the first is a unit, so nothing fuses
+        return dict.fromkeys(tokens, False)
+    out: Dict[str, bool] = {}
+    i = 0
+    while i < len(tokens):
+        surface = tokens[i]
+        if i + 1 < len(tokens) and tokens[i + 1] in units and is_numeric(surface):
+            out.setdefault(surface + tokens[i + 1], True)
+            i += 2
+        else:
+            out.setdefault(surface, False)
+            i += 1
+    return out
+
+
+_SEMANTICS = (None,) + tuple(Semantics)
+
+
+@dataclass(frozen=True, eq=False)
+class TitleCorpus:
+    """Analyzed titles as columns, title after title.
+
+    Token IDs are interned in first-encounter order: ID i has surface
+    surfaces[i]. Title p's token IDs are tok_flat[offsets[p] : offsets[p + 1]]
+    in title order, and sem_flat holds each occurrence's semantics as an int.
+    Indexing or iterating yields AnalyzedTitle views, built on demand.
+    """
+
+    surfaces: List[str]
+    tok_flat: np.ndarray
+    sem_flat: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, p: int) -> AnalyzedTitle:
+        if not 0 <= p < len(self):
+            raise IndexError(f"title {p} out of range for {len(self)} titles")
+        lo, hi = self.offsets[p], self.offsets[p + 1]
+        return AnalyzedTitle(
+            surfaces=tuple(map(self.surfaces.__getitem__, self.tok_flat[lo:hi].tolist())),
+            semantics=tuple(map(_SEMANTICS.__getitem__, self.sem_flat[lo:hi].tolist())),
+        )
+
+    def __iter__(self) -> Iterator[AnalyzedTitle]:
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def mean_length(self) -> float:
+        """Mean tokens per title; 0.0 for no titles."""
+        return int(self.offsets[-1]) / len(self) if len(self) else 0.0
+
+    def clip(self, variant: str, k_star: int) -> "TitleCorpus":
+        """Apply the title-pruning variant. upm returns the corpus as it is;
+        upm+ keeps each title's first 2*k_star tokens and re-interns the
+        surviving surfaces in first-encounter order."""
+        if k_star < 1:
+            raise ValueError(f"k_star must be >= 1, got {k_star}")
+        if variant == "upm":
+            return self
+        if variant != "upm+":
+            raise ValueError(f"unknown variant: {variant!r}")
+        lengths = np.diff(self.offsets)
+        position = np.arange(len(self.tok_flat)) - np.repeat(self.offsets[:-1], lengths)
+        keep = position < 2 * k_star
+        ids = self.tok_flat[keep]
+        old, first = np.unique(ids, return_index=True)
+        old = old[np.argsort(first)]
+        new_id = np.empty(len(self.surfaces), dtype=np.int64)
+        new_id[old] = np.arange(len(old))
+        return TitleCorpus(
+            surfaces=list(map(self.surfaces.__getitem__, old.tolist())),
+            tok_flat=new_id[ids],
+            sem_flat=self.sem_flat[keep],
+            offsets=np.concatenate([[0], np.cumsum(np.minimum(lengths, 2 * k_star))]),
+        )
+
+
+def classify_corpus(titles: Iterable[Sequence[str]], units: UnitLexicon) -> TitleCorpus:
+    """Analyze normalized token lists into one TitleCorpus.
+
+    Fusion and dedup run per title (_fuse). surface_semantics runs once per
+    distinct surface; a fused occurrence is an ATTRIBUTE whatever its bare
+    surface would be. Only the first MODEL_FIRST occurrence of each title
+    keeps that class, the rest become MODEL_OTHER.
+    """
+    flat: List[str] = []
+    lengths: List[int] = []
+    fused_at: List[int] = []
+    for tokens in titles:
+        title = _fuse(tokens, units)
+        if any(title.values()):
+            fused_at.extend(len(flat) + j for j, fused in enumerate(title.values()) if fused)
+        flat.extend(title)
+        lengths.append(len(title))
+    surfaces = list(dict.fromkeys(flat))
+    token_id = dict(zip(surfaces, range(len(surfaces))))
+    tok_flat = np.fromiter(map(token_id.__getitem__, flat), dtype=np.int64, count=len(flat))
+    bare = np.fromiter(
+        (surface_semantics(s, units) for s in surfaces), dtype=np.int64, count=len(surfaces)
+    )
+    sem_flat = bare[tok_flat]
+    sem_flat[fused_at] = Semantics.ATTRIBUTE
+    offsets = np.cumsum([0] + lengths, dtype=np.int64)
+    model = np.flatnonzero(sem_flat == Semantics.MODEL_FIRST)
+    title_of = np.searchsorted(offsets, model, side="right")
+    sem_flat[model[1:][title_of[1:] == title_of[:-1]]] = Semantics.MODEL_OTHER
+    return TitleCorpus(surfaces=surfaces, tok_flat=tok_flat, sem_flat=sem_flat, offsets=offsets)
+
+
 def classify_tokens(tokens: Sequence[str], units: UnitLexicon) -> AnalyzedTitle:
-    """Assign semantics to normalized tokens.
+    """Assign semantics to normalized tokens: classify_corpus on one title.
 
     Adjacent (numeric, unit) pairs are concatenated into a single attribute
     token; the fused surface may duplicate an existing token, in which case
     the first occurrence wins. Only the first model token is MODEL_FIRST.
     """
-    out: Dict[str, Semantics] = {}
-    model_seen = False
-    i = 0
-    while i < len(tokens):
-        surface = tokens[i]
-        if i + 1 < len(tokens) and tokens[i + 1] in units and is_numeric(surface):
-            surface += tokens[i + 1]
-            sem = Semantics.ATTRIBUTE
-            i += 2
-        else:
-            sem = None
-            i += 1
-        if surface in out:
-            continue
-        if sem is None:
-            sem = surface_semantics(surface, units)
-        if sem == Semantics.MODEL_FIRST:
-            if model_seen:
-                sem = Semantics.MODEL_OTHER
-            model_seen = True
-        out[surface] = sem
-    return AnalyzedTitle(surfaces=tuple(out), semantics=tuple(out.values()))
+    return classify_corpus([tokens], units)[0]
 
 
 def analyze_title(raw: str, units: UnitLexicon) -> AnalyzedTitle:
     """normalize_title followed by classify_tokens."""
     return classify_tokens(normalize_title(raw), units)
-
-
-def truncate_for_variant(title: AnalyzedTitle, variant: str, k_star: int) -> AnalyzedTitle:
-    """Apply the title-pruning variant: keep only the first 2*k_star tokens.
-
-    The base variant returns the title unchanged.
-    """
-    if k_star < 1:
-        raise ValueError(f"k_star must be >= 1, got {k_star}")
-    if variant == "upm":
-        return title
-    if variant == "upm+":
-        limit = 2 * k_star
-        if title.length <= limit:
-            return title
-        return AnalyzedTitle(surfaces=title.surfaces[:limit], semantics=title.semantics[:limit])
-    raise ValueError(f"unknown variant: {variant!r}")

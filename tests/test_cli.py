@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from titlematch.cli import MAX_SWEEP_THRESHOLDS, _parse_sweep, build_parser, main
 from titlematch.evaluation import strip_timings
 from titlematch.ingest import Dataset, RawProduct, read_clusters
+from titlematch.synth import efficiency_dataset
 
 from helpers import make_ablation_dataset, write_feed_csv, write_truth_csv
 
@@ -534,3 +538,29 @@ def test_help_snapshots(name):
         text = parser._subparsers._group_actions[0].choices[name].format_help()
     golden = (DATA_DIR / f"help_{name}.txt").read_text()
     assert text == golden
+
+
+def test_match_output_does_not_depend_on_hash_seed(tmp_path):
+    """Token interning keys dicts and sets by string; string hashes change
+    with PYTHONHASHSEED, and nothing downstream may."""
+    feed = tmp_path / "feed.csv"
+    write_feed_csv(feed, efficiency_dataset(3000, seed=9), "published")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        report, clusters = tmp_path / f"r_{seed}.jsonl", tmp_path / f"c_{seed}.csv"
+        argv = ["match", "--input", str(feed), "--format", "published"]
+        argv += ["--report", str(report), "--clusters", str(clusters)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "titlematch.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(([strip_timings(row) for row in read_jsonl(report)], clusters.read_bytes()))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -25,15 +26,17 @@ from titlematch.combinatorics import (
 from titlematch.index import analyze_dataset, build_index, load_index, resolve_k, save_index
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.scoring import ScoringConfig, select_clusters
-from titlematch.synth import long_title_dataset, planted_dataset
-from titlematch.textprep import analyze_title, truncate_for_variant
+from titlematch.synth import efficiency_dataset, long_title_dataset, planted_dataset
+from titlematch.textprep import AnalyzedTitle, UnitLexicon, analyze_title
 
 from helpers import (
     Combination,
     assert_key_signatures,
+    classify_tokens_scalar,
     combo_rows,
     distance,
     generate_combinations,
+    normalize_title_scalar,
     token_rows,
 )
 
@@ -280,16 +283,20 @@ def test_euclidean_accumulation(units):
 def scalar_reference(index):
     """Oracle over generate_combinations + distance.
 
-    Titles come from analyze_dataset and truncate_for_variant, token IDs from
-    interning their surfaces in first-encounter order. Titles are visited by
-    ascending length, file order within a length: the order the index sums
-    d_acc in, so even euclidean sums compare exactly. Returns (the titles,
+    Titles come from normalize_title_scalar and classify_tokens_scalar, cut
+    to 2K tokens under upm+; token IDs from interning their surfaces in
+    first-encounter order. Titles are visited by ascending length, file
+    order within a length: the order the index sums d_acc in, so even
+    euclidean sums compare exactly. Returns (the titles,
     the token IDs, {key: (f_c, d_acc)}, each product's keys in
     enumeration order).
     """
-    titles = [
-        truncate_for_variant(t, index.variant, index.k) for t in analyze_dataset(index.dataset)
-    ]
+    units = UnitLexicon.default()
+    cut = 2 * index.k if index.variant == "upm+" else None
+    titles = []
+    for p in index.dataset.products:
+        pairs = classify_tokens_scalar(normalize_title_scalar(p.title), units)[:cut]
+        titles.append(AnalyzedTitle(*map(tuple, zip(*pairs))))
     token_ids = {}
     for title in titles:
         for surface in title.surfaces:
@@ -419,6 +426,17 @@ def test_index_memory_per_instance_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak / idx.stats.combination_instances <= 56
+
+
+def test_analyze_dataset_leaves_no_per_title_objects():
+    # the corpus is columns: a handful of GC-tracked objects, not a few per title
+    ds = efficiency_dataset(5000, seed=5)
+    gc.collect()
+    before = len(gc.get_objects())
+    corpus = analyze_dataset(ds)
+    added = len(gc.get_objects()) - before
+    assert len(corpus) == ds.title_count
+    assert added < 1000
 
 
 def test_id_overflow_error_gives_the_count():

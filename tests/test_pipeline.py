@@ -49,7 +49,6 @@ PUBLIC_API = [
     "save_index",
     "scan_violators",
     "select_clusters",
-    "truncate_for_variant",
     "verify_universe",
 ]
 

@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+from collections import Counter
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from titlematch.index import analyze_dataset, build_index
+from titlematch.ingest import Dataset, RawProduct
 from titlematch.textprep import (
     AnalyzedTitle,
     Semantics,
     TitleNormalizationError,
     UnitLexicon,
     analyze_title,
+    classify_corpus,
     classify_tokens,
     is_numeric,
     normalize_title,
     surface_semantics,
-    truncate_for_variant,
 )
 
 from helpers import classify_tokens_scalar, normalize_title_scalar
@@ -154,27 +158,36 @@ def test_unit_alone_is_normal(units):
 
 
 def test_truncation_long_title(units):
-    t = classify_tokens([f"tok{i}" for i in range(10)], units)
-    cut = truncate_for_variant(t, "upm+", 3)
-    assert cut.length == 6
-    assert cut.surfaces == t.surfaces[:6]
-    assert cut.semantics == t.semantics[:6]
+    corpus = classify_corpus([[f"tok{i}" for i in range(10)], ["tok9", "x", "tok0"]], units)
+    cut = corpus.clip("upm+", 3)
+    assert cut[0].surfaces == corpus[0].surfaces[:6]
+    assert cut[0].semantics == corpus[0].semantics[:6]
+    assert cut[1] == corpus[1]
+    # tok6..tok8 are gone; the survivors are re-interned in first-encounter order
+    assert cut.surfaces == [f"tok{i}" for i in range(6)] + ["tok9", "x"]
+    assert cut.tok_flat.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 0]
+    assert cut.offsets.tolist() == [0, 6, 9]
 
 
 def test_truncation_noop_below_bound(units):
-    t = classify_tokens(["a", "b", "c", "d"], units)
-    assert truncate_for_variant(t, "upm+", 3) is t
+    corpus = classify_corpus([["a", "b", "c", "d"]], units)
+    cut = corpus.clip("upm+", 3)
+    assert cut.surfaces == corpus.surfaces
+    assert cut.tok_flat.tolist() == corpus.tok_flat.tolist()
+    assert cut.offsets.tolist() == corpus.offsets.tolist()
 
 
 def test_base_variant_is_identity(units):
-    t = classify_tokens(["a", "b", "c"], units)
-    assert truncate_for_variant(t, "upm", 1) is t
+    corpus = classify_corpus([["a", "b", "c"]], units)
+    assert corpus.clip("upm", 1) is corpus
 
 
 def test_truncation_validates_k(units):
-    t = classify_tokens(["a", "b"], units)
-    with pytest.raises(ValueError):
-        truncate_for_variant(t, "upm+", 0)
+    corpus = classify_corpus([["a", "b"]], units)
+    with pytest.raises(ValueError, match="k_star must be >= 1"):
+        corpus.clip("upm+", 0)
+    with pytest.raises(ValueError, match="unknown variant"):
+        corpus.clip("upm++", 2)
 
 
 def test_unit_lexicon_families():
@@ -283,7 +296,7 @@ def test_textprep_matches_character_loop_reference(raw):
     expected_pairs = classify_tokens_scalar(expected, _UNITS)
     assert list(zip(analyzed.surfaces, analyzed.semantics)) == expected_pairs
     for k_star in (1, 2):
-        cut = truncate_for_variant(analyzed, "upm+", k_star)
+        cut = classify_corpus([expected], _UNITS).clip("upm+", k_star)[0]
         assert cut.surfaces == analyzed.surfaces[: 2 * k_star]
         assert cut.semantics == analyzed.semantics[: 2 * k_star]
 
@@ -307,3 +320,70 @@ def test_classify_matches_reference_on_any_tokens(tokens, units):
     analyzed = classify_tokens(tokens, units)
     expected_pairs = classify_tokens_scalar(tokens, units)
     assert list(zip(analyzed.surfaces, analyzed.semantics)) == expected_pairs
+
+
+# a unit made of digits: "1 2" fuses into the ATTRIBUTE "12", which standing
+# alone is MODEL_NUMERIC, so one surface carries two semantics in a corpus
+_DIGIT_UNITS = UnitLexicon.from_lines(["2", "gb", "m2"])
+
+
+def _interned_reference(titles, units, k_star=None):
+    """The corpus columns from the oracles: each title through
+    normalize_title_scalar and classify_tokens_scalar, cut to 2*k_star
+    tokens when k_star is given, its surfaces interned in first-encounter
+    order. Returns (surfaces, token IDs, semantics, offsets, s_w, f_w)."""
+    ids, tok, sem, offsets, first_sem = {}, [], [], [0], {}
+    for raw in titles:
+        pairs = classify_tokens_scalar(normalize_title_scalar(raw), units)
+        for surface, s in pairs[: None if k_star is None else 2 * k_star]:
+            tok.append(ids.setdefault(surface, len(ids)))
+            sem.append(int(s))
+            first_sem.setdefault(surface, int(s))
+        offsets.append(len(tok))
+    counts = Counter(tok)
+    return list(ids), tok, sem, offsets, list(first_sem.values()), [counts[i] for i in range(len(ids))]
+
+
+def _normalizes(raw):
+    try:
+        normalize_title_scalar(raw)
+    except TitleNormalizationError:
+        return False
+    return True
+
+
+_corpus_titles = st.lists(
+    st.lists(st.sampled_from(_FRAGMENTS + _TOKENS + ["1", "2", "12"]), min_size=1, max_size=8).map(
+        " ".join
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=60)
+@given(_corpus_titles, st.sampled_from([_UNITS, _ODD_UNITS, _DIGIT_UNITS]))
+@example(["1 2 x", "12 y"], _DIGIT_UNITS)
+@example(["12 y", "1 2 x"], _DIGIT_UNITS)
+def test_corpus_matches_per_title_reference(titles, units):
+    titles = [raw for raw in titles if _normalizes(raw)]
+    ds = Dataset(products=[RawProduct(p + 1, raw, p, None) for p, raw in enumerate(titles)])
+    corpus = analyze_dataset(ds, units)
+    for variant, k_star in [("upm", None), ("upm+", 2), ("upm+", 3), ("upm+", 4)]:
+        surfaces, tok, sem, offsets, s_w, f_w = _interned_reference(titles, units, k_star)
+        cut = corpus if k_star is None else corpus.clip(variant, k_star)
+        assert cut.surfaces == surfaces
+        assert cut.tok_flat.tolist() == tok
+        assert cut.sem_flat.tolist() == sem
+        assert cut.offsets.tolist() == offsets
+        idx = build_index(ds, k=k_star or 2, variant=variant, analyzed=corpus, with_combinations=False)
+        assert idx.tokens.surfaces == surfaces
+        assert idx.tokens.s_w.tolist() == s_w
+        assert idx.tokens.f_w.tolist() == f_w
+
+
+def test_fused_and_bare_surface_keep_their_own_semantics():
+    corpus = classify_corpus([["1", "2", "x"], ["12", "y"]], _DIGIT_UNITS)
+    assert corpus.surfaces == ["12", "x", "y"]
+    assert corpus[0].semantics == (Semantics.ATTRIBUTE, Semantics.NORMAL)
+    assert corpus[1].semantics == (Semantics.MODEL_NUMERIC, Semantics.NORMAL)
