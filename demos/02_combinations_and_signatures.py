@@ -7,8 +7,6 @@ sorted member IDs, so two vendors writing the same tokens in different orders
 share one record, and its signature hashes that sorted key.
 """
 
-import numpy as np
-
 from titlematch import (
     Dataset,
     RawProduct,
@@ -38,8 +36,8 @@ feed = Dataset(
 index = build_index(feed, k=3)
 combos, surfaces = index.combos, index.tokens.surfaces
 for k in (2, 3):
-    recs = [i for i in range(len(combos)) if combos.k[i] == k]
-    rows = combos.key_flat[combos.key_offsets[recs][:, None] + np.arange(k)]
+    recs = combos.records(k)
+    rows = combos.key_rows(recs, k)
     for i, ids, sig in zip(recs, rows.tolist(), signature_rows(rows).tolist()):
         names, key = " + ".join(surfaces[t] for t in ids), " ".join(map(str, ids))
         print(f"  {names:<24} key {key!r:<8} f_c={combos.f_c[i]}  sig {sig:#018x}")

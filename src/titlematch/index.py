@@ -12,11 +12,17 @@ semantics as one CSR in product order: the corpus columns themselves.
 Combinations are grouped by their exact key, the sorted member-ID sequence,
 in one whole-array pass per combination size k. A size-k key is the key of
 the size-(k-1) subset without its largest member, plus that member's ID, so
-each pass packs the subset's rank from the pass below with the largest ID,
-and one np.unique ranks the packed values in key order. Records are therefore ordered by (k, key); f_c and the positional
-distance accumulator d_acc come from np.bincount. Equality never rests on a
-hash, and the index stores none: scoring computes the FNV-1a signature of a
-key only when a tie reaches it.
+each pass packs the subset's rank from the pass below above the largest ID,
+which takes as many bits as the largest token ID. The packed values are
+ranked by one in-place value sort: each value is shifted up and its position
+written into the low bits, so all are distinct, and the sorted column gives
+the distinct keys from its high bits and the permutation from its low bits.
+When key and position bits together pass 63 (vast vocabularies at tens of
+millions of instances), the keys are argsorted instead, with the same
+result. Records are therefore ordered by (k, key), and each size's records
+form one run; f_c and the positional distance accumulator d_acc come from
+np.bincount. Equality never rests on a hash, and the index stores none:
+scoring computes the FNV-1a signature of a key only when a tie reaches it.
 
 Titles are bucketed by length (length_buckets), ascending, file order within
 a length. A bucket's record IDs form one block with a row per title, which
@@ -29,7 +35,9 @@ the accumulator is integral and therefore exact.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -76,21 +84,50 @@ class TokenLexicon:
 class CombinationLexicon:
     """Combination records as numpy columns, ordered by (k, key).
 
-    Record i has frequency f_c[i], distance accumulator d_acc[i] and size
-    k[i]; its sorted member IDs are key_flat[key_offsets[i] : key_offsets[i + 1]].
+    Record i has frequency f_c[i] and distance accumulator d_acc[i]. The
+    records of size k start at size_starts[k - 2] and end where the next size
+    starts, or at the last record. key_flat holds every record's sorted member
+    IDs, k per record, in record order.
     """
 
     f_c: np.ndarray = field(default_factory=lambda: _empty(np.int64))
     d_acc: np.ndarray = field(default_factory=lambda: _empty(np.float64))
-    k: np.ndarray = field(default_factory=lambda: _empty(np.int64))
     key_flat: np.ndarray = field(default_factory=lambda: _empty(np.int32))
-    key_offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
+    size_starts: np.ndarray = field(default_factory=lambda: _empty(np.int64))
 
     def __len__(self) -> int:
         return len(self.f_c)
 
+    def sizes(self, recs: np.ndarray) -> np.ndarray:
+        """The size k of each record in recs."""
+        return np.searchsorted(self.size_starts, recs, side="right") + 1
+
+    def records(self, k: int) -> np.ndarray:
+        """The IDs of the records of size k, ascending."""
+        if k - 2 not in range(len(self.size_starts)):
+            return np.arange(0)
+        ends = np.append(self.size_starts[1:], len(self))
+        return np.arange(self.size_starts[k - 2], ends[k - 2])
+
+    @cached_property
+    def _layout(self) -> Tuple[List[int], List[int]]:
+        """Each size's first record ID and the key_flat offset of its first key."""
+        starts = self.size_starts.tolist()
+        bases = [0]
+        for kk, (start, end) in enumerate(zip(starts, starts[1:]), start=2):
+            bases.append(bases[-1] + kk * (end - start))
+        return starts, bases
+
+    def key_rows(self, recs: np.ndarray, k: int) -> np.ndarray:
+        """The sorted member IDs of records recs, all of size k, one row each."""
+        starts, bases = self._layout
+        return self.key_flat[(bases[k - 2] + (recs - starts[k - 2]) * k)[:, None] + np.arange(k)]
+
     def ids_of(self, idx: int) -> List[int]:
-        return self.key_flat[self.key_offsets[idx] : self.key_offsets[idx + 1]].tolist()
+        starts, bases = self._layout
+        j = bisect_right(starts, idx) - 1
+        begin = bases[j] + (idx - starts[j]) * (j + 2)
+        return self.key_flat[begin : begin + j + 2].tolist()
 
 
 @dataclass
@@ -184,29 +221,78 @@ def _check_int32(count: int, what: str) -> None:
         raise OverflowError(f"{count} {what} overflow the index's int32 IDs")
 
 
-def _pack(packed: np.ndarray, l: int, kk: int, ids: np.ndarray, prefix_ranks: np.ndarray) -> None:
-    """Write (prefix rank << 32) | largest ID for every size-kk instance of a
-    length-l bucket into its (titles, C(l, kk)) view of packed. An instance's
-    prefix is its size-(kk-1) subset without the largest member; prefix_ranks
-    holds each title's subset ranks in position_patterns(l, kk - 1) order."""
-    members = ids[:, position_patterns(l, kk)]
-    top = members.argmax(axis=2)
-    largest = members.max(axis=2)
-    del members
+def _pack(
+    packed: np.ndarray, l: int, kk: int, ids: np.ndarray, prefix_ranks: np.ndarray, id_bits: int
+) -> None:
+    """Write (prefix rank << id_bits) | largest ID for every size-kk instance
+    of a length-l bucket into its (titles, C(l, kk)) view of packed. An
+    instance's prefix is its size-(kk-1) subset without the largest member;
+    prefix_ranks holds each title's subset ranks in position_patterns(l, kk - 1)
+    order, and every token ID is below 2**id_bits."""
+    patterns = position_patterns(l, kk)
+    # a running maximum over the members beats argmax along an axis of length kk
+    largest = ids[:, patterns[:, 0]]
+    top = np.zeros(largest.shape, dtype=np.intp)
+    for j in range(1, kk):
+        member = ids[:, patterns[:, j]]
+        top[member > largest] = j
+        np.maximum(largest, member, out=largest)
     subsets = drop_patterns(l, kk)[np.arange(top.shape[1]), top]
     packed[:] = np.take_along_axis(prefix_ranks, subsets, axis=1)
-    packed <<= 32
+    packed <<= id_bits
     packed |= largest
 
 
+def _rank_values(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a 1-D column of non-negative int64
+    values, and each value's index among them (numpy's unique with the
+    inverse); the column is overwritten.
+
+    When the values' bit width plus that of their positions fits in 63 bits,
+    each value is shifted up and its position written into the low bits, so
+    every packed value is distinct and one in-place sort orders them: the
+    high bits then read as the sorted values and the low bits as the
+    permutation. Wider inputs argsort the values instead. Either way the
+    result depends on no sort's stability.
+    """
+    n = len(values)
+    pos_bits = max(n - 1, 0).bit_length()
+    if int(values.max(initial=0)).bit_length() + pos_bits <= 63:
+        values <<= pos_bits
+        values |= np.arange(n)
+        values.sort()
+        order = values & ((1 << pos_bits) - 1)
+        values >>= pos_bits
+    else:
+        order = values.argsort()
+        values[:] = values[order]
+    new = np.empty(n, dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    distinct = values[new]
+    # the sorted values' ranks, 1-based, then scattered back to positions
+    np.cumsum(new, out=values)
+    del new
+    values -= 1
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = values
+    return distinct, rank
+
+
 def _group_size(
-    kk: int, blocks: list, prev_keys: np.ndarray, prev_offset: int, offset: int, euclidean: bool
+    kk: int,
+    blocks: list,
+    prev_keys: np.ndarray,
+    prev_offset: int,
+    offset: int,
+    id_bits: int,
+    euclidean: bool,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group every size-kk combination instance by exact key.
 
     blocks holds (l, ID matrix, size-(kk-1) record IDs, size-kk record-ID
     block) per title length l >= kk, ascending. A sorted key is its prefix's
-    key plus the largest ID, so one np.unique of (prefix rank, largest ID)
+    key plus the largest ID, so ranking (prefix rank << id_bits) | largest ID
     ranks the keys lexicographically. Returns the distinct keys, from
     prev_keys, with their f_c and d_acc; record IDs are offset + key rank.
     """
@@ -214,8 +300,8 @@ def _group_size(
     packed = np.empty(bounds[-1], dtype=np.int64)
     for (l, ids, prev, block), start in zip(blocks, bounds):
         part = packed[start : start + block.size].reshape(block.shape)
-        _pack(part, l, kk, ids, prev - prev_offset)
-    distinct, rank = np.unique(packed, return_inverse=True)
+        _pack(part, l, kk, ids, prev - prev_offset, id_bits)
+    distinct, rank = _rank_values(packed)
     del packed
     _check_int32(offset + len(distinct), "combination records")
     dist = np.empty(len(rank))
@@ -223,8 +309,8 @@ def _group_size(
         block[:] = rank[start : start + block.size].reshape(block.shape) + offset
         dist[start : start + block.size].reshape(block.shape)[:] = pattern_distances(l, kk)
     keys = np.empty((len(distinct), kk), dtype=np.int32)
-    keys[:, :-1] = prev_keys[distinct >> 32]
-    keys[:, -1] = distinct & 0xFFFFFFFF
+    keys[:, :-1] = prev_keys.take(distinct >> id_bits, axis=0)
+    keys[:, -1] = distinct & ((1 << id_bits) - 1)
     return keys, np.bincount(rank), np.bincount(rank, np.sqrt(dist) if euclidean else dist)
 
 
@@ -254,6 +340,7 @@ def _index_combinations(
     offsets = forward.tok_offsets
     n_tokens = int(forward.tok_flat.max(initial=-1)) + 1
     _check_int32(n_tokens, "distinct tokens")
+    id_bits = max(n_tokens - 1, 0).bit_length()
     forward.combo_blocks, buckets = [], []
     for l, members in length_buckets(np.diff(offsets)):
         ids = forward.tok_flat[offsets[members][:, None] + np.arange(l)].astype(np.int32)
@@ -269,7 +356,9 @@ def _index_combinations(
         blocks = [(l, ids, cols[kk - 2], cols[kk - 1]) for l, ids, cols in buckets if l >= kk]
         if not blocks:
             break
-        key_rows, f, d = _group_size(kk, blocks, keys[-1], prev_offset, offset, euclidean)
+        key_rows, f, d = _group_size(
+            kk, blocks, keys[-1], prev_offset, offset, id_bits, euclidean
+        )
         keys.append(key_rows)
         f_c.append(f)
         d_acc.append(d)
@@ -281,16 +370,15 @@ def _index_combinations(
     del key_rows, f, d
     key_flat = np.concatenate([key.ravel() for key in keys[1:]])
     del keys
-    k_col = np.repeat(np.arange(2, 2 + len(f_c)), [len(f) for f in f_c])
-    f_c, d_acc = np.concatenate(f_c), np.concatenate(d_acc)
+    counts = [len(f) for f in f_c]
+    instances = [int(f.sum()) for f in f_c]
     combos = CombinationLexicon(
-        f_c=f_c,
-        d_acc=d_acc,
-        k=k_col,
+        f_c=np.concatenate(f_c),
+        d_acc=np.concatenate(d_acc),
         key_flat=key_flat,
-        key_offsets=np.concatenate([[0], np.cumsum(k_col)]),
+        size_starts=np.cumsum([0] + counts[:-1]),
     )
-    return combos, int(f_c.sum()), int((f_c * k_col).sum())
+    return combos, sum(instances), sum(kk * m for kk, m in enumerate(instances, start=2))
 
 
 def build_index(
@@ -379,6 +467,8 @@ def save_index(index: ProductIndex, path) -> None:
     for (_, members), block in zip(buckets, fw.combo_blocks):
         combo_flat[combo_offsets[members][:, None] + np.arange(block.shape[1])] = block
     combos = index.combos
+    # v2 snapshots store each record's size and key offset
+    sizes = combos.sizes(np.arange(len(combos)))
     products = index.dataset.products
     truth = [-1 if p.truth_cluster_id is None else p.truth_cluster_id for p in products]
     meta = {
@@ -406,9 +496,9 @@ def save_index(index: ProductIndex, path) -> None:
         combo_offsets=combo_offsets,
         combo_f=combos.f_c,
         combo_d=combos.d_acc,
-        combo_k=combos.k,
+        combo_k=sizes,
         key_flat=combos.key_flat,
-        key_offsets=combos.key_offsets,
+        key_offsets=np.concatenate([[0], np.cumsum(sizes)]),
     )
 
 
@@ -453,9 +543,8 @@ def load_index(path) -> ProductIndex:
         combos = CombinationLexicon(
             f_c=z["combo_f"],
             d_acc=z["combo_d"],
-            k=z["combo_k"],
             key_flat=z["key_flat"].astype(np.int32),
-            key_offsets=z["key_offsets"],
+            size_starts=np.flatnonzero(np.diff(z["combo_k"], prepend=1)),
         )
         return ProductIndex(
             dataset=Dataset(products=products),

@@ -161,7 +161,7 @@ def _resolve_row(
     mean distance, then the smaller signature. Equal signatures keep the
     earliest column.
     """
-    k = combos.k[ids]
+    k = combos.sizes(ids)
     prefs = (y_row, k) if i_row.max() == 0.0 else (i_row, k, -avgd[ids])
     cols = np.arange(len(ids))
     for pref in prefs:
@@ -170,7 +170,7 @@ def _resolve_row(
     if len(cols) == 1:
         return int(cols[0])
     # only the columns still tied are hashed; they share one k
-    rows = combos.key_flat[combos.key_offsets[ids[cols]][:, None] + np.arange(k[cols[0]])]
+    rows = combos.key_rows(ids[cols], int(k[cols[0]]))
     return int(cols[np.argmin(signature_rows(rows))])
 
 

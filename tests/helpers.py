@@ -43,9 +43,10 @@ def combo_rows(fw: ForwardIndex) -> List[List[int]]:
 def assert_key_signatures(combos: CombinationLexicon, recs: np.ndarray) -> None:
     """signature_rows over the key rows of records recs, one call per k, as
     scoring hashes tied keys, equals the scalar signature() of each key."""
-    for kk in np.unique(combos.k[recs]).tolist():
-        group = recs[combos.k[recs] == kk]
-        rows = combos.key_flat[combos.key_offsets[group][:, None] + np.arange(kk)]
+    sizes = combos.sizes(recs)
+    for kk in np.unique(sizes).tolist():
+        group = recs[sizes == kk]
+        rows = combos.key_rows(group, kk)
         for i, value in zip(group.tolist(), signature_rows(rows).tolist()):
             assert signature(combos.ids_of(i)).value == value, combos.ids_of(i)
 

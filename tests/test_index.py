@@ -195,7 +195,7 @@ def assert_same_columns(a, b):
     assert a.tokens.surfaces == b.tokens.surfaces
     for name in ("f_w", "s_w"):
         assert np.array_equal(getattr(a.tokens, name), getattr(b.tokens, name)), name
-    for name in ("f_c", "d_acc", "k", "key_flat", "key_offsets"):
+    for name in ("f_c", "d_acc", "key_flat", "size_starts"):
         assert np.array_equal(getattr(a.combos, name), getattr(b.combos, name)), name
     assert a.forward.product_ids == b.forward.product_ids
     assert a.forward.vendor_ids == b.forward.vendor_ids
@@ -237,11 +237,15 @@ def test_v1_snapshot_loads_as_fresh_build():
 def test_snapshot_v2_stores_no_signatures(tmp_path):
     path = tmp_path / "index.npz"
     save_index(build_index(snapshot_corpus(), k=3), path)
-    with np.load(path) as z:
+    with np.load(path) as z, np.load(DATA / "index_v1.npz") as v1:
         assert json.loads(bytes(z["meta"]).decode("utf-8"))["version"] == 2
         assert "combo_sigs" not in z.files
-    with np.load(DATA / "index_v1.npz") as z:
-        assert "combo_sigs" in z.files
+        assert "combo_sigs" in v1.files
+        # per-record sizes and key offsets are derived when saving, and read
+        # as the release that wrote the v1 file stored them
+        for name in ("combo_k", "key_offsets"):
+            assert z[name].dtype == v1[name].dtype == np.int64
+            assert np.array_equal(z[name], v1[name]), name
 
 
 def test_snapshot_rejects_unsupported_version(tmp_path):
@@ -336,9 +340,9 @@ def assert_matches_reference(index):
     combos = index.combos
     keys = [tuple(combos.ids_of(i)) for i in range(len(combos))]
     assert keys == sorted(expected, key=lambda key: (len(key), key))
+    assert combos.sizes(np.arange(len(combos))).tolist() == [len(key) for key in keys]
     for i, key in enumerate(keys):
         f, d = expected[key]
-        assert combos.k[i] == len(key)
         assert combos.f_c[i] == f, key
         assert combos.d_acc[i] == d, key
     for p, row in enumerate(combo_rows(index.forward)):
@@ -407,7 +411,8 @@ def test_index_matches_reference_past_64_bit_keys():
     ds = tiny_dataset([" ".join(t) for t in titles])
     idx = build_index(ds, k=5)
     assert len(idx.tokens) > 8192
-    five = np.flatnonzero((idx.combos.k == 5) & (idx.combos.f_c > 1))
+    five = idx.combos.records(5)
+    five = five[idx.combos.f_c[five] > 1]
     assert max(max(idx.combos.ids_of(i)) for i in five) >= 8192
     assert_matches_reference(idx)
 
@@ -443,3 +448,35 @@ def test_id_overflow_error_gives_the_count():
     with pytest.raises(OverflowError, match="^2147483649 combination records overflow"):
         index_module._check_int32(2**31 + 1, "combination records")
     index_module._check_int32(2**31, "combination records")
+
+
+def _assert_ranks_like_unique(values):
+    distinct, rank = index_module._rank_values(values.copy())
+    want_distinct, want_rank = np.unique(values, return_inverse=True)
+    assert distinct.dtype == np.int64 and rank.dtype == np.int64
+    assert np.array_equal(distinct, want_distinct)
+    assert np.array_equal(rank, want_rank.ravel())
+
+
+# (7, 7) makes every value equal and (0, 1), (0, 3) repeat heavily; from
+# 2**60 the value bits plus the position bits can pass 63, and from 2**62
+# they always do once there are two values, which argsorts instead
+_RANK_RANGES = ((7, 7), (0, 1), (0, 3), (0, 2**31), (2**60, 2**61), (2**62, 2**63 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_RANK_RANGES).flatmap(
+        lambda bounds: st.lists(st.integers(*bounds), max_size=300)
+    )
+)
+def test_rank_values_matches_unique(values):
+    _assert_ranks_like_unique(np.array(values, dtype=np.int64))
+
+
+@pytest.mark.parametrize("width", [61, 62])
+def test_rank_values_on_both_sides_of_the_63_bit_budget(width):
+    # four values need two position bits: 61 + 2 bits sort in place, 62 + 2 argsort
+    values = np.array([2**width - 1, 5, 2**width - 1, 0], dtype=np.int64)
+    assert int(values.max()).bit_length() + (len(values) - 1).bit_length() == width + 2
+    _assert_ranks_like_unique(values)

@@ -235,7 +235,7 @@ def test_all_zero_row_prefers_larger_k_then_smaller_signature():
     ds = tiny_dataset(["aa bb cc dd"])
     for k in (2, 3):
         idx = build_index(ds, k=k)
-        keys = [tuple(idx.combos.ids_of(i)) for i in np.flatnonzero(idx.combos.k == k)]
+        keys = [tuple(idx.combos.ids_of(i)) for i in idx.combos.records(k)]
         key = select_clusters(idx, ScoringConfig()).clusters[0].key
         assert tuple(idx.combos.ids_of(key)) == min(keys, key=lambda ids: signature(ids).value)
 
@@ -283,7 +283,7 @@ def test_selection_leaves_index_unchanged():
     combos = copy.deepcopy(idx.combos)
     forward = copy.deepcopy(idx.forward)
     select_clusters(idx, ScoringConfig())
-    for name in ("f_c", "d_acc", "k", "key_flat", "key_offsets"):
+    for name in ("f_c", "d_acc", "key_flat", "size_starts"):
         assert np.array_equal(getattr(idx.combos, name), getattr(combos, name)), name
     for name in ("tok_flat", "sem_flat", "tok_offsets"):
         assert np.array_equal(getattr(idx.forward, name), getattr(forward, name)), name
