@@ -7,10 +7,12 @@ Subcommands:
     eval       re-score an existing cluster assignment file
     inspect    dump dataset, lexicon and scoring statistics
 
-Parameter precedence is defaults < config file < flags: `--config file.json`
-presets any of the parameter flags (alpha, b, k, tau, variant, distance,
-verify_metric, format, units, no_verify) and an explicit flag on the
-command line wins over the file. Any other key is an error.
+Parameter precedence is defaults < config file < flags. The scoring flags
+default to ScoringConfig's field defaults. `--config file.json` may preset
+alpha, b, k, tau, variant, distance, verify_metric, format, units and
+no_verify: its values become the chosen subcommand's defaults, so an explicit
+flag on the command line wins over the file. A key the subcommand has no flag
+for is ignored; any other key is an error.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -100,23 +102,10 @@ def _parse_sweep(value: str) -> List[float]:
     return taus
 
 
-# sentinel distinguishing "flag not given" from a real value, so a config
-# file can sit between the defaults and explicit flags
-_UNSET = object()
-
-# real default per configurable parameter, shared by match and baseline
-_PARAM_DEFAULTS = {
-    "format": "simple",
-    "units": None,
-    "alpha": 1.0,
-    "b": 1.0,
-    "k": None,  # auto
-    "variant": "upm",
-    "tau": 0.4,
-    "verify_metric": "cs",
-    "distance": "squared",
-    "no_verify": False,
-}
+# the keys a config file may preset, each the dest of a parameter flag
+_CONFIG_KEYS = (
+    "format", "units", "alpha", "b", "k", "variant", "tau", "verify_metric", "distance", "no_verify"
+)
 
 _CHOICE_KEYS = {
     "format": FORMATS,
@@ -151,38 +140,35 @@ def _config_value(key: str, value):
     return value
 
 
-def _apply_config(args) -> None:
-    """Fill unset parameters from the config file, then from the defaults."""
-    data = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.is_file():
-            raise FileNotFoundError(f"config file not found: {path}")
+def _config_defaults(args) -> dict:
+    """The checked values of the `--config` file for the flags the chosen
+    subcommand has; keys it has no flag for are skipped unchecked."""
+    path = Path(args.config)
+    if not path.is_file():
+        raise FileNotFoundError(f"config file not found: {path}")
+    try:
         data = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError(f"config file must hold a JSON object: {path}")
-        unknown = set(data) - set(_PARAM_DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, default in _PARAM_DEFAULTS.items():
-        if not hasattr(args, key):
-            continue
-        current = getattr(args, key)
-        if current is _UNSET or (key == "no_verify" and current is False):
-            setattr(args, key, _config_value(key, data[key]) if key in data else default)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"config file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"config file must hold a JSON object: {path}")
+    unknown = set(data) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return {k: _config_value(k, data[k]) for k in _CONFIG_KEYS if k in data and hasattr(args, k)}
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="feed CSV file")
     p.add_argument(
-        "--format", choices=FORMATS, default=_UNSET, help="feed layout (default: simple)"
+        "--format", choices=FORMATS, default="simple", help="feed layout (default: %(default)s)"
     )
     p.add_argument(
         "--truth",
         default=None,
         help="truth CSV (product_id,cluster_id); optional when format=published",
     )
-    p.add_argument("--units", default=_UNSET, help="measurement-unit lexicon file")
+    p.add_argument("--units", default=None, help="measurement-unit lexicon file")
     p.add_argument(
         "--config",
         default=None,
@@ -195,48 +181,57 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--summary", default=None, help="write a CSV summary here")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(preset: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The titlematch parser; `preset` (a config file's values) replaces the
+    flag defaults of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="titlematch",
         description="Cluster product titles from multi-vendor feeds without supervision.",
         formatter_class=_wide_formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tuned = ScoringConfig  # its field defaults are the flag defaults
 
     p_match = sub.add_parser(
         "match", help="run the combination-clustering pipeline", formatter_class=_wide_formatter
     )
     _add_input_args(p_match)
     p_match.add_argument(
-        "--alpha", type=float, default=_UNSET, help="proximity constant (default: 1)"
+        "--alpha", type=float, default=tuned.alpha, help="proximity constant (default: %(default)g)"
     )
     p_match.add_argument(
-        "--b", type=float, default=_UNSET, help="length normalization in [0,1] (default: 1)"
+        "--b",
+        type=float,
+        default=tuned.b,
+        help="length normalization in [0,1] (default: %(default)g)",
     )
     p_match.add_argument(
         "--k",
         type=_parse_k,
-        default=_UNSET,
+        default=tuned.k,
         metavar="auto|INT",
         help="max combination size; auto = half the average title length",
     )
     p_match.add_argument(
-        "--variant", choices=VARIANTS, default=_UNSET, help="title pruning variant"
+        "--variant", choices=VARIANTS, default=tuned.variant, help="title pruning variant"
     )
     p_match.add_argument(
-        "--tau", type=float, default=_UNSET, help="verification similarity threshold (default: 0.4)"
+        "--tau",
+        type=float,
+        default=tuned.tau,
+        help="verification similarity threshold (default: %(default)g)",
     )
     p_match.add_argument("--no-verify", action="store_true", help="skip the verification stage")
     p_match.add_argument(
         "--verify-metric",
         choices=VERIFY_METRICS,
-        default=_UNSET,
+        default=tuned.verify_metric,
         help="similarity used during verification",
     )
     p_match.add_argument(
         "--distance",
         choices=DISTANCE_MODES,
-        default=_UNSET,
+        default=tuned.distance_mode,
         help="positional distance accumulation",
     )
     p_match.add_argument("--clusters", default=None, help="write product_id,cluster_id CSV here")
@@ -249,7 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p_base)
     p_base.add_argument("--baseline", choices=METRICS, required=True, help="similarity metric")
     p_base.add_argument(
-        "--tau", type=float, default=_UNSET, help="match threshold, strict > (default: 0.4)"
+        "--tau",
+        type=float,
+        default=tuned.tau,
+        help="match threshold, strict > (default: %(default)g)",
     )
     p_base.add_argument(
         "--sweep",
@@ -273,14 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
         "inspect", help="dump dataset and index statistics", formatter_class=_wide_formatter
     )
     _add_input_args(p_ins)
-    p_ins.add_argument("--k", type=_parse_k, default=_UNSET, metavar="auto|INT")
-    p_ins.add_argument("--variant", choices=VARIANTS, default=_UNSET)
-    p_ins.add_argument("--distance", choices=DISTANCE_MODES, default=_UNSET)
+    p_ins.add_argument("--k", type=_parse_k, default=tuned.k, metavar="auto|INT")
+    p_ins.add_argument("--variant", choices=VARIANTS, default=tuned.variant)
+    p_ins.add_argument("--distance", choices=DISTANCE_MODES, default=tuned.distance_mode)
     p_ins.add_argument(
         "--top", type=_parse_top, default=10, help="how many frequent tokens to list"
     )
     p_ins.set_defaults(func=cmd_inspect)
 
+    for p in sub.choices.values():
+        p.set_defaults(**(preset or {}))
     return parser
 
 
@@ -304,7 +304,6 @@ def _scores_text(row: dict) -> str:
 
 
 def cmd_match(args) -> int:
-    _apply_config(args)
     dataset = _load_dataset(args)
     config = ScoringConfig(
         alpha=args.alpha,
@@ -331,7 +330,6 @@ def cmd_match(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    _apply_config(args)
     dataset = _load_dataset(args)
     taus = args.sweep if args.sweep else [args.tau]
     rows, _ = run_baseline(
@@ -349,7 +347,6 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _apply_config(args)
     dataset = _load_dataset(args)
     assignment = read_clusters(args.clusters)
     check_assignment(assignment, dataset, args.clusters)
@@ -377,7 +374,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    _apply_config(args)
     dataset = _load_dataset(args)
     index = build_index(
         dataset, k=args.k, variant=args.variant, distance_mode=args.distance, units=_load_units(args)
@@ -405,6 +401,9 @@ def main(argv=None) -> int:
     # FeedFormatError is a ValueError; a missing path, or a directory where a
     # file belongs, is an OSError
     try:
+        if args.config:
+            # parsing again with the file's values as defaults lets flags win
+            args = build_parser(_config_defaults(args)).parse_args(argv)
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

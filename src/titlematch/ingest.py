@@ -74,7 +74,8 @@ def _parse_int(value: str, row_num: int, what: str) -> int:
 def load_products(path, fmt: str = "simple") -> Dataset:
     """Load a feed file into a Dataset, preserving file order.
 
-    Errors name the file and the 1-based row, counting the header.
+    Errors name the file, and the 1-based row (counting the header) when a
+    row is malformed.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -115,7 +116,7 @@ def load_products(path, fmt: str = "simple") -> Dataset:
                         product_id=pid, title=title, vendor_id=vendor, truth_cluster_id=truth
                     )
                 )
-        except FeedFormatError as exc:
+        except (FeedFormatError, UnicodeDecodeError) as exc:
             raise FeedFormatError(f"feed file {path}: {exc}") from None
         except csv.Error as exc:
             raise _csv_error("feed", path, reader, exc) from None
@@ -126,7 +127,8 @@ def read_clusters(path, kind: str = "clusters") -> Dict[int, int]:
     """Load a product_id,cluster_id CSV: a clusters file as written by
     pipeline.write_clusters, or a truth file.
 
-    Errors name the file and the 1-based row, counting the header.
+    Errors name the file, and the 1-based row (counting the header) when a
+    row is malformed.
     """
     path = Path(path)
     if not path.is_file():
@@ -149,7 +151,7 @@ def read_clusters(path, kind: str = "clusters") -> Dict[int, int]:
                 if pid in out:
                     raise FeedFormatError(f"row {row_num}: duplicate product_id {pid}")
                 out[pid] = _parse_int(row[1], row_num, "cluster_id")
-        except FeedFormatError as exc:
+        except (FeedFormatError, UnicodeDecodeError) as exc:
             raise FeedFormatError(f"{kind} file {path}: {exc}") from None
         except csv.Error as exc:
             raise _csv_error(kind, path, reader, exc) from None

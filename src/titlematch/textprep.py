@@ -95,7 +95,10 @@ class UnitLexicon:
 
     @classmethod
     def from_file(cls, path) -> "UnitLexicon":
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"units file {path}: {exc}") from None
         return cls.from_lines(text.splitlines())
 
     @classmethod

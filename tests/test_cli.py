@@ -446,6 +446,69 @@ def test_config_file_rejects_mistyped_values(feed, tmp_path, capsys, value, erro
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize(
+    "content, error",
+    [
+        (b'{"k": 3', "Expecting ',' delimiter: line 1 column 8 (char 7)\n"),
+        ('{"units": "café"}'.encode("latin-1"), "'utf-8' codec can't decode byte 0xe9"),
+    ],
+    ids=["not_json", "not_utf8"],
+)
+def test_unreadable_config_file_names_the_file(feed, tmp_path, capsys, content, error):
+    config = tmp_path / "params.json"
+    config.write_bytes(content)
+    code = run_cli(
+        ["match", "--input", str(feed), "--format", "published", "--config", str(config)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: config file {config}: {error}")
+
+
+def test_baseline_takes_tau_from_config_file_and_flag_wins(feed, tmp_path, capsys):
+    config = tmp_path / "params.json"
+    # format comes from the file too: the feed is in the published layout
+    config.write_text(json.dumps({"tau": 0.7, "format": "published"}))
+    base = ["baseline", "--input", str(feed), "--baseline", "cs", "--config", str(config)]
+    r_file, r_flag = tmp_path / "file.jsonl", tmp_path / "flag.jsonl"
+    assert run_cli(base + ["--report", str(r_file)]) == 0
+    assert run_cli(base + ["--tau", "0.3", "--report", str(r_flag)]) == 0
+    assert read_jsonl(r_file)[0]["params"]["tau"] == 0.7
+    assert read_jsonl(r_flag)[0]["params"]["tau"] == 0.3
+    assert capsys.readouterr().out.splitlines()[0].startswith("metric=cs tau=0.70 ")
+
+
+def test_inspect_takes_parameters_from_config_file(feed, tmp_path, capsys):
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps({"k": 3, "variant": "upm+", "distance": "euclidean"}))
+    code = run_cli(
+        ["inspect", "--input", str(feed), "--format", "published", "--config", str(config)]
+    )
+    assert code == 0
+    assert "\nk=3 variant=upm+ distance=euclidean\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "preset, flags",
+    [(True, []), (False, ["--no-verify"])],
+    ids=["config_true", "flag_over_config_false"],
+)
+def test_no_verify_from_config_file_or_flag(feed, tmp_path, preset, flags):
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps({"no_verify": preset}))
+    report = tmp_path / "r.jsonl"
+    argv = ["match", "--input", str(feed), "--format", "published", "--config", str(config)]
+    assert run_cli(argv + flags + ["--report", str(report)]) == 0
+    assert read_jsonl(report)[0]["params"]["verify"] is False
+
+
+def test_config_key_without_flag_in_subcommand_is_ignored(feed, tmp_path):
+    # baseline has no --alpha, so the key is neither applied nor checked
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps({"alpha": "oops"}))
+    argv = ["baseline", "--input", str(feed), "--format", "published", "--baseline", "cs"]
+    assert run_cli(argv + ["--config", str(config)]) == 0
+
+
 def twenty_product_clusters(extra_lines=()):
     rows = ["product_id,cluster_id"] + [f"{pid},{(pid - 1) // 4}" for pid in range(1, 21)]
     return "\n".join(rows + list(extra_lines)) + "\n"
@@ -511,6 +574,28 @@ def test_oversized_csv_field_fails_cleanly(tmp_path, capsys, kind):
     assert run_cli(args + ["--clusters", str(paths["clusters"])]) == 1
     error = f"{kind} file {paths[kind]}: line 22: field larger than field limit (131072)"
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("kind", ["feed", "truth", "clusters", "units"])
+def test_non_utf8_input_names_the_file(tmp_path, capsys, kind):
+    ds = make_twenty_product_dataset()
+    paths = {name: tmp_path / f"{name}.csv" for name in ("feed", "truth", "clusters")}
+    paths["units"] = tmp_path / "units.txt"
+    write_feed_csv(paths["feed"], ds, "simple")
+    write_truth_csv(paths["truth"], ds)
+    paths["clusters"].write_text(twenty_product_clusters())
+    paths["units"].write_text("w\nkg\n")
+    # a Latin-1 "é" is no valid UTF-8 sequence
+    with paths[kind].open("ab") as fh:
+        fh.write("21,café,0\n".encode("latin-1"))
+    if kind == "units":
+        args = ["inspect", "--input", str(paths["feed"]), "--units", str(paths["units"])]
+    else:
+        args = ["eval", "--input", str(paths["feed"]), "--truth", str(paths["truth"])]
+        args += ["--clusters", str(paths["clusters"])]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} file {paths[kind]}: 'utf-8' codec can't decode byte 0xe9")
 
 
 def test_eval_without_truth_pairs_reports_null_scores(tmp_path, capsys):
