@@ -21,8 +21,10 @@ When key and position bits together pass 63 (vast vocabularies at tens of
 millions of instances), the keys are argsorted instead, with the same
 result. Records are therefore ordered by (k, key), and each size's records
 form one run; f_c and the positional distance accumulator d_acc come from
-np.bincount. Equality never rests on a hash, and the index stores none:
-scoring computes the FNV-1a signature of a key only when a tie reaches it.
+np.bincount. Each size's keys stay one (records, k) int32 table, the table
+the pass above extends; the lexicon keeps the tables as they are. Equality
+never rests on a hash, and the index stores none: scoring computes the
+FNV-1a signature of a key only when a tie reaches it.
 
 Titles are bucketed by length (length_buckets), ascending, file order within
 a length. A bucket's record IDs form one block with a row per title, which
@@ -35,7 +37,6 @@ the accumulator is integral and therefore exact.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import List, Optional, Tuple
@@ -84,19 +85,23 @@ class TokenLexicon:
 class CombinationLexicon:
     """Combination records as numpy columns, ordered by (k, key).
 
-    Record i has frequency f_c[i] and distance accumulator d_acc[i]. The
-    records of size k start at size_starts[k - 2] and end where the next size
-    starts, or at the last record. key_flat holds every record's sorted member
-    IDs, k per record, in record order.
+    Record i has frequency f_c[i] and distance accumulator d_acc[i]. keys
+    holds one table per size: keys[k - 2] is the (n_k, k) int32 table of the
+    size-k records' sorted member IDs, a row per record in record order. The
+    records of size k are the n_k IDs from size_starts[k - 2].
     """
 
     f_c: np.ndarray = field(default_factory=lambda: _empty(np.int64))
     d_acc: np.ndarray = field(default_factory=lambda: _empty(np.float64))
-    key_flat: np.ndarray = field(default_factory=lambda: _empty(np.int32))
-    size_starts: np.ndarray = field(default_factory=lambda: _empty(np.int64))
+    keys: List[np.ndarray] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.f_c)
+
+    @cached_property
+    def size_starts(self) -> np.ndarray:
+        """The first record ID of each size, from the key table lengths."""
+        return np.cumsum([0] + [len(table) for table in self.keys])[:-1]
 
     def sizes(self, recs: np.ndarray) -> np.ndarray:
         """The size k of each record in recs."""
@@ -104,30 +109,20 @@ class CombinationLexicon:
 
     def records(self, k: int) -> np.ndarray:
         """The IDs of the records of size k, ascending."""
-        if k - 2 not in range(len(self.size_starts)):
+        if k - 2 not in range(len(self.keys)):
             return np.arange(0)
-        ends = np.append(self.size_starts[1:], len(self))
-        return np.arange(self.size_starts[k - 2], ends[k - 2])
-
-    @cached_property
-    def _layout(self) -> Tuple[List[int], List[int]]:
-        """Each size's first record ID and the key_flat offset of its first key."""
-        starts = self.size_starts.tolist()
-        bases = [0]
-        for kk, (start, end) in enumerate(zip(starts, starts[1:]), start=2):
-            bases.append(bases[-1] + kk * (end - start))
-        return starts, bases
+        start = self.size_starts[k - 2]
+        return np.arange(start, start + len(self.keys[k - 2]))
 
     def key_rows(self, recs: np.ndarray, k: int) -> np.ndarray:
         """The sorted member IDs of records recs, all of size k, one row each."""
-        starts, bases = self._layout
-        return self.key_flat[(bases[k - 2] + (recs - starts[k - 2]) * k)[:, None] + np.arange(k)]
+        return self.keys[k - 2][recs - self.size_starts[k - 2]]
 
     def ids_of(self, idx: int) -> List[int]:
-        starts, bases = self._layout
-        j = bisect_right(starts, idx) - 1
-        begin = bases[j] + (idx - starts[j]) * (j + 2)
-        return self.key_flat[begin : begin + j + 2].tolist()
+        """The sorted member IDs of record idx."""
+        if not 0 <= idx < len(self):
+            raise IndexError(f"combination record {idx} out of range for {len(self)} records")
+        return self.key_rows(idx, int(self.sizes(idx))).tolist()
 
 
 @dataclass
@@ -184,14 +179,10 @@ class ProductIndex:
     variant: str
     distance_mode: str
 
-    _idf: Optional[np.ndarray] = None
-
-    @property
+    @cached_property
     def idf(self) -> np.ndarray:
         """idf(w) = ln(|P| / f_w) for every token, as a dense array."""
-        if self._idf is None:
-            self._idf = np.log(float(self.stats.title_count) / self.tokens.f_w.astype(np.float64))
-        return self._idf
+        return np.log(float(self.stats.title_count) / self.tokens.f_w.astype(np.float64))
 
     def token_set(self, p: int) -> frozenset:
         return frozenset(self.forward.tokens_of(p).tolist())
@@ -329,13 +320,12 @@ def length_buckets(lengths: np.ndarray) -> List[Tuple[int, np.ndarray]]:
 
 def _index_combinations(
     forward: ForwardIndex, k_max: int, euclidean: bool
-) -> Tuple[CombinationLexicon, int, int]:
+) -> CombinationLexicon:
     """Group every 2..K combination instance by exact key, one pass per k,
     each extending the ranks the pass below wrote (Apriori's prefix join).
 
     Fills forward.combo_blocks (each product's record IDs in enumeration
-    order) and returns the lexicon, the instance count and the summed member
-    count.
+    order) and returns the lexicon.
     """
     offsets = forward.tok_offsets
     n_tokens = int(forward.tok_flat.max(initial=-1)) + 1
@@ -356,29 +346,16 @@ def _index_combinations(
         blocks = [(l, ids, cols[kk - 2], cols[kk - 1]) for l, ids, cols in buckets if l >= kk]
         if not blocks:
             break
-        key_rows, f, d = _group_size(
-            kk, blocks, keys[-1], prev_offset, offset, id_bits, euclidean
-        )
-        keys.append(key_rows)
+        table, f, d = _group_size(kk, blocks, keys[-1], prev_offset, offset, id_bits, euclidean)
+        keys.append(table)
         f_c.append(f)
         d_acc.append(d)
         prev_offset, offset = offset, offset + len(f)
 
     if not f_c:
-        return CombinationLexicon(), 0, 0
-    # one column at a time, so no two columns' per-k parts are alive at once
-    del key_rows, f, d
-    key_flat = np.concatenate([key.ravel() for key in keys[1:]])
-    del keys
-    counts = [len(f) for f in f_c]
-    instances = [int(f.sum()) for f in f_c]
-    combos = CombinationLexicon(
-        f_c=np.concatenate(f_c),
-        d_acc=np.concatenate(d_acc),
-        key_flat=key_flat,
-        size_starts=np.cumsum([0] + counts[:-1]),
-    )
-    return combos, sum(instances), sum(kk * m for kk, m in enumerate(instances, start=2))
+        return CombinationLexicon()
+    # the size-1 table is the token IDs themselves
+    return CombinationLexicon(f_c=np.concatenate(f_c), d_acc=np.concatenate(d_acc), keys=keys[1:])
 
 
 def build_index(
@@ -425,18 +402,20 @@ def build_index(
     )
 
     if with_combinations:
-        combos, total_instances, total_member_count = _index_combinations(
-            forward, k_resolved, distance_mode == "euclidean"
-        )
+        combos = _index_combinations(forward, k_resolved, distance_mode == "euclidean")
     else:
-        combos, total_instances, total_member_count = CombinationLexicon(), 0, 0
+        combos = CombinationLexicon()
+    # each size's records form one run of f_c
+    per_size = np.add.reduceat(combos.f_c, combos.size_starts)
+    instances = int(per_size.sum())
+    members = int(per_size @ np.arange(2, len(per_size) + 2))
 
     stats = IndexStats(
         title_count=n,
         distinct_tokens=len(tokens),
         avg_title_len=len(tok_flat) / n if n else 0.0,
-        avg_combination_len=(total_member_count / total_instances) if total_instances else 0.0,
-        combination_instances=total_instances,
+        avg_combination_len=members / instances if instances else 0.0,
+        combination_instances=instances,
         distinct_combinations=len(combos),
     )
     return ProductIndex(
@@ -467,8 +446,10 @@ def save_index(index: ProductIndex, path) -> None:
     for (_, members), block in zip(buckets, fw.combo_blocks):
         combo_flat[combo_offsets[members][:, None] + np.arange(block.shape[1])] = block
     combos = index.combos
-    # v2 snapshots store each record's size and key offset
+    # v2 snapshots store the keys as one flat column, with each record's size
+    # and key offset
     sizes = combos.sizes(np.arange(len(combos)))
+    key_flat = np.concatenate([_empty(np.int32)] + [table.ravel() for table in combos.keys])
     products = index.dataset.products
     truth = [-1 if p.truth_cluster_id is None else p.truth_cluster_id for p in products]
     meta = {
@@ -485,6 +466,7 @@ def save_index(index: ProductIndex, path) -> None:
         product_ids=np.asarray(fw.product_ids, dtype=np.int64),
         vendor_ids=np.asarray(fw.vendor_ids, dtype=np.int64),
         truth=np.asarray(truth, dtype=np.int64),
+        truth_known=np.asarray([p.truth_cluster_id is not None for p in products], dtype=bool),
         titles=np.asarray([p.title for p in products], dtype=np.str_),
         token_surfaces=np.asarray(index.tokens.surfaces, dtype=np.str_),
         token_f=index.tokens.f_w,
@@ -497,7 +479,7 @@ def save_index(index: ProductIndex, path) -> None:
         combo_f=combos.f_c,
         combo_d=combos.d_acc,
         combo_k=sizes,
-        key_flat=combos.key_flat,
+        key_flat=key_flat,
         key_offsets=np.concatenate([[0], np.cumsum(sizes)]),
     )
 
@@ -516,10 +498,13 @@ def load_index(path) -> ProductIndex:
         meta["stats"].pop("collisions_resolved", None)
         product_ids = z["product_ids"].tolist()
         vendor_ids = z["vendor_ids"].tolist()
+        truth = z["truth"]
+        # snapshots without truth_known wrote -1 for an unknown truth cluster
+        known = z["truth_known"] if "truth_known" in z.files else truth >= 0
         products = [
-            RawProduct(pid, title, vid, None if t < 0 else t)
-            for pid, title, vid, t in zip(
-                product_ids, z["titles"].tolist(), vendor_ids, z["truth"].tolist()
+            RawProduct(pid, title, vid, t if ok else None)
+            for pid, title, vid, t, ok in zip(
+                product_ids, z["titles"].tolist(), vendor_ids, truth.tolist(), known.tolist()
             )
         ]
         tokens = TokenLexicon(
@@ -540,11 +525,13 @@ def load_index(path) -> ProductIndex:
                 combo_flat[combo_offsets[members][:, None] + np.arange(count_combinations(l, k))]
                 for l, members in length_buckets(np.diff(forward.tok_offsets))
             ]
+        # records are ordered by size, so each size's keys are one run of key_flat
+        sizes, counts = np.unique(z["combo_k"], return_counts=True)
+        runs = np.split(z["key_flat"].astype(np.int32), np.cumsum(sizes * counts)[:-1])
         combos = CombinationLexicon(
             f_c=z["combo_f"],
             d_acc=z["combo_d"],
-            key_flat=z["key_flat"].astype(np.int32),
-            size_starts=np.flatnonzero(np.diff(z["combo_k"], prepend=1)),
+            keys=[run.reshape(-1, kk) for run, kk in zip(runs, sizes.tolist())],
         )
         return ProductIndex(
             dataset=Dataset(products=products),

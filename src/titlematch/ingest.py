@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import csv
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 MatchSet = Set[Tuple[int, int]]
 
@@ -58,10 +59,23 @@ class Dataset:
         return bool(self.products) and all(p.truth_cluster_id is not None for p in self.products)
 
 
-def _csv_error(kind: str, path: Path, reader, exc: csv.Error) -> FeedFormatError:
-    """A csv parser error, such as a field over the csv module's size limit,
-    naming the file and the 1-based physical line."""
-    return FeedFormatError(f"{kind} file {path}: line {reader.line_num}: {exc}")
+@contextmanager
+def _csv_reader(path, kind: str) -> Iterator:
+    """A csv reader over a UTF-8 file. Errors raised while reading it become
+    FeedFormatError naming the kind of file and its path; a csv parser error,
+    such as a field over the csv module's size limit, also names the 1-based
+    physical line."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"{kind} file not found: {path}")
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except (FeedFormatError, UnicodeDecodeError) as exc:
+            raise FeedFormatError(f"{kind} file {path}: {exc}") from None
+        except csv.Error as exc:
+            raise FeedFormatError(f"{kind} file {path}: line {reader.line_num}: {exc}") from None
 
 
 def _parse_int(value: str, row_num: int, what: str) -> int:
@@ -79,47 +93,35 @@ def load_products(path, fmt: str = "simple") -> Dataset:
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"feed file not found: {path}")
-
     min_cols = 3 if fmt == "simple" else 7
     products: List[RawProduct] = []
     seen_ids: Set[int] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise FeedFormatError("empty (missing header row)")
-            for row_num, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) < min_cols:
-                    raise FeedFormatError(
-                        f"row {row_num}: expected {min_cols} columns for format "
-                        f"{fmt!r}, got {len(row)}"
-                    )
-                pid = _parse_int(row[0], row_num, "product_id")
-                title = row[1].strip()
-                if not title:
-                    raise FeedFormatError(f"row {row_num}: empty title for product {pid}")
-                vendor = _parse_int(row[2], row_num, "vendor_id")
-                truth = None
-                if fmt == "published":
-                    truth = _parse_int(row[3], row_num, "cluster_id")
-                if pid in seen_ids:
-                    raise FeedFormatError(f"row {row_num}: duplicate product_id {pid}")
-                seen_ids.add(pid)
-                products.append(
-                    RawProduct(
-                        product_id=pid, title=title, vendor_id=vendor, truth_cluster_id=truth
-                    )
+    with _csv_reader(path, "feed") as reader:
+        header = next(reader, None)
+        if header is None:
+            raise FeedFormatError("empty (missing header row)")
+        for row_num, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < min_cols:
+                raise FeedFormatError(
+                    f"row {row_num}: expected {min_cols} columns for format "
+                    f"{fmt!r}, got {len(row)}"
                 )
-        except (FeedFormatError, UnicodeDecodeError) as exc:
-            raise FeedFormatError(f"feed file {path}: {exc}") from None
-        except csv.Error as exc:
-            raise _csv_error("feed", path, reader, exc) from None
+            pid = _parse_int(row[0], row_num, "product_id")
+            title = row[1].strip()
+            if not title:
+                raise FeedFormatError(f"row {row_num}: empty title for product {pid}")
+            vendor = _parse_int(row[2], row_num, "vendor_id")
+            truth = None
+            if fmt == "published":
+                truth = _parse_int(row[3], row_num, "cluster_id")
+            if pid in seen_ids:
+                raise FeedFormatError(f"row {row_num}: duplicate product_id {pid}")
+            seen_ids.add(pid)
+            products.append(
+                RawProduct(product_id=pid, title=title, vendor_id=vendor, truth_cluster_id=truth)
+            )
     return Dataset(products=products)
 
 
@@ -130,31 +132,22 @@ def read_clusters(path, kind: str = "clusters") -> Dict[int, int]:
     Errors name the file, and the 1-based row (counting the header) when a
     row is malformed.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"{kind} file not found: {path}")
     out: Dict[int, int] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [cell.strip() for cell in next(reader, [])]
-            if header != list(CLUSTERS_HEADER):
-                raise FeedFormatError(
-                    f"row 1: expected header {','.join(CLUSTERS_HEADER)}, got {','.join(header)!r}"
-                )
-            for row_num, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise FeedFormatError(f"row {row_num}: expected 2 columns, got {len(row)}")
-                pid = _parse_int(row[0], row_num, "product_id")
-                if pid in out:
-                    raise FeedFormatError(f"row {row_num}: duplicate product_id {pid}")
-                out[pid] = _parse_int(row[1], row_num, "cluster_id")
-        except (FeedFormatError, UnicodeDecodeError) as exc:
-            raise FeedFormatError(f"{kind} file {path}: {exc}") from None
-        except csv.Error as exc:
-            raise _csv_error(kind, path, reader, exc) from None
+    with _csv_reader(path, kind) as reader:
+        header = [cell.strip() for cell in next(reader, [])]
+        if header != list(CLUSTERS_HEADER):
+            raise FeedFormatError(
+                f"row 1: expected header {','.join(CLUSTERS_HEADER)}, got {','.join(header)!r}"
+            )
+        for row_num, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise FeedFormatError(f"row {row_num}: expected 2 columns, got {len(row)}")
+            pid = _parse_int(row[0], row_num, "product_id")
+            if pid in out:
+                raise FeedFormatError(f"row {row_num}: duplicate product_id {pid}")
+            out[pid] = _parse_int(row[1], row_num, "cluster_id")
     return out
 
 

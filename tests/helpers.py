@@ -51,6 +51,29 @@ def assert_key_signatures(combos: CombinationLexicon, recs: np.ndarray) -> None:
             assert signature(combos.ids_of(i)).value == value, combos.ids_of(i)
 
 
+def assert_same_columns(a, b) -> None:
+    """Every column of two indexes, plus their settings, stats and products."""
+    assert (a.k, a.variant, a.distance_mode) == (b.k, b.variant, b.distance_mode)
+    assert a.stats == b.stats
+    assert a.dataset.products == b.dataset.products
+    assert a.tokens.surfaces == b.tokens.surfaces
+    for name in ("f_w", "s_w"):
+        assert np.array_equal(getattr(a.tokens, name), getattr(b.tokens, name)), name
+    for name in ("f_c", "d_acc"):
+        assert np.array_equal(getattr(a.combos, name), getattr(b.combos, name)), name
+    assert len(a.combos.keys) == len(b.combos.keys)
+    for k, (ta, tb) in enumerate(zip(a.combos.keys, b.combos.keys), start=2):
+        assert ta.dtype == tb.dtype == np.int32, k
+        assert ta.shape == tb.shape and ta.shape[1] == k and np.array_equal(ta, tb), k
+    assert a.forward.product_ids == b.forward.product_ids
+    assert a.forward.vendor_ids == b.forward.vendor_ids
+    for name in ("tok_flat", "sem_flat", "tok_offsets"):
+        assert np.array_equal(getattr(a.forward, name), getattr(b.forward, name)), name
+    assert len(a.forward.combo_blocks) == len(b.forward.combo_blocks)
+    for ba, bb in zip(a.forward.combo_blocks, b.forward.combo_blocks):
+        assert ba.shape == bb.shape and np.array_equal(ba, bb)
+
+
 def make_ablation_dataset() -> Dataset:
     """Two same-vendor product variants that merge under their shared
     combination, plus unrelated fillers.

@@ -32,6 +32,7 @@ from titlematch.textprep import AnalyzedTitle, UnitLexicon, analyze_title
 from helpers import (
     Combination,
     assert_key_signatures,
+    assert_same_columns,
     classify_tokens_scalar,
     combo_rows,
     distance,
@@ -187,31 +188,14 @@ def test_avg_combination_len_in_range():
     assert 2.0 <= idx.stats.avg_combination_len <= idx.k
 
 
-def assert_same_columns(a, b):
-    """Every column of two indexes, plus their settings, stats and products."""
-    assert (a.k, a.variant, a.distance_mode) == (b.k, b.variant, b.distance_mode)
-    assert a.stats == b.stats
-    assert a.dataset.products == b.dataset.products
-    assert a.tokens.surfaces == b.tokens.surfaces
-    for name in ("f_w", "s_w"):
-        assert np.array_equal(getattr(a.tokens, name), getattr(b.tokens, name)), name
-    for name in ("f_c", "d_acc", "key_flat", "size_starts"):
-        assert np.array_equal(getattr(a.combos, name), getattr(b.combos, name)), name
-    assert a.forward.product_ids == b.forward.product_ids
-    assert a.forward.vendor_ids == b.forward.vendor_ids
-    for name in ("tok_flat", "sem_flat", "tok_offsets"):
-        assert np.array_equal(getattr(a.forward, name), getattr(b.forward, name)), name
-    assert len(a.forward.combo_blocks) == len(b.forward.combo_blocks)
-    for ba, bb in zip(a.forward.combo_blocks, b.forward.combo_blocks):
-        assert ba.shape == bb.shape and np.array_equal(ba, bb)
-
-
 def test_snapshot_round_trip(tmp_path):
     ds = planted_dataset(n_clusters=8, n_vendors=5, seed=11)
     ds.products.append(RawProduct(999, "widget", 0, None))
-    for variant, mode in [("upm", "squared"), ("upm+", "euclidean")]:
-        idx = build_index(ds, variant=variant, distance_mode=mode)
-        path = tmp_path / f"{variant}.npz"
+    # K=5 keeps key tables of three widths or more, which the loader splits
+    cases = [("upm", "squared", None), ("upm+", "euclidean", None), ("upm", "squared", 5)]
+    for variant, mode, k in cases:
+        idx = build_index(ds, k=k, variant=variant, distance_mode=mode)
+        path = tmp_path / f"{variant}-{k}.npz"
         save_index(idx, path)
         assert_same_columns(load_index(path), idx)
 
@@ -259,6 +243,39 @@ def test_snapshot_rejects_unsupported_version(tmp_path):
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match="snapshot version 3 unsupported"):
         load_index(path)
+
+
+def test_snapshot_keeps_negative_truth_clusters(tmp_path):
+    # feeds may name negative cluster IDs; only None means no truth cluster
+    titles = ["alpha beta gamma", "beta gamma delta", "gamma delta epsilon"]
+    path = tmp_path / "index.npz"
+    for truth in ([-1, -1, 4], [None, -1, 4]):
+        products = [RawProduct(i, t, i, c) for i, (t, c) in enumerate(zip(titles, truth))]
+        ds = Dataset(products=products)
+        idx = build_index(ds, k=2)
+        save_index(idx, path)
+        loaded = load_index(path)
+        assert [p.truth_cluster_id for p in loaded.dataset.products] == truth
+        assert loaded.dataset.has_truth == ds.has_truth
+        assert_same_columns(loaded, idx)
+    # a snapshot without truth_known wrote -1 for an unknown truth cluster
+    with np.load(path) as z:
+        arrays = {name: z[name] for name in z.files if name != "truth_known"}
+    np.savez(path, **arrays)
+    assert [p.truth_cluster_id for p in load_index(path).dataset.products] == [None, None, 4]
+
+
+def test_ids_of_rejects_records_out_of_range():
+    # -1 is the key of one-token clusters and verification singletons
+    ds = Dataset(products=[RawProduct(1, "alpha beta", 0), RawProduct(2, "alpha beta gamma", 1)])
+    combos = build_index(ds, k=2).combos
+    assert [combos.ids_of(i) for i in range(len(combos))] == [[0, 1], [0, 2], [1, 2]]
+    for idx in (-1, -len(combos), len(combos)):
+        message = f"^combination record {idx} out of range for 3 records$"
+        with pytest.raises(IndexError, match=message):
+            combos.ids_of(idx)
+    with pytest.raises(IndexError, match="^combination record 0 out of range for 0 records$"):
+        build_index(ds, k=2, with_combinations=False).combos.ids_of(0)
 
 
 def test_snapshot_rejects_foreign_files(tmp_path):

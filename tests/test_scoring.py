@@ -18,6 +18,7 @@ from titlematch.textprep import Semantics
 
 from helpers import (
     CombinationRecord,
+    assert_same_columns,
     avg_distance,
     cluster_state,
     combination_score,
@@ -279,19 +280,10 @@ def test_every_product_assigned_exactly_once(fixture_200):
 def test_selection_leaves_index_unchanged():
     ds = planted_dataset(n_clusters=6, n_vendors=5, seed=3)
     idx = build_index(ds)
-    assert len(idx.combos) > 0
-    combos = copy.deepcopy(idx.combos)
-    forward = copy.deepcopy(idx.forward)
+    assert len(idx.combos) > 0 and len(idx.forward.combo_blocks) > 0
+    before = copy.deepcopy(idx)
     select_clusters(idx, ScoringConfig())
-    for name in ("f_c", "d_acc", "key_flat", "size_starts"):
-        assert np.array_equal(getattr(idx.combos, name), getattr(combos, name)), name
-    for name in ("tok_flat", "sem_flat", "tok_offsets"):
-        assert np.array_equal(getattr(idx.forward, name), getattr(forward, name)), name
-    assert idx.forward.product_ids == forward.product_ids
-    assert idx.forward.vendor_ids == forward.vendor_ids
-    assert len(idx.forward.combo_blocks) == len(forward.combo_blocks) > 0
-    for a, b in zip(idx.forward.combo_blocks, forward.combo_blocks):
-        assert np.array_equal(a, b)
+    assert_same_columns(idx, before)
 
 
 def test_scale_invariance_of_argmax():
