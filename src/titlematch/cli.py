@@ -29,16 +29,15 @@ from typing import List, Optional
 import numpy as np
 
 from .baseline import METRICS
-from .evaluation import prf1, run_report
+from .evaluation import pair_scores, run_report
 from .index import DISTANCE_MODES, build_index
 from .ingest import (
     FORMATS,
     check_assignment,
-    load_ground_truth,
     load_products,
     load_truth_file,
-    pairs_from_assignment,
     read_clusters,
+    truth_labels,
 )
 from .pipeline import run_baseline, run_match, write_clusters
 from .scoring import VARIANTS, VERIFY_METRICS, ScoringConfig
@@ -350,10 +349,8 @@ def cmd_eval(args) -> int:
     dataset = _load_dataset(args)
     assignment = read_clusters(args.clusters)
     check_assignment(assignment, dataset, args.clusters)
-    predicted = pairs_from_assignment(assignment)
-    truth = load_ground_truth(dataset)
-    # a truth set without pairs leaves the scores null, as in match
-    scores = prf1(predicted, truth) if truth else {"precision": None, "recall": None, "f1": None}
+    truth = truth_labels(dataset)
+    predicted = [assignment[p.product_id] for p in dataset.products]
     row = {
         "command": "eval",
         "dataset": {"path": str(args.input), "titles": dataset.title_count},
@@ -361,11 +358,8 @@ def cmd_eval(args) -> int:
         "params": {"clusters": str(args.clusters)},
         "k": None,
         "clusters": len(set(assignment.values())),
-        "precision": scores["precision"],
-        "recall": scores["recall"],
-        "f1": scores["f1"],
-        "predicted_pairs": len(predicted),
-        "truth_pairs": len(truth),
+        # a truth without pairs leaves the scores null, as in match
+        **pair_scores(predicted, truth),
         "timings_ms": {},
     }
     run_report([row], args.report, args.summary)

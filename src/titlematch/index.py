@@ -45,13 +45,7 @@ import numpy as np
 
 from .combinatorics import count_combinations, drop_patterns, pattern_distances, position_patterns
 from .ingest import Dataset, RawProduct
-from .textprep import (
-    TitleCorpus,
-    TitleNormalizationError,
-    UnitLexicon,
-    classify_corpus,
-    normalize_title,
-)
+from .textprep import TitleCorpus, TitleNormalizationError, UnitLexicon, analyze_titles
 
 SNAPSHOT_FORMAT = "titlematch-index"
 SNAPSHOT_VERSION = 2
@@ -194,17 +188,15 @@ def resolve_k(avg_title_len: float) -> int:
     return max(2, int(avg_title_len / 2))
 
 
-def _normalize_product(product: RawProduct) -> List[str]:
-    try:
-        return normalize_title(product.title)
-    except TitleNormalizationError as exc:
-        raise TitleNormalizationError(f"product {product.product_id}: {exc}") from None
-
-
 def analyze_dataset(dataset: Dataset, units: Optional[UnitLexicon] = None) -> TitleCorpus:
     """Analyze every title into one TitleCorpus, in product order; a title
     that normalizes to nothing names its product."""
-    return classify_corpus(map(_normalize_product, dataset.products), units or UnitLexicon.default())
+    products = dataset.products
+    try:
+        return analyze_titles([p.title for p in products], units or UnitLexicon.default())
+    except TitleNormalizationError as exc:
+        product = products[exc.position]
+        raise TitleNormalizationError(f"product {product.product_id}: {exc}") from None
 
 
 def _check_int32(count: int, what: str) -> None:

@@ -183,9 +183,16 @@ def pairs_from_assignment(assignment: Mapping[int, int]) -> MatchSet:
     return pairs
 
 
-def load_ground_truth(dataset: Dataset) -> MatchSet:
-    """Expand per-product cluster IDs into all unordered matching pairs."""
+def truth_labels(dataset: Dataset) -> List[int]:
+    """Every product's ground-truth cluster ID, in product order."""
     for p in dataset.products:
         if p.truth_cluster_id is None:
             raise FeedFormatError(f"product {p.product_id} has no ground-truth cluster")
-    return pairs_from_assignment({p.product_id: p.truth_cluster_id for p in dataset.products})
+    return [p.truth_cluster_id for p in dataset.products]
+
+
+def load_ground_truth(dataset: Dataset) -> MatchSet:
+    """Expand per-product cluster IDs into all unordered matching pairs."""
+    return pairs_from_assignment(
+        dict(zip((p.product_id for p in dataset.products), truth_labels(dataset)))
+    )

@@ -15,9 +15,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .baseline import pairwise_sweep
-from .evaluation import cluster_size_histogram, expand_cluster_pairs, prf1
+from .evaluation import cluster_size_histogram, pair_scores, prf1
 from .index import ProductIndex, analyze_dataset, build_index
-from .ingest import CLUSTERS_HEADER, Dataset, MatchSet, load_ground_truth
+from .ingest import CLUSTERS_HEADER, Dataset, MatchSet, load_ground_truth, truth_labels
 from .scoring import ClusterUniverse, ScoringConfig, select_clusters
 from .textprep import UnitLexicon
 from .verify import verify_universe
@@ -25,13 +25,22 @@ from .verify import verify_universe
 
 @dataclass
 class MatchResult:
+    """One run's clusters, index, configuration and report row.
+
+    run_match scores the clusters from labels (evaluation.pair_scores) and
+    leaves predicted and truth unset; expand_cluster_pairs(universe, index)
+    gives the predicted pairs on demand. The two pair-set fields remain
+    because perfbench/worker.py's traced pass still builds a MatchResult from
+    the pair sets it expands; they go when that pass changes.
+    """
+
     universe: ClusterUniverse
     index: ProductIndex
     config: ScoringConfig
-    predicted: MatchSet
-    truth: Optional[MatchSet]
     report: dict
     timings_ms: Dict[str, float] = field(default_factory=dict)
+    predicted: Optional[MatchSet] = None
+    truth: Optional[MatchSet] = None
 
 
 def _dataset_block(dataset: Dataset, path: str, avg_title_tokens: float) -> dict:
@@ -81,13 +90,8 @@ def run_match(
     timings["verify"] = (time.perf_counter() - t3) * 1000.0
 
     t4 = time.perf_counter()
-    predicted = expand_cluster_pairs(universe, index)
-    truth: Optional[MatchSet] = None
-    scores = {"precision": None, "recall": None, "f1": None}
-    if dataset.has_truth:
-        truth = load_ground_truth(dataset)
-        if truth:
-            scores = prf1(predicted, truth)
+    truth = truth_labels(dataset) if dataset.has_truth else None
+    scores = pair_scores(universe.assignment, truth)
     timings["evaluate"] = (time.perf_counter() - t4) * 1000.0
     timings["total"] = (time.perf_counter() - t0) * 1000.0
 
@@ -110,21 +114,11 @@ def run_match(
         "k": index.k,
         "clusters": len(universe),
         "cluster_size_histogram": cluster_size_histogram(universe),
-        "precision": scores["precision"],
-        "recall": scores["recall"],
-        "f1": scores["f1"],
-        "predicted_pairs": len(predicted),
-        "truth_pairs": None if truth is None else len(truth),
+        **scores,
         "timings_ms": timings,
     }
     return MatchResult(
-        universe=universe,
-        index=index,
-        config=config,
-        predicted=predicted,
-        truth=truth,
-        report=report,
-        timings_ms=timings,
+        universe=universe, index=index, config=config, report=report, timings_ms=timings
     )
 
 

@@ -12,19 +12,25 @@ field weighting used by the scorer:
 
 Normalization keeps dots and commas only when they act as numeric separators,
 keeps hyphen/slash compounds while appending their parts at the end of the
-title, and drops exact duplicate tokens. It works on whole strings with
-compiled regexes, never character by character.
+title, and drops exact duplicate tokens. A batch of titles is normalized as
+one string: each title is lowered on its own, the lowered titles are joined
+with newlines, and two compiled regex passes run over the joined text, never
+character by character. Each pass replaces a match by one character, so
+every title is sliced back out at its own offsets, and a newline, which is
+never a digit, keeps the separator rule from reading across titles. Only then
+does a loop over titles split, strip and deduplicate; normalize_title is
+this path on a batch of one.
 
 A corpus of titles is analyzed in one pass into columns (TitleCorpus): the
 distinct surfaces in first-encounter order, every occurrence's token ID and
 semantics, and per-title offsets. Fusing (number, unit) pairs and dropping
-repeats depend on neighbours, so they run per title (_fuse). Every other
-semantics class is a function of the surface alone (surface_semantics) and is
-computed once per distinct surface; only MODEL_FIRST versus MODEL_OTHER
-depends on where the token sits, and that is one array pass over the
-semantics column. An AnalyzedTitle, two parallel tuples of surfaces and
-semantics, is the one-title view that classify_tokens and analyze_title
-return; the pipeline never builds one.
+repeats depend on neighbours, so they run per title (_fuse), in the same loop
+over titles as the split. Every other semantics class is a function of the
+surface alone (surface_semantics) and is computed once per distinct surface;
+only MODEL_FIRST versus MODEL_OTHER depends on where the token sits, and that
+is one array pass over the semantics column. An AnalyzedTitle, two parallel
+tuples of surfaces and semantics, is the one-title view that classify_tokens
+and analyze_title return; the pipeline never builds one.
 """
 
 from __future__ import annotations
@@ -49,7 +55,12 @@ class Semantics(IntEnum):
 
 
 class TitleNormalizationError(ValueError):
-    """Raised when a title produces no usable tokens."""
+    """Raised when a title produces no usable tokens; position is the title's
+    index in the batch being normalized."""
+
+    def __init__(self, message: str, position: int = 0) -> None:
+        super().__init__(message)
+        self.position = position
 
 
 @dataclass(frozen=True)
@@ -109,8 +120,9 @@ class UnitLexicon:
 
 _NUMERIC_RE = re.compile(r"[0-9]+(?:[.,][0-9]+)*")
 _SEPARATOR_RE = re.compile(r"[.,]")
-# everything but alphanumerics ([^\W_] is exactly str.isalnum) and ".,-/"
-_DROPPED_RE = re.compile(r"[^\w.,/-]|_")
+# everything but alphanumerics ([^\W_] is exactly str.isalnum), whitespace
+# (\s is exactly str.isspace, so str.split still splits there) and ".,-/"
+_DROPPED_RE = re.compile(r"[^\w\s.,/-]|_")
 _COMPOUND_SPLIT_RE = re.compile(r"[-/]+")
 
 
@@ -122,11 +134,35 @@ def is_numeric(surface: str) -> bool:
 
 def _keep_digit_separator(m: re.Match) -> str:
     # str.isdigit, which is wider than \d ("²", "①"); a dropped neighbour is
-    # already a space and never a digit
+    # already a space, and a title's edge a newline, and neither is a digit
     s, i = m.string, m.start()
     if 0 < i < len(s) - 1 and s[i - 1].isdigit() and s[i + 1].isdigit():
         return m.group()
     return " "
+
+
+def _words(raws: Sequence[str]) -> Iterator[List[str]]:
+    """Each title's words before the duplicates are dropped: its
+    whitespace-split tokens with "-/" stripped from their ends, then the
+    parts of its hyphen/slash compounds. Raises TitleNormalizationError,
+    with the title's position, for a title without words."""
+    # each title is lowered on its own, so its lowered length, which lower()
+    # may change ("İ"), places it in the joined text
+    lowered = [raw.lower() for raw in raws]
+    text = _SEPARATOR_RE.sub(_keep_digit_separator, _DROPPED_RE.sub(" ", "\n".join(lowered)))
+    end = -1
+    for p, title in enumerate(lowered):
+        start = end + 1
+        end = start + len(title)
+        piece = text[start:end]
+        words = piece.split()
+        if "-" in piece or "/" in piece:
+            words = [tok for tok in (w.strip("-/") for w in words) if tok]
+            compounds = [tok for tok in words if "-" in tok or "/" in tok]
+            words += [part for tok in compounds for part in _COMPOUND_SPLIT_RE.split(tok) if part]
+        if not words:
+            raise TitleNormalizationError(f"title normalizes to zero tokens: {raws[p]!r}", p)
+        yield words
 
 
 def normalize_title(raw: str) -> List[str]:
@@ -137,15 +173,7 @@ def normalize_title(raw: str) -> List[str]:
     token list, then removes exact duplicates keeping the first occurrence.
     Raises TitleNormalizationError if nothing survives.
     """
-    text = _DROPPED_RE.sub(" ", raw.lower())
-    text = _SEPARATOR_RE.sub(_keep_digit_separator, text)
-    base = [tok for tok in (w.strip("-/") for w in text.split()) if tok]
-    compounds = [tok for tok in base if "-" in tok or "/" in tok]
-    appended = [p for tok in compounds for p in _COMPOUND_SPLIT_RE.split(tok) if p]
-    result = list(dict.fromkeys(base + appended))
-    if not result:
-        raise TitleNormalizationError(f"title normalizes to zero tokens: {raw!r}")
-    return result
+    return list(dict.fromkeys(next(_words([raw]))))
 
 
 def surface_semantics(surface: str, units: UnitLexicon) -> Semantics:
@@ -249,19 +277,18 @@ class TitleCorpus:
         )
 
 
-def classify_corpus(titles: Iterable[Sequence[str]], units: UnitLexicon) -> TitleCorpus:
-    """Analyze normalized token lists into one TitleCorpus.
+def _intern(titles: Iterable[Dict[str, bool]], units: UnitLexicon) -> TitleCorpus:
+    """The TitleCorpus of _fuse's per-title outputs, in order.
 
-    Fusion and dedup run per title (_fuse). surface_semantics runs once per
-    distinct surface; a fused occurrence is an ATTRIBUTE whatever its bare
-    surface would be. Only the first MODEL_FIRST occurrence of each title
-    keeps that class, the rest become MODEL_OTHER.
+    surface_semantics runs once per distinct surface; a fused occurrence is
+    an ATTRIBUTE whatever its bare surface would be. Only the first
+    MODEL_FIRST occurrence of each title keeps that class, the rest become
+    MODEL_OTHER.
     """
     flat: List[str] = []
     lengths: List[int] = []
     fused_at: List[int] = []
-    for tokens in titles:
-        title = _fuse(tokens, units)
+    for title in titles:
         if any(title.values()):
             fused_at.extend(len(flat) + j for j, fused in enumerate(title.values()) if fused)
         flat.extend(title)
@@ -281,6 +308,30 @@ def classify_corpus(titles: Iterable[Sequence[str]], units: UnitLexicon) -> Titl
     return TitleCorpus(surfaces=surfaces, tok_flat=tok_flat, sem_flat=sem_flat, offsets=offsets)
 
 
+def classify_corpus(titles: Iterable[Sequence[str]], units: UnitLexicon) -> TitleCorpus:
+    """Analyze token lists, which need not be normalized, into one
+    TitleCorpus: per title, fuse (number, unit) pairs and drop repeats
+    (_fuse), then intern."""
+    return _intern((_fuse(tokens, units) for tokens in titles), units)
+
+
+def analyze_titles(raws: Sequence[str], units: UnitLexicon) -> TitleCorpus:
+    """normalize_title and then classify_tokens on every raw title, as one
+    TitleCorpus in title order; one loop over the titles."""
+    # normalize_title drops repeats before _fuse runs; unless a unit follows
+    # the first word nothing fuses, and that one dedup is the whole of _fuse
+    no_unit_after_first = units.units.isdisjoint
+    return _intern(
+        (
+            dict.fromkeys(words, False)
+            if no_unit_after_first(words[1:])
+            else _fuse(list(dict.fromkeys(words)), units)
+            for words in _words(raws)
+        ),
+        units,
+    )
+
+
 def classify_tokens(tokens: Sequence[str], units: UnitLexicon) -> AnalyzedTitle:
     """Assign semantics to normalized tokens: classify_corpus on one title.
 
@@ -293,4 +344,4 @@ def classify_tokens(tokens: Sequence[str], units: UnitLexicon) -> AnalyzedTitle:
 
 def analyze_title(raw: str, units: UnitLexicon) -> AnalyzedTitle:
     """normalize_title followed by classify_tokens."""
-    return classify_tokens(normalize_title(raw), units)
+    return analyze_titles([raw], units)[0]

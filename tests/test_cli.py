@@ -11,8 +11,14 @@ from pathlib import Path
 import pytest
 
 from titlematch.cli import MAX_SWEEP_THRESHOLDS, _parse_sweep, build_parser, main
-from titlematch.evaluation import strip_timings
-from titlematch.ingest import Dataset, RawProduct, read_clusters
+from titlematch.evaluation import prf1, strip_timings
+from titlematch.ingest import (
+    Dataset,
+    RawProduct,
+    load_ground_truth,
+    pairs_from_assignment,
+    read_clusters,
+)
 from titlematch.synth import efficiency_dataset
 
 from helpers import make_ablation_dataset, write_feed_csv, write_truth_csv
@@ -612,6 +618,36 @@ def test_eval_without_truth_pairs_reports_null_scores(tmp_path, capsys):
     row = read_jsonl(report)[0]
     assert (row["precision"], row["recall"], row["f1"], row["truth_pairs"]) == (None, None, None, 0)
     assert capsys.readouterr().out == f"clusters={row['clusters']}\n"
+
+
+def test_eval_without_truth_names_the_product(tmp_path, capsys):
+    feed, clusters = tmp_path / "feed.csv", tmp_path / "clusters.csv"
+    write_feed_csv(feed, make_twenty_product_dataset(), "simple")
+    clusters.write_text(twenty_product_clusters())
+    assert run_cli(["eval", "--input", str(feed), "--clusters", str(clusters)]) == 1
+    assert capsys.readouterr().err == "error: product 1 has no ground-truth cluster\n"
+
+
+def test_eval_cluster_ids_are_only_labels(feed, tmp_path, capsys):
+    """Negative, sparse and wider-than-int64 cluster IDs score as 0..4 do,
+    and the row equals prf1 over the pair sets."""
+    # product 20 joins the first cluster, so the scores are not all 1
+    cluster_of = {pid: (pid - 1) // 4 for pid in range(1, 21)} | {20: 0}
+    rows = []
+    for labels in ([0, 1, 2, 3, 4], [-(2**70), -1, 7, 2**63, 10**30]):
+        path = tmp_path / "clusters.csv"
+        lines = [f"{pid},{labels[c]}" for pid, c in cluster_of.items()]
+        path.write_text("\n".join(["product_id,cluster_id", *lines]) + "\n")
+        report = tmp_path / "eval.jsonl"
+        args = ["eval", "--input", str(feed), "--format", "published", "--clusters", str(path)]
+        assert run_cli(args + ["--report", str(report)]) == 0
+        rows.append(read_jsonl(report)[0])
+    capsys.readouterr()
+    assert rows[0] == {**rows[1], "params": rows[0]["params"]}
+    truth = load_ground_truth(make_twenty_product_dataset())
+    expected = prf1(pairs_from_assignment(cluster_of), truth)
+    assert {key: rows[1][key] for key in expected} == expected
+    assert expected["precision"] < 1.0
 
 
 @pytest.mark.parametrize("name", ["main", "match", "baseline", "eval", "inspect"])

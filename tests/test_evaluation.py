@@ -4,20 +4,28 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from titlematch.evaluation import (
     cluster_size_histogram,
     expand_cluster_pairs,
+    pair_scores,
     prf1,
     run_report,
     strip_timings,
 )
 from titlematch.index import build_index
-from titlematch.ingest import Dataset, RawProduct, load_ground_truth
+from titlematch.ingest import (
+    Dataset,
+    RawProduct,
+    load_ground_truth,
+    pairs_from_assignment,
+    truth_labels,
+)
 from titlematch.pipeline import run_baseline, run_match
 from titlematch.scoring import ClusterUniverse, ScoringConfig, select_clusters
 
@@ -128,6 +136,61 @@ def test_prf1_large_random_sets_match_brute_force():
     assert (scores["precision"], scores["recall"], scores["f1"]) == (p, r, f1)
 
 
+# cluster IDs as files and callers give them: negative, sparse, at both ends
+# of int64, and too wide for it
+_LABELS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([-(2**63), 2**63 - 1, 2**63, 10**30, 123_456_789_012]),
+)
+
+
+@given(st.lists(st.tuples(_LABELS, _LABELS), max_size=40))
+@example([])
+@example([(i, i) for i in range(6)])
+@example([(i, 0) for i in range(6)])
+@example([(-1, i) for i in range(6)])
+@example([(2**70, -1)] * 6)
+def test_pair_scores_match_pair_sets(labels):
+    """Counts from the contingency table against the pair sets and prf1,
+    bit for bit."""
+    predicted = [a for a, _ in labels]
+    truth = [b for _, b in labels]
+    predicted_pairs = pairs_from_assignment(dict(enumerate(predicted)))
+    truth_pairs = pairs_from_assignment(dict(enumerate(truth)))
+    row = pair_scores(predicted, truth)
+    assert (row["predicted_pairs"], row["truth_pairs"]) == (len(predicted_pairs), len(truth_pairs))
+    expected = {"precision": None, "recall": None, "f1": None}
+    if truth_pairs:
+        expected = prf1(predicted_pairs, truth_pairs)
+    assert {key: row[key] for key in expected} == expected
+    assert list(row) == ["precision", "recall", "f1", "predicted_pairs", "truth_pairs"]
+    without_truth = pair_scores(predicted, None)
+    assert without_truth == {
+        **dict.fromkeys(expected),
+        "predicted_pairs": len(predicted_pairs),
+        "truth_pairs": None,
+    }
+
+
+def test_evaluate_one_giant_cluster_in_bounded_memory():
+    """One 20k-product cluster is 200M pairs, which as a set of tuples would
+    take gigabytes; the contingency counts stay within a few megabytes."""
+    n = 20_000
+    ds = Dataset(products=[RawProduct(i, f"t{i}", i, 7 if i % 4 else -1) for i in range(n)])
+    tracemalloc.start()
+    try:
+        row = pair_scores(np.zeros(n, dtype=np.int64), truth_labels(ds))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    big, small = 15_000, 5_000
+    assert row["predicted_pairs"] == n * (n - 1) // 2
+    assert row["truth_pairs"] == big * (big - 1) // 2 + small * (small - 1) // 2
+    assert row["precision"] == row["truth_pairs"] / row["predicted_pairs"]
+    assert row["recall"] == 1.0
+
+
 def test_expand_size_is_sum_of_binomials(fixture_200):
     idx = build_index(fixture_200)
     universe = select_clusters(idx, ScoringConfig())
@@ -167,8 +230,11 @@ def test_reports_identical_modulo_timings(fixture_200):
 def test_report_f1_matches_direct_prf1(fixture_200):
     result = run_match(fixture_200)
     truth = load_ground_truth(fixture_200)
-    scores = prf1(result.predicted, truth)
+    predicted = expand_cluster_pairs(result.universe, result.index)
+    scores = prf1(predicted, truth)
     assert result.report["f1"] == scores["f1"]
+    assert result.report["predicted_pairs"] == len(predicted)
+    assert result.report["truth_pairs"] == len(truth)
 
 
 def test_sweep_emits_nine_rows(fixture_200):

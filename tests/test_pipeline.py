@@ -9,6 +9,7 @@ import titlematch
 import titlematch.combinatorics
 import titlematch.index
 import titlematch.scoring
+from titlematch.evaluation import expand_cluster_pairs
 from titlematch.ingest import pairs_from_assignment
 from titlematch.pipeline import run_match
 from titlematch.synth import efficiency_dataset, long_title_dataset, planted_dataset
@@ -113,10 +114,10 @@ def test_run_match_without_truth():
         ]
     )
     result = run_match(stripped)
-    assert result.truth is None
     assert result.report["f1"] is None
     assert result.report["truth_pairs"] is None
-    assert result.report["predicted_pairs"] == len(result.predicted)
+    predicted = expand_cluster_pairs(result.universe, result.index)
+    assert result.report["predicted_pairs"] == len(predicted)
 
 
 def test_pairs_from_assignment_matches_expansion():
@@ -129,7 +130,8 @@ def test_pairs_from_assignment_matches_expansion():
     pids = result.index.forward.product_ids
     members = [sorted(pids[p] for p in c.products) for c in result.universe.clusters]
     expected = {pair for m in members for pair in itertools.combinations(m, 2)}
-    assert pairs_from_assignment(assignment) == result.predicted == expected
+    predicted = expand_cluster_pairs(result.universe, result.index)
+    assert pairs_from_assignment(assignment) == predicted == expected
 
 
 def test_stage_timings_reported():

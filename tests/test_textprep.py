@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from titlematch.index import analyze_dataset, build_index
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.textprep import (
+    _DROPPED_RE,
     AnalyzedTitle,
     Semantics,
     TitleNormalizationError,
@@ -271,12 +273,15 @@ def test_pair_merge_preserves_relative_order(tokens):
 # Fragments where the regex path could drift from the character loop: digits
 # that str.isdigit accepts but \d does not ("²", "①") or that are non-ASCII
 # decimals ("٣"), a capital whose lower() is two characters ("İ"), a letter
-# that lower() keeps but casefold() changes ("ß"), the underscore that \w
-# matches but isalnum rejects, the kept punctuation, and numbers fused with or
-# followed by units.
+# that lower() keeps but casefold() changes ("ß"), a capital sigma whose
+# lower() depends on what follows it ("ΟΔΟΣ", and the soft hyphen that
+# lower() skips over), the underscore that \w matches but isalnum rejects,
+# whitespace other than a space (the newline that also joins a batch's
+# titles), the kept punctuation, and numbers fused with or followed by units.
 _FRAGMENTS = [
-    "²", "①", "٣", "İ", "ß", "_", ".", ",", "-", "/", " ", "x", "Gb", "ghz", "kg", "ml",
-    "mAh", "3", "32", "3.2", "12,5", "²,①", "٣.٣", "4g", "gtx1050", "wi-fi", "i7-7700k",
+    "²", "①", "٣", "İ", "ß", "ΟΔΟΣ", "\xad", "_", ".", ",", "-", "/", " ", "\n", "\u00a0",
+    "\u2028", "\x1c", "\u3000", "x", "Gb", "ghz", "kg", "ml", "mAh", "3", "32", "3.2", "12,5",
+    "²,①", "٣.٣", "4g", "gtx1050", "wi-fi", "i7-7700k",
 ]
 _unicode_titles = st.lists(
     st.one_of(st.sampled_from(_FRAGMENTS), st.text(max_size=3)), min_size=1, max_size=16
@@ -387,3 +392,53 @@ def test_fused_and_bare_surface_keep_their_own_semantics():
     assert corpus.surfaces == ["12", "x", "y"]
     assert corpus[0].semantics == (Semantics.ATTRIBUTE, Semantics.NORMAL)
     assert corpus[1].semantics == (Semantics.MODEL_NUMERIC, Semantics.NORMAL)
+
+
+def _feed(titles):
+    return Dataset(products=[RawProduct(p + 1, raw, p, None) for p, raw in enumerate(titles)])
+
+
+@settings(max_examples=150)
+@given(st.lists(_unicode_titles, min_size=1, max_size=6))
+# the newline joiner keeps a separator from reading a digit in the title before
+@example(["model 3", ".5 inch"])
+@example(["3", ",5", "4.", "5"])
+# a final sigma is decided by what follows it within its own title
+@example(["οδοσ\xad", "ΟΔΟΣ Bag"])
+@example(["ΟΔΟΣ\xad", "Bag"])
+def test_feed_matches_per_title_reference(titles):
+    """A whole feed, normalized as one string, against the character-loop
+    oracles run title by title; a title that normalizes to nothing, wherever
+    it sits, names its product."""
+    good = [raw for raw in titles if _normalizes(raw)]
+    if len(good) < len(titles):
+        first_bad = next(p for p, raw in enumerate(titles) if not _normalizes(raw))
+        message = f"product {first_bad + 1}: title normalizes to zero tokens: {titles[first_bad]!r}"
+        with pytest.raises(TitleNormalizationError) as caught:
+            analyze_dataset(_feed(titles), _UNITS)
+        assert str(caught.value) == message
+    corpus = analyze_dataset(_feed(good), _UNITS)
+    surfaces, tok, sem, offsets, _, _ = _interned_reference(good, _UNITS)
+    assert corpus.surfaces == surfaces
+    assert corpus.tok_flat.tolist() == tok
+    assert corpus.sem_flat.tolist() == sem
+    assert corpus.offsets.tolist() == offsets
+
+
+def test_empty_title_mid_feed_names_product():
+    titles = ["intel core i5", "!!! ???", "amd ryzen 5"]
+    ds = Dataset(products=[RawProduct(16 + p, raw, p, None) for p, raw in enumerate(titles)])
+    with pytest.raises(TitleNormalizationError) as caught:
+        analyze_dataset(ds, _UNITS)
+    assert str(caught.value) == "product 17: title normalizes to zero tokens: '!!! ???'"
+
+
+def test_drop_pass_keeps_alnum_whitespace_and_separators():
+    """Over every code point, the drop pass keeps exactly what the character
+    loop keeps or splits on: str.isalnum, str.isspace and ".,/-". The pass
+    leaves the regex whitespace class alone, and str.split splits on
+    str.isspace; the two agree on every code point in Python 3.11, and this
+    pins that agreement on every interpreter the suite runs on."""
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    kept = "".join(c for c in text if c.isalnum() or c.isspace() or c in ".,/-")
+    assert _DROPPED_RE.sub("", text) == kept
