@@ -14,30 +14,30 @@ in one whole-array pass per combination size k. A size-k key is the key of
 the size-(k-1) subset without its largest member, plus that member's ID, so
 each pass packs the subset's rank from the pass below above the largest ID,
 which takes as many bits as the largest token ID. The packed values are
-ranked by one in-place value sort: each value is shifted up and its position
-written into the low bits, so all are distinct, and the sorted column gives
-the distinct keys from its high bits and the permutation from its low bits.
-When key and position bits together pass 63 (vast vocabularies at tens of
-millions of instances), the keys are argsorted instead, with the same
-result. Records are therefore ordered by (k, key), and each size's records
-form one run; f_c and the positional distance accumulator d_acc come from
-np.bincount. Each size's keys stay one (records, k) int32 table, the table
-the pass above extends; the lexicon keeps the tables as they are. Equality
-never rests on a hash, and the index stores none: scoring computes the
-FNV-1a signature of a key only when a tie reaches it.
+ranked by one in-place value sort (_rank_values), so records are ordered by
+(k, key) and each size's records form one run; f_c and the positional
+distance accumulator d_acc come from np.bincount. Each size's keys stay one
+(records, k) int32 table, which the pass above extends and the lexicon
+keeps. Equality never rests on a hash, and the index stores none: scoring
+computes the FNV-1a signature of a key only when a tie reaches it.
 
-Titles are bucketed by length (length_buckets), ascending, file order within
-a length. A bucket's record IDs form one block with a row per title, which
-scoring slices as it is. Within one k, instances follow the bucket order and
-enumeration order within a title; bincount sums d_acc in that order, so the
-accumulators are reproducible run to run. With the default squared distance
-the accumulator is integral and therefore exact.
+Titles are bucketed by length (ForwardIndex.buckets), ascending, file order
+within a length. A bucket's record IDs form one block with a row per title,
+which scoring slices as it is. Within one k, instances follow the bucket
+order and enumeration order within a title; bincount sums d_acc in that
+order, so the accumulators are reproducible run to run. With the default
+squared distance the accumulator is integral and therefore exact.
+
+A snapshot (save_index) stores the key tables and blocks as they are held,
+and no stats: ProductIndex.stats derives them from the columns.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import zipfile
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Tuple
 
@@ -48,9 +48,9 @@ from .ingest import Dataset, RawProduct
 from .textprep import TitleCorpus, TitleNormalizationError, UnitLexicon, analyze_titles
 
 SNAPSHOT_FORMAT = "titlematch-index"
-SNAPSHOT_VERSION = 2
-# v1 snapshots also stored per-record signatures (combo_sigs); loading skips them
-SNAPSHOT_VERSIONS = (1, 2)
+SNAPSHOT_VERSION = 3
+# v1 and v2 snapshots store flat combination columns (_legacy_combinations)
+SNAPSHOT_VERSIONS = (1, 2, 3)
 
 DISTANCE_MODES = ("squared", "euclidean")
 
@@ -126,9 +126,9 @@ class ForwardIndex:
     Product p's token IDs, in title order, are
     tok_flat[tok_offsets[p] : tok_offsets[p + 1]] and their semantics the
     same slice of sem_flat. Combination record IDs live in one block per
-    entry of length_buckets(np.diff(tok_offsets)): row r of combo_blocks[b]
-    holds the record IDs of the bucket's r-th product in enumeration order.
-    combo_blocks is empty when the index was built without combinations.
+    length bucket: row r of combo_blocks[b] holds the record IDs of the r-th
+    product of buckets[b] in enumeration order. combo_blocks is empty when
+    the index was built without combinations.
     """
 
     product_ids: List[int] = field(default_factory=list)
@@ -143,6 +143,19 @@ class ForwardIndex:
 
     def tokens_of(self, p: int) -> np.ndarray:
         return self.tok_flat[self.tok_offsets[p] : self.tok_offsets[p + 1]]
+
+    @cached_property
+    def buckets(self) -> List[Tuple[int, np.ndarray]]:
+        """(length, products) per title length >= 2, ascending, products in
+        file order: the layout of the blocks, of each k's instances and of scoring."""
+        lengths = np.diff(self.tok_offsets)
+        order = np.argsort(lengths, kind="stable")
+        cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+        return [
+            (int(lengths[group[0]]), group)
+            for group in np.split(order, cuts)
+            if len(group) and lengths[group[0]] >= 2
+        ]
 
 
 @dataclass(frozen=True)
@@ -168,10 +181,27 @@ class ProductIndex:
     tokens: TokenLexicon
     combos: CombinationLexicon
     forward: ForwardIndex
-    stats: IndexStats
     k: int
     variant: str
     distance_mode: str
+
+    @cached_property
+    def stats(self) -> IndexStats:
+        """Title, token and combination counts, from the columns."""
+        n = len(self.forward)
+        combos = self.combos
+        # each size's records form one run of f_c
+        per_size = np.add.reduceat(combos.f_c, combos.size_starts)
+        instances = int(per_size.sum())
+        members = int(per_size @ np.arange(2, len(per_size) + 2))
+        return IndexStats(
+            title_count=n,
+            distinct_tokens=len(self.tokens),
+            avg_title_len=len(self.forward.tok_flat) / n if n else 0.0,
+            avg_combination_len=members / instances if instances else 0.0,
+            combination_instances=instances,
+            distinct_combinations=len(combos),
+        )
 
     @cached_property
     def idf(self) -> np.ndarray:
@@ -297,19 +327,6 @@ def _group_size(
     return keys, np.bincount(rank), np.bincount(rank, np.sqrt(dist) if euclidean else dist)
 
 
-def length_buckets(lengths: np.ndarray) -> List[Tuple[int, np.ndarray]]:
-    """(length, products) for every title length >= 2, ascending by length,
-    products in file order: the layout of the combination blocks, of the
-    instances within one k and of the scoring pass."""
-    order = np.argsort(lengths, kind="stable")
-    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
-    return [
-        (int(lengths[group[0]]), group)
-        for group in np.split(order, cuts)
-        if len(group) and lengths[group[0]] >= 2
-    ]
-
-
 def _index_combinations(
     forward: ForwardIndex, k_max: int, euclidean: bool
 ) -> CombinationLexicon:
@@ -323,19 +340,19 @@ def _index_combinations(
     n_tokens = int(forward.tok_flat.max(initial=-1)) + 1
     _check_int32(n_tokens, "distinct tokens")
     id_bits = max(n_tokens - 1, 0).bit_length()
-    forward.combo_blocks, buckets = [], []
-    for l, members in length_buckets(np.diff(offsets)):
+    forward.combo_blocks, columns = [], []
+    for l, members in forward.buckets:
         ids = forward.tok_flat[offsets[members][:, None] + np.arange(l)].astype(np.int32)
         out = np.empty((len(members), count_combinations(l, k_max)), dtype=np.int32)
         forward.combo_blocks.append(out)
         # the record-ID columns of each size; token IDs stand in for size 1
         cuts = [count_combinations(l, kk) for kk in range(2, min(l, k_max))]
-        buckets.append((l, ids, [ids] + np.split(out, cuts, axis=1)))
+        columns.append((l, ids, [ids] + np.split(out, cuts, axis=1)))
 
     keys, f_c, d_acc = [np.arange(n_tokens, dtype=np.int32)[:, None]], [], []
     prev_offset = offset = 0
     for kk in range(2, k_max + 1):
-        blocks = [(l, ids, cols[kk - 2], cols[kk - 1]) for l, ids, cols in buckets if l >= kk]
+        blocks = [(l, ids, cols[kk - 2], cols[kk - 1]) for l, ids, cols in columns if l >= kk]
         if not blocks:
             break
         table, f, d = _group_size(kk, blocks, keys[-1], prev_offset, offset, id_bits, euclidean)
@@ -368,9 +385,12 @@ def build_index(
     """
     if distance_mode not in DISTANCE_MODES:
         raise ValueError(f"unknown distance mode {distance_mode!r}")
+    product_ids = [p.product_id for p in dataset.products]
+    for pid, count in Counter(product_ids).items():
+        if count > 1:
+            raise ValueError(f"duplicate product_id {pid}")
     if analyzed is None:
         analyzed = analyze_dataset(dataset, units)
-    n = len(analyzed)
     k_resolved = resolve_k(analyzed.mean_length) if k is None else int(k)
     if k_resolved < 2:
         raise ValueError(f"K must be >= 2, got {k_resolved}")
@@ -386,7 +406,7 @@ def build_index(
         s_w=corpus.sem_flat[first],
     )
     forward = ForwardIndex(
-        product_ids=[p.product_id for p in dataset.products],
+        product_ids=product_ids,
         vendor_ids=[p.vendor_id for p in dataset.products],
         tok_flat=tok_flat,
         sem_flat=corpus.sem_flat,
@@ -397,25 +417,11 @@ def build_index(
         combos = _index_combinations(forward, k_resolved, distance_mode == "euclidean")
     else:
         combos = CombinationLexicon()
-    # each size's records form one run of f_c
-    per_size = np.add.reduceat(combos.f_c, combos.size_starts)
-    instances = int(per_size.sum())
-    members = int(per_size @ np.arange(2, len(per_size) + 2))
-
-    stats = IndexStats(
-        title_count=n,
-        distinct_tokens=len(tokens),
-        avg_title_len=len(tok_flat) / n if n else 0.0,
-        avg_combination_len=members / instances if instances else 0.0,
-        combination_instances=instances,
-        distinct_combinations=len(combos),
-    )
     return ProductIndex(
         dataset=dataset,
         tokens=tokens,
         combos=combos,
         forward=forward,
-        stats=stats,
         k=k_resolved,
         variant=variant,
         distance_mode=distance_mode,
@@ -423,25 +429,12 @@ def build_index(
 
 
 def save_index(index: ProductIndex, path) -> None:
-    """Write a versioned binary snapshot of a built index.
+    """Write a versioned binary snapshot of a built index to exactly path.
 
-    The snapshot stores combination record IDs in product order, as
-    combo_flat[combo_offsets[p] : combo_offsets[p + 1]].
+    The snapshot holds the columns as the index holds them: keys_<k> is the
+    size-k key table and block_<b> the record-ID block of forward.buckets[b].
     """
     fw = index.forward
-    buckets = length_buckets(np.diff(fw.tok_offsets))
-    widths = np.zeros(len(fw), dtype=np.int64)
-    for (_, members), block in zip(buckets, fw.combo_blocks):
-        widths[members] = block.shape[1]
-    combo_offsets = np.cumsum(np.concatenate([[0], widths]))
-    combo_flat = np.empty(combo_offsets[-1], dtype=np.int32)
-    for (_, members), block in zip(buckets, fw.combo_blocks):
-        combo_flat[combo_offsets[members][:, None] + np.arange(block.shape[1])] = block
-    combos = index.combos
-    # v2 snapshots store the keys as one flat column, with each record's size
-    # and key offset
-    sizes = combos.sizes(np.arange(len(combos)))
-    key_flat = np.concatenate([_empty(np.int32)] + [table.ravel() for table in combos.keys])
     products = index.dataset.products
     truth = [-1 if p.truth_cluster_id is None else p.truth_cluster_id for p in products]
     meta = {
@@ -450,88 +443,95 @@ def save_index(index: ProductIndex, path) -> None:
         "k": index.k,
         "variant": index.variant,
         "distance_mode": index.distance_mode,
-        "stats": asdict(index.stats),
     }
-    np.savez_compressed(
-        path,
-        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        product_ids=np.asarray(fw.product_ids, dtype=np.int64),
-        vendor_ids=np.asarray(fw.vendor_ids, dtype=np.int64),
-        truth=np.asarray(truth, dtype=np.int64),
-        truth_known=np.asarray([p.truth_cluster_id is not None for p in products], dtype=bool),
-        titles=np.asarray([p.title for p in products], dtype=np.str_),
-        token_surfaces=np.asarray(index.tokens.surfaces, dtype=np.str_),
-        token_f=index.tokens.f_w,
-        token_sem=index.tokens.s_w,
-        tok_flat=fw.tok_flat,
-        tok_offsets=fw.tok_offsets,
-        sem_flat=fw.sem_flat,
-        combo_flat=combo_flat,
-        combo_offsets=combo_offsets,
-        combo_f=combos.f_c,
-        combo_d=combos.d_acc,
-        combo_k=sizes,
-        key_flat=key_flat,
-        key_offsets=np.concatenate([[0], np.cumsum(sizes)]),
-    )
+    # numpy appends .npz to a path without it, so it is handed the open file
+    with open(path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+            product_ids=np.asarray(fw.product_ids, dtype=np.int64),
+            vendor_ids=np.asarray(fw.vendor_ids, dtype=np.int64),
+            truth=np.asarray(truth, dtype=np.int64),
+            truth_known=np.asarray([p.truth_cluster_id is not None for p in products], dtype=bool),
+            titles=np.asarray([p.title for p in products], dtype=np.str_),
+            token_surfaces=np.asarray(index.tokens.surfaces, dtype=np.str_),
+            token_f=index.tokens.f_w,
+            token_sem=index.tokens.s_w,
+            tok_flat=fw.tok_flat,
+            tok_offsets=fw.tok_offsets,
+            sem_flat=fw.sem_flat,
+            combo_f=index.combos.f_c,
+            combo_d=index.combos.d_acc,
+            **{f"keys_{k}": table for k, table in enumerate(index.combos.keys, start=2)},
+            **{f"block_{b}": block for b, block in enumerate(fw.combo_blocks)},
+        )
+
+
+def _legacy_combinations(z, forward: ForwardIndex, k: int) -> Tuple[List, List]:
+    """The blocks and key tables of a v1 or v2 snapshot, which stores record
+    IDs in product order (combo_flat, combo_offsets) and keys as one column
+    (key_flat) with each record's size (combo_k)."""
+    combo_flat = z["combo_flat"].astype(np.int32)
+    combo_offsets = z["combo_offsets"]
+    blocks = [
+        combo_flat[combo_offsets[members][:, None] + np.arange(count_combinations(l, k))]
+        for l, members in forward.buckets
+        if len(combo_flat)
+    ]
+    # records are ordered by size, so each size's keys are one run of key_flat
+    sizes, counts = np.unique(z["combo_k"], return_counts=True)
+    runs = np.split(z["key_flat"].astype(np.int32), np.cumsum(sizes * counts)[:-1])
+    return blocks, [run.reshape(-1, kk) for run, kk in zip(runs, sizes.tolist())]
 
 
 def load_index(path) -> ProductIndex:
-    """Reload a version 1 or 2 snapshot; verifies format and version."""
-    with np.load(path, allow_pickle=False) as z:
-        meta = json.loads(bytes(z["meta"]).decode("utf-8"))
-        if meta.get("format") != SNAPSHOT_FORMAT:
+    """Reload a snapshot of any version in SNAPSHOT_VERSIONS. A file that is
+    not an .npz with this format's meta, or of another version, raises
+    ValueError."""
+    with open(path, "rb") as fh:
+        # numpy would read a file that is not a zip archive as a pickle
+        if not zipfile.is_zipfile(fh):
             raise ValueError(f"not a {SNAPSHOT_FORMAT} snapshot: {path}")
-        if meta.get("version") not in SNAPSHOT_VERSIONS:
-            raise ValueError(
-                f"snapshot version {meta.get('version')} unsupported "
-                f"(expected one of {SNAPSHOT_VERSIONS})"
-            )
-        meta["stats"].pop("collisions_resolved", None)
-        product_ids = z["product_ids"].tolist()
-        vendor_ids = z["vendor_ids"].tolist()
-        truth = z["truth"]
-        # snapshots without truth_known wrote -1 for an unknown truth cluster
-        known = z["truth_known"] if "truth_known" in z.files else truth >= 0
-        products = [
-            RawProduct(pid, title, vid, t if ok else None)
-            for pid, title, vid, t, ok in zip(
-                product_ids, z["titles"].tolist(), vendor_ids, truth.tolist(), known.tolist()
-            )
-        ]
-        tokens = TokenLexicon(
-            surfaces=z["token_surfaces"].tolist(), f_w=z["token_f"], s_w=z["token_sem"]
+        fh.seek(0)
+        with np.load(fh, allow_pickle=False) as z:
+            return _read_snapshot(z, path)
+
+
+def _read_snapshot(z, path) -> ProductIndex:
+    meta = json.loads(bytes(z["meta"]).decode("utf-8")) if "meta" in z.files else {}
+    if meta.get("format") != SNAPSHOT_FORMAT:
+        raise ValueError(f"not a {SNAPSHOT_FORMAT} snapshot: {path}")
+    if meta.get("version") not in SNAPSHOT_VERSIONS:
+        raise ValueError(
+            f"snapshot version {meta.get('version')} unsupported "
+            f"(expected one of {SNAPSHOT_VERSIONS})"
         )
-        forward = ForwardIndex(
-            product_ids=product_ids,
-            vendor_ids=vendor_ids,
-            tok_flat=z["tok_flat"],
-            sem_flat=z["sem_flat"],
-            tok_offsets=z["tok_offsets"],
+    product_ids = z["product_ids"].tolist()
+    vendor_ids = z["vendor_ids"].tolist()
+    truth = z["truth"]
+    # snapshots without truth_known wrote -1 for an unknown truth cluster
+    known = z["truth_known"] if "truth_known" in z.files else truth >= 0
+    products = [
+        RawProduct(pid, title, vid, t if ok else None)
+        for pid, title, vid, t, ok in zip(
+            product_ids, z["titles"].tolist(), vendor_ids, truth.tolist(), known.tolist()
         )
-        k = meta["k"]
-        combo_flat = z["combo_flat"].astype(np.int32)
-        combo_offsets = z["combo_offsets"]
-        if len(combo_flat):
-            forward.combo_blocks = [
-                combo_flat[combo_offsets[members][:, None] + np.arange(count_combinations(l, k))]
-                for l, members in length_buckets(np.diff(forward.tok_offsets))
-            ]
-        # records are ordered by size, so each size's keys are one run of key_flat
-        sizes, counts = np.unique(z["combo_k"], return_counts=True)
-        runs = np.split(z["key_flat"].astype(np.int32), np.cumsum(sizes * counts)[:-1])
-        combos = CombinationLexicon(
-            f_c=z["combo_f"],
-            d_acc=z["combo_d"],
-            keys=[run.reshape(-1, kk) for run, kk in zip(runs, sizes.tolist())],
-        )
-        return ProductIndex(
-            dataset=Dataset(products=products),
-            tokens=tokens,
-            combos=combos,
-            forward=forward,
-            stats=IndexStats(**meta["stats"]),
-            k=k,
-            variant=meta["variant"],
-            distance_mode=meta["distance_mode"],
-        )
+    ]
+    forward = ForwardIndex(product_ids, vendor_ids, z["tok_flat"], z["sem_flat"], z["tok_offsets"])
+    k = meta["k"]
+    if meta["version"] < 3:
+        forward.combo_blocks, keys = _legacy_combinations(z, forward, k)
+    else:
+        # the sizes past the longest title and, without combinations, all blocks are absent
+        keys = [z[f"keys_{kk}"] for kk in range(2, k + 1) if f"keys_{kk}" in z.files]
+        blocks = [f"block_{b}" for b in range(len(forward.buckets))]
+        forward.combo_blocks = [z[name] for name in blocks if name in z.files]
+    return ProductIndex(
+        dataset=Dataset(products=products),
+        tokens=TokenLexicon(z["token_surfaces"].tolist(), z["token_f"], z["token_sem"]),
+        combos=CombinationLexicon(f_c=z["combo_f"], d_acc=z["combo_d"], keys=keys),
+        forward=forward,
+        k=k,
+        variant=meta["variant"],
+        distance_mode=meta["distance_mode"],
+    )

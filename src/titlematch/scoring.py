@@ -36,7 +36,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .combinatorics import position_patterns, signature_rows
-from .index import DISTANCE_MODES, CombinationLexicon, ProductIndex, length_buckets
+from .index import DISTANCE_MODES, CombinationLexicon, ProductIndex
 
 VARIANTS = ("upm", "upm+")
 VERIFY_METRICS = ("cs", "cs-idf")
@@ -248,15 +248,14 @@ def select_clusters(index: ProductIndex, config: ScoringConfig) -> ClusterUniver
         avgd = np.where(f_arr > 0, combos.d_acc / np.maximum(f_arr, 1), 0.0)
     quality = np.log(np.maximum(f_arr, 1)) / (config.alpha + avgd)
 
-    lengths = np.diff(fw.tok_offsets)
-    buckets = length_buckets(lengths)
-    if len(buckets) != len(fw.combo_blocks):
+    if len(fw.buckets) != len(fw.combo_blocks):
         raise ValueError("index was built without combinations")
     chosen = np.full(n, -1, dtype=np.int64)
     s1 = np.zeros(n, dtype=np.float64)
-    for (length, members), block in zip(buckets, fw.combo_blocks):
+    for (length, members), block in zip(fw.buckets, fw.combo_blocks):
         _score_bucket(index, config, members, length, block, quality, avgd, chosen, s1)
     first_token = fw.tok_flat[fw.tok_offsets[:-1]]
+    lengths = np.diff(fw.tok_offsets)
     s1[lengths == 1] = index.idf[first_token[lengths == 1]]
     vendor = np.asarray(fw.vendor_ids, dtype=np.int64)
     return ClusterUniverse.from_choices(chosen, first_token, vendor, s1)

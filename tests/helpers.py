@@ -14,7 +14,7 @@ import numpy as np
 
 from titlematch.baseline import cs, cs_idf
 from titlematch.combinatorics import FNV_OFFSET_BASIS, FNV_PRIME, signature_rows
-from titlematch.index import DISTANCE_MODES, CombinationLexicon, ForwardIndex, length_buckets
+from titlematch.index import DISTANCE_MODES, CombinationLexicon, ForwardIndex
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.scoring import VERIFY_METRICS
 from titlematch.textprep import (
@@ -34,7 +34,7 @@ def token_rows(fw: ForwardIndex) -> List[List[int]]:
 def combo_rows(fw: ForwardIndex) -> List[List[int]]:
     """Each product's record IDs in enumeration order, from the length blocks."""
     rows: List[List[int]] = [[] for _ in range(len(fw))]
-    for (_, members), block in zip(length_buckets(np.diff(fw.tok_offsets)), fw.combo_blocks):
+    for (_, members), block in zip(fw.buckets, fw.combo_blocks):
         for p, row in zip(members.tolist(), block.tolist()):
             rows[p] = row
     return rows

@@ -7,9 +7,11 @@ import itertools
 import json
 import math
 import random
+import re
 import string
 import tracemalloc
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from titlematch.combinatorics import (
 )
 from titlematch.index import analyze_dataset, build_index, load_index, resolve_k, save_index
 from titlematch.ingest import Dataset, RawProduct
+from titlematch.pipeline import run_match
 from titlematch.scoring import ScoringConfig, select_clusters
 from titlematch.synth import efficiency_dataset, long_title_dataset, planted_dataset
 from titlematch.textprep import AnalyzedTitle, UnitLexicon, analyze_title
@@ -191,7 +194,7 @@ def test_avg_combination_len_in_range():
 def test_snapshot_round_trip(tmp_path):
     ds = planted_dataset(n_clusters=8, n_vendors=5, seed=11)
     ds.products.append(RawProduct(999, "widget", 0, None))
-    # K=5 keeps key tables of three widths or more, which the loader splits
+    # K=5 keeps key tables of three widths or more, each stored as its own member
     cases = [("upm", "squared", None), ("upm+", "euclidean", None), ("upm", "squared", 5)]
     for variant, mode, k in cases:
         idx = build_index(ds, k=k, variant=variant, distance_mode=mode)
@@ -201,35 +204,64 @@ def test_snapshot_round_trip(tmp_path):
 
 
 def snapshot_corpus():
-    """The corpus of tests/data/index_v1.npz: 40 planted titles and one
-    one-token title, indexed with k=3."""
+    """The corpus of tests/data/index_v1.npz and index_v2.npz: 40 planted
+    titles and one one-token title, indexed with k=3."""
     ds = planted_dataset(n_clusters=9, n_vendors=4, seed=21)
     return Dataset(products=ds.products + [RawProduct(9001, "widget", 0, 999)])
 
 
-def test_v1_snapshot_loads_as_fresh_build():
-    # written by the release that stored per-product forward lists
-    loaded = load_index(DATA / "index_v1.npz")
+def assert_legacy_snapshot_loads_as_fresh_build(name):
+    path = DATA / name
+    loaded = load_index(path)
     fresh = build_index(snapshot_corpus(), k=3)
     assert loaded.stats.title_count == 41
     assert_same_columns(loaded, fresh)
+    # legacy files stored the stats that v3 derives from the columns
+    with np.load(path) as z:
+        stored = json.loads(bytes(z["meta"]).decode("utf-8"))["stats"]
+    stored.pop("collisions_resolved", None)
+    assert asdict(loaded.stats) == stored
     got, want = (select_clusters(idx, ScoringConfig()) for idx in (loaded, fresh))
     for name in ("assignment", "pi", "key", "s1"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-def test_snapshot_v2_stores_no_signatures(tmp_path):
+def test_v1_snapshot_loads_as_fresh_build():
+    # written by the release that stored per-product forward lists
+    assert_legacy_snapshot_loads_as_fresh_build("index_v1.npz")
+
+
+def test_v2_snapshot_loads_as_fresh_build():
+    # written by the release that stored flat combo and key columns
+    assert_legacy_snapshot_loads_as_fresh_build("index_v2.npz")
+
+
+def test_snapshot_v3_stores_the_held_columns(tmp_path):
     path = tmp_path / "index.npz"
-    save_index(build_index(snapshot_corpus(), k=3), path)
-    with np.load(path) as z, np.load(DATA / "index_v1.npz") as v1:
-        assert json.loads(bytes(z["meta"]).decode("utf-8"))["version"] == 2
-        assert "combo_sigs" not in z.files
-        assert "combo_sigs" in v1.files
-        # per-record sizes and key offsets are derived when saving, and read
-        # as the release that wrote the v1 file stored them
-        for name in ("combo_k", "key_offsets"):
-            assert z[name].dtype == v1[name].dtype == np.int64
-            assert np.array_equal(z[name], v1[name]), name
+    idx = build_index(snapshot_corpus(), k=3)
+    save_index(idx, path)
+    with np.load(path) as z:
+        meta = json.loads(bytes(z["meta"]).decode("utf-8"))
+        assert meta["version"] == 3 and "stats" not in meta
+        legacy = ("combo_sigs", "combo_flat", "combo_offsets", "combo_k", "key_flat", "key_offsets")
+        assert not set(legacy) & set(z.files)
+        assert sorted(n for n in z.files if n.startswith("keys_")) == ["keys_2", "keys_3"]
+        for k, table in enumerate(idx.combos.keys, start=2):
+            assert z[f"keys_{k}"].dtype == np.int32 and np.array_equal(z[f"keys_{k}"], table)
+        blocks = [n for n in z.files if n.startswith("block_")]
+        assert len(blocks) == len(idx.forward.buckets) == len(idx.forward.combo_blocks)
+        for b, block in enumerate(idx.forward.combo_blocks):
+            assert z[f"block_{b}"].dtype == np.int32 and np.array_equal(z[f"block_{b}"], block)
+
+
+def test_snapshot_writes_exactly_the_given_path(tmp_path):
+    # numpy's savez appends .npz to a path without that suffix
+    idx = build_index(snapshot_corpus(), k=3)
+    path = tmp_path / "snap"
+    save_index(idx, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snap"]
+    assert_same_columns(load_index(path), idx)
+    assert_same_columns(load_index(str(path)), idx)
 
 
 def test_snapshot_rejects_unsupported_version(tmp_path):
@@ -238,10 +270,10 @@ def test_snapshot_rejects_unsupported_version(tmp_path):
     with np.load(path) as z:
         arrays = dict(z)
     meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    meta["version"] = 3
+    meta["version"] = 4
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     np.savez(path, **arrays)
-    with pytest.raises(ValueError, match="snapshot version 3 unsupported"):
+    with pytest.raises(ValueError, match="snapshot version 4 unsupported"):
         load_index(path)
 
 
@@ -283,6 +315,30 @@ def test_snapshot_rejects_foreign_files(tmp_path):
     np.savez(path, meta=np.frombuffer(b'{"format": "something-else"}', dtype=np.uint8))
     with pytest.raises(ValueError, match="snapshot"):
         load_index(path)
+    # an .npz without meta, a feed, an .npy array and an empty file
+    np.savez(tmp_path / "bare.npz", product_ids=np.arange(3))
+    (tmp_path / "feed.csv").write_text("product_id,title,vendor_id\n1,acme toaster,0\n")
+    np.save(tmp_path / "array.npy", np.arange(3))
+    (tmp_path / "empty").write_bytes(b"")
+    for name in ("bare.npz", "feed.csv", "array.npy", "empty"):
+        path = tmp_path / name
+        with pytest.raises(ValueError, match=f"^not a titlematch-index snapshot: {re.escape(str(path))}$"):
+            load_index(path)
+    with pytest.raises(FileNotFoundError):
+        load_index(tmp_path / "missing.npz")
+
+
+def test_build_index_rejects_repeated_product_ids():
+    # ingest rejects repeats in a feed; a library-built Dataset reaches build_index
+    titles = ["alpha beta gamma", "alpha beta delta", "beta gamma delta"]
+    products = [RawProduct(pid, t, v, 0) for v, (pid, t) in enumerate(zip([1, 1, 2], titles))]
+    ds = Dataset(products=products)
+    for build in (lambda: build_index(ds, k=2), lambda: run_match(ds)):
+        with pytest.raises(ValueError, match="^duplicate product_id 1$"):
+            build()
+    ds = Dataset(products=[RawProduct(pid, t, 0) for pid, t in zip([5, 7, 7], titles)])
+    with pytest.raises(ValueError, match="^duplicate product_id 7$"):
+        build_index(ds, k=2, with_combinations=False)
 
 
 def test_euclidean_accumulation(units):
