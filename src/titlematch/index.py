@@ -12,14 +12,18 @@ semantics as one CSR in product order: the corpus columns themselves.
 Combinations are grouped by their exact key, the sorted member-ID sequence,
 in one whole-array pass per combination size k. A size-k key is the key of
 the size-(k-1) subset without its largest member, plus that member's ID, so
-each pass packs the subset's rank from the pass below above the largest ID,
-which takes as many bits as the largest token ID. The packed values are
-ranked by one in-place value sort (_rank_values), so records are ordered by
-(k, key) and each size's records form one run; f_c and the positional
-distance accumulator d_acc come from np.bincount. Each size's keys stay one
-(records, k) int32 table, which the pass above extends and the lexicon
-keeps. Equality never rests on a hash, and the index stores none: scoring
-computes the FNV-1a signature of a key only when a tie reaches it.
+each pass packs the subset's record ID from the pass below above the
+largest ID, which takes as many bits as the largest token ID. The packed
+values are ranked by one in-place value sort (_rank_values). Only keys that
+occur at least twice become records: I(c) is 0 at f_c = 1, so a unique
+key's cells hold -1 instead, and so do those of every instance whose prefix
+holds -1, since a superset of a unique subset is unique too. Records are
+ordered by (k, key) and each size's records form one run; f_c is counted in
+the sorted column and the positional distance accumulator d_acc comes from
+np.bincount. Each size's keys stay one (records, k) int32 table, which the
+pass above extends and the lexicon keeps. Equality never rests on a hash,
+and the index stores none: scoring computes the FNV-1a signature of a key
+only when a tie reaches it.
 
 Titles are bucketed by length (ForwardIndex.buckets), ascending, file order
 within a length. A bucket's record IDs form one block with a row per title,
@@ -29,12 +33,14 @@ order, so the accumulators are reproducible run to run. With the default
 squared distance the accumulator is integral and therefore exact.
 
 A snapshot (save_index) stores the key tables and blocks as they are held,
-and no stats: ProductIndex.stats derives them from the columns.
+and no stats: ProductIndex.stats derives them from the columns, unique
+instances included.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
@@ -48,9 +54,10 @@ from .ingest import Dataset, RawProduct
 from .textprep import TitleCorpus, TitleNormalizationError, UnitLexicon, analyze_titles
 
 SNAPSHOT_FORMAT = "titlematch-index"
-SNAPSHOT_VERSION = 3
-# v1 and v2 snapshots store flat combination columns (_legacy_combinations)
-SNAPSHOT_VERSIONS = (1, 2, 3)
+SNAPSHOT_VERSION = 4
+# v1 and v2 snapshots store flat combination columns (_flat_combinations), and
+# v1 to v3 a record for every key (_drop_unique)
+SNAPSHOT_VERSIONS = (1, 2, 3, 4)
 
 DISTANCE_MODES = ("squared", "euclidean")
 
@@ -77,7 +84,8 @@ class TokenLexicon:
 
 @dataclass
 class CombinationLexicon:
-    """Combination records as numpy columns, ordered by (k, key).
+    """Combination records as numpy columns, ordered by (k, key): one per
+    key that occurs at least twice, since I(c) is 0 at f_c = 1.
 
     Record i has frequency f_c[i] and distance accumulator d_acc[i]. keys
     holds one table per size: keys[k - 2] is the (n_k, k) int32 table of the
@@ -127,8 +135,9 @@ class ForwardIndex:
     tok_flat[tok_offsets[p] : tok_offsets[p + 1]] and their semantics the
     same slice of sem_flat. Combination record IDs live in one block per
     length bucket: row r of combo_blocks[b] holds the record IDs of the r-th
-    product of buckets[b] in enumeration order. combo_blocks is empty when
-    the index was built without combinations.
+    product of buckets[b] in enumeration order, -1 for a combination unique
+    in the corpus. combo_blocks is empty when the index was built without
+    combinations.
     """
 
     product_ids: List[int] = field(default_factory=list)
@@ -187,20 +196,25 @@ class ProductIndex:
 
     @cached_property
     def stats(self) -> IndexStats:
-        """Title, token and combination counts, from the columns."""
+        """Title, token and combination counts, from the columns. A length-l
+        block row holds C(l, k) instances of each size k; those its records'
+        f_c do not count are unique, one distinct combination each."""
         n = len(self.forward)
         combos = self.combos
-        # each size's records form one run of f_c
-        per_size = np.add.reduceat(combos.f_c, combos.size_starts)
-        instances = int(per_size.sum())
-        members = int(per_size @ np.arange(2, len(per_size) + 2))
+        instances = members = unique = 0
+        layout = list(zip(self.forward.buckets, self.forward.combo_blocks))
+        for kk in range(2, len(combos.keys) + 2):
+            count = sum(len(block) * math.comb(l, kk) for (l, _), block in layout)
+            instances += count
+            members += kk * count
+            unique += count - int(combos.f_c[combos.records(kk)].sum())
         return IndexStats(
             title_count=n,
             distinct_tokens=len(self.tokens),
             avg_title_len=len(self.forward.tok_flat) / n if n else 0.0,
             avg_combination_len=members / instances if instances else 0.0,
             combination_instances=instances,
-            distinct_combinations=len(combos),
+            distinct_combinations=len(combos) + unique,
         )
 
     @cached_property
@@ -235,13 +249,21 @@ def _check_int32(count: int, what: str) -> None:
 
 
 def _pack(
-    packed: np.ndarray, l: int, kk: int, ids: np.ndarray, prefix_ranks: np.ndarray, id_bits: int
+    packed: np.ndarray,
+    l: int,
+    kk: int,
+    ids: np.ndarray,
+    prefix_ranks: np.ndarray,
+    id_bits: int,
+    no_record: int,
 ) -> None:
     """Write (prefix rank << id_bits) | largest ID for every size-kk instance
     of a length-l bucket into its (titles, C(l, kk)) view of packed. An
     instance's prefix is its size-(kk-1) subset without the largest member;
     prefix_ranks holds each title's subset ranks in position_patterns(l, kk - 1)
-    order, and every token ID is below 2**id_bits."""
+    order, negative for a prefix without a record, and every token ID is below
+    2**id_bits. An instance whose prefix has no record packs to no_record plus
+    its position in the view, so that value occurs once."""
     patterns = position_patterns(l, kk)
     # a running maximum over the members beats argmax along an axis of length kk
     largest = ids[:, patterns[:, 0]]
@@ -251,15 +273,19 @@ def _pack(
         top[member > largest] = j
         np.maximum(largest, member, out=largest)
     subsets = drop_patterns(l, kk)[np.arange(top.shape[1]), top]
-    packed[:] = np.take_along_axis(prefix_ranks, subsets, axis=1)
+    ranks = np.take_along_axis(prefix_ranks, subsets, axis=1)
+    packed[:] = ranks
     packed <<= id_bits
     packed |= largest
+    unique = ranks < 0
+    packed[unique] = no_record + np.flatnonzero(unique)
 
 
-def _rank_values(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of a 1-D column of non-negative int64
-    values, and each value's index among them (numpy's unique with the
-    inverse); the column is overwritten.
+def _rank_values(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted values that occur more than once in a 1-D column of
+    non-negative int64 values, how often each occurs, and each position's
+    index among them, -1 where its value occurs once; the column is
+    overwritten.
 
     When the values' bit width plus that of their positions fits in 63 bits,
     each value is shifted up and its position written into the low bits, so
@@ -282,14 +308,21 @@ def _rank_values(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     new = np.empty(n, dtype=bool)
     new[:1] = True
     np.not_equal(values[1:], values[:-1], out=new[1:])
-    distinct = values[new]
-    # the sorted values' ranks, 1-based, then scattered back to positions
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=n)
+    repeated = counts > 1
+    distinct, counts, once = values[starts[repeated]], counts[repeated], starts[~repeated]
+    del starts, repeated
+    # in sorted order, the repeated runs begun so far index each value; a
+    # value that occurs once is its own run and reads -1
+    new[once] = False
     np.cumsum(new, out=values)
     del new
     values -= 1
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = values
-    return distinct, rank
+    values[once] = -1
+    index = np.empty(n, dtype=np.int64)
+    index[order] = values
+    return distinct, counts, index
 
 
 def _group_size(
@@ -306,25 +339,34 @@ def _group_size(
     blocks holds (l, ID matrix, size-(kk-1) record IDs, size-kk record-ID
     block) per title length l >= kk, ascending. A sorted key is its prefix's
     key plus the largest ID, so ranking (prefix rank << id_bits) | largest ID
-    ranks the keys lexicographically. Returns the distinct keys, from
-    prev_keys, with their f_c and d_acc; record IDs are offset + key rank.
+    ranks the keys lexicographically. Only keys with f_c >= 2 become records;
+    the cells of a unique key hold -1, and so do those of an instance whose
+    prefix holds -1, since a superset of a unique subset is unique too.
+    Returns the records' keys, from prev_keys, with their f_c and d_acc;
+    record IDs are offset + rank among the records.
     """
     bounds = np.cumsum([0] + [block.size for *_, block in blocks])
     packed = np.empty(bounds[-1], dtype=np.int64)
+    # past every packed prefix rank, so no instance of a unique prefix repeats a key
+    no_record = len(prev_keys) << id_bits
     for (l, ids, prev, block), start in zip(blocks, bounds):
         part = packed[start : start + block.size].reshape(block.shape)
-        _pack(part, l, kk, ids, prev - prev_offset, id_bits)
-    distinct, rank = _rank_values(packed)
+        _pack(part, l, kk, ids, prev - prev_offset, id_bits, no_record + start)
+    distinct, f_c, index = _rank_values(packed)
     del packed
     _check_int32(offset + len(distinct), "combination records")
-    dist = np.empty(len(rank))
+    dist = np.empty(len(index))
     for (l, _, _, block), start in zip(blocks, bounds):
-        block[:] = rank[start : start + block.size].reshape(block.shape) + offset
+        part = index[start : start + block.size].reshape(block.shape)
+        block[:] = np.where(part < 0, -1, part + offset)
         dist[start : start + block.size].reshape(block.shape)[:] = pattern_distances(l, kk)
+    # the unique instances sum into bin 0
+    index += 1
+    d_acc = np.bincount(index, np.sqrt(dist, out=dist) if euclidean else dist, len(distinct) + 1)
     keys = np.empty((len(distinct), kk), dtype=np.int32)
     keys[:, :-1] = prev_keys.take(distinct >> id_bits, axis=0)
     keys[:, -1] = distinct & ((1 << id_bits) - 1)
-    return keys, np.bincount(rank), np.bincount(rank, np.sqrt(dist) if euclidean else dist)
+    return keys, f_c, d_acc[1:]
 
 
 def _index_combinations(
@@ -334,7 +376,7 @@ def _index_combinations(
     each extending the ranks the pass below wrote (Apriori's prefix join).
 
     Fills forward.combo_blocks (each product's record IDs in enumeration
-    order) and returns the lexicon.
+    order, -1 for a unique combination) and returns the lexicon.
     """
     offsets = forward.tok_offsets
     n_tokens = int(forward.tok_flat.max(initial=-1)) + 1
@@ -467,7 +509,7 @@ def save_index(index: ProductIndex, path) -> None:
         )
 
 
-def _legacy_combinations(z, forward: ForwardIndex, k: int) -> Tuple[List, List]:
+def _flat_combinations(z, forward: ForwardIndex, k: int) -> Tuple[List, List]:
     """The blocks and key tables of a v1 or v2 snapshot, which stores record
     IDs in product order (combo_flat, combo_offsets) and keys as one column
     (key_flat) with each record's size (combo_k)."""
@@ -484,6 +526,20 @@ def _legacy_combinations(z, forward: ForwardIndex, k: int) -> Tuple[List, List]:
     return blocks, [run.reshape(-1, kk) for run, kk in zip(runs, sizes.tolist())]
 
 
+def _drop_unique(combos: CombinationLexicon, blocks: List) -> Tuple[CombinationLexicon, List]:
+    """The lexicon and blocks of a snapshot before v4, which keeps a record
+    for every key, without the f_c = 1 records: their cells become -1 and the
+    other records are renumbered in order."""
+    shared = combos.f_c > 1
+    record = np.where(shared, np.cumsum(shared) - 1, -1).astype(np.int32)
+    keys = [
+        table[shared[start : start + len(table)]]
+        for table, start in zip(combos.keys, combos.size_starts.tolist())
+    ]
+    lexicon = CombinationLexicon(f_c=combos.f_c[shared], d_acc=combos.d_acc[shared], keys=keys)
+    return lexicon, [record[block] for block in blocks]
+
+
 def load_index(path) -> ProductIndex:
     """Reload a snapshot of any version in SNAPSHOT_VERSIONS. A file that is
     not an .npz with this format's meta, or of another version, raises
@@ -497,14 +553,23 @@ def load_index(path) -> ProductIndex:
             return _read_snapshot(z, path)
 
 
+def _read_meta(z) -> dict:
+    """The snapshot's meta object, or {} when it is missing or not a JSON object."""
+    try:
+        meta = json.loads(bytes(z["meta"]).decode("utf-8"))
+    except (KeyError, ValueError):  # also UnicodeDecodeError and JSONDecodeError
+        return {}
+    return meta if isinstance(meta, dict) else {}
+
+
 def _read_snapshot(z, path) -> ProductIndex:
-    meta = json.loads(bytes(z["meta"]).decode("utf-8")) if "meta" in z.files else {}
+    meta = _read_meta(z)
     if meta.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"not a {SNAPSHOT_FORMAT} snapshot: {path}")
-    if meta.get("version") not in SNAPSHOT_VERSIONS:
+    version = meta.get("version")
+    if version not in SNAPSHOT_VERSIONS:
         raise ValueError(
-            f"snapshot version {meta.get('version')} unsupported "
-            f"(expected one of {SNAPSHOT_VERSIONS})"
+            f"snapshot version {version} unsupported (expected one of {SNAPSHOT_VERSIONS})"
         )
     product_ids = z["product_ids"].tolist()
     vendor_ids = z["vendor_ids"].tolist()
@@ -519,17 +584,21 @@ def _read_snapshot(z, path) -> ProductIndex:
     ]
     forward = ForwardIndex(product_ids, vendor_ids, z["tok_flat"], z["sem_flat"], z["tok_offsets"])
     k = meta["k"]
-    if meta["version"] < 3:
-        forward.combo_blocks, keys = _legacy_combinations(z, forward, k)
+    if version < 3:
+        blocks, keys = _flat_combinations(z, forward, k)
     else:
         # the sizes past the longest title and, without combinations, all blocks are absent
         keys = [z[f"keys_{kk}"] for kk in range(2, k + 1) if f"keys_{kk}" in z.files]
-        blocks = [f"block_{b}" for b in range(len(forward.buckets))]
-        forward.combo_blocks = [z[name] for name in blocks if name in z.files]
+        names = [f"block_{b}" for b in range(len(forward.buckets))]
+        blocks = [z[name] for name in names if name in z.files]
+    combos = CombinationLexicon(f_c=z["combo_f"], d_acc=z["combo_d"], keys=keys)
+    if version < 4:
+        combos, blocks = _drop_unique(combos, blocks)
+    forward.combo_blocks = blocks
     return ProductIndex(
         dataset=Dataset(products=products),
         tokens=TokenLexicon(z["token_surfaces"].tolist(), z["token_f"], z["token_sem"]),
-        combos=CombinationLexicon(f_c=z["combo_f"], d_acc=z["combo_d"], keys=keys),
+        combos=combos,
         forward=forward,
         k=k,
         variant=meta["variant"],

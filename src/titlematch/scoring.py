@@ -12,17 +12,25 @@ token. The highest-scoring combination becomes the product's dominating
 cluster, and all products that select the same combination are declared
 matching.
 
+A combination unique in the corpus has no record (its block cell is -1)
+and scores 0. Y_c is summed over the combination's title positions from
+left to right, each size extending the sums of the size below.
+
 The universe is columns: per product its cluster (assignment), vendor and
 summed idf s1; per cluster, ordered by first member in file order, its
 representative pi (the first member with the largest s1) and its key (the
-chosen record ID, or -1 for one-token titles and verification singletons).
+chosen record ID, or -1 when no record was chosen: one-token titles, which
+group by their token, products whose choice has no f_c >= 2 record, and
+verification singletons, each of which founds its own cluster).
 
 Ties are resolved deterministically: equal positive scores prefer the longer
 combination, then the smaller average distance, then the smaller signature;
-all-zero products (every combination unique in the corpus) prefer the larger
-relevance score, then the longer combination, then the smaller signature.
-Scores are plain float64 expressions over identical operands, evaluated in
-one fixed order, so exact comparison is reproducible across runs.
+all-zero products (no combination scores above 0, as when every one is
+unique in the corpus) prefer the larger relevance score, then the longer
+combination, then the smaller signature of the key read from the title's
+own tokens. Scores are plain float64 expressions over identical operands,
+evaluated in one fixed order, so exact comparison is reproducible across
+runs.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .combinatorics import position_patterns, signature_rows
+from .combinatorics import count_combinations, drop_patterns, position_patterns, signature_rows
 from .index import DISTANCE_MODES, CombinationLexicon, ProductIndex
 
 VARIANTS = ("upm", "upm+")
@@ -108,7 +116,9 @@ class ClusterViews(Sequence):
 class ClusterUniverse:
     """Clusters as columns: per product its cluster (assignment), vendor and
     summed idf s1; per cluster, in creation order, its representative pi and
-    its key, the chosen record ID or -1 when no combination chose it."""
+    its key, the chosen record ID, or -1 when no record chose it: a
+    one-token title's cluster, the own cluster of a product whose choice has
+    no f_c >= 2 record, or a verification singleton."""
 
     assignment: np.ndarray
     vendor: np.ndarray
@@ -121,9 +131,12 @@ class ClusterUniverse:
         cls, chosen: np.ndarray, token: np.ndarray, vendor: np.ndarray, s1: np.ndarray
     ) -> "ClusterUniverse":
         """Group products by chosen record ID, or by token where none was
-        chosen (-1); clusters follow their first member in file order, and a
+        chosen (-1); a product with neither (token -1) founds its own
+        cluster. Clusters follow their first member in file order, and a
         representative is the first member with the largest s1."""
         group = np.where(chosen >= 0, chosen, -1 - token)
+        own = (chosen < 0) & (token < 0)
+        group[own] = group.max(initial=0) + 1 + np.arange(np.count_nonzero(own))
         _, first, inverse = np.unique(group, return_index=True, return_inverse=True)
         assignment = np.argsort(np.argsort(first))[inverse]
         order = np.lexsort((-s1, assignment))
@@ -150,28 +163,59 @@ class ClusterUniverse:
 def _resolve_row(
     i_row: np.ndarray,
     y_row: np.ndarray,
-    ids: np.ndarray,
+    recs: np.ndarray,
+    tokens: np.ndarray,
+    patterns: List[np.ndarray],
     combos: CombinationLexicon,
-    avgd: np.ndarray,
 ) -> int:
     """Tie-break one product's combination choice; returns a local column.
 
-    All-zero rows prefer the larger Y, then the larger k, then the smaller
-    signature. Equal positive scores prefer the larger k, then the smaller
-    mean distance, then the smaller signature. Equal signatures keep the
-    earliest column.
+    The title's columns hold its record IDs recs (-1 for a unique
+    combination) in pattern order: position_patterns(l, k) for k = 2, 3, ...
+    as patterns lists them, over the title's token IDs tokens. All-zero rows
+    prefer the larger Y, then the larger k, then the smaller signature. Equal
+    positive scores prefer the larger k, then the smaller mean distance, then
+    the smaller signature. Equal signatures keep the earliest column.
     """
-    k = combos.sizes(ids)
-    prefs = (y_row, k) if i_row.max() == 0.0 else (i_row, k, -avgd[ids])
-    cols = np.arange(len(ids))
-    for pref in prefs:
+    starts = np.cumsum([0] + [len(pat) for pat in patterns])
+    k = np.searchsorted(starts, np.arange(len(recs)), side="right") + 1
+    positive = i_row.max() > 0.0
+    cols = np.arange(len(recs))
+    for pref in (i_row if positive else y_row, k):
         vals = pref[cols]
         cols = cols[vals == vals.max()]
+    if positive and len(cols) > 1:
+        # a positive score has a record, so its mean distance is at hand
+        tied = recs[cols]
+        avgd = combos.d_acc[tied] / combos.f_c[tied]
+        cols = cols[avgd == avgd.min()]
     if len(cols) == 1:
         return int(cols[0])
     # only the columns still tied are hashed; they share one k
-    rows = combos.key_rows(ids[cols], int(k[cols[0]]))
+    kk = int(k[cols[0]])
+    rows = np.sort(tokens[patterns[kk - 2][cols - starts[kk - 2]]], axis=1)
     return int(cols[np.argmin(signature_rows(rows))])
+
+
+def _relevance(a: np.ndarray, k_max: int, b: float, l_avg_c: float) -> np.ndarray:
+    """Y of every combination of titles of one length l, given each title
+    position's field-weighted idf a (titles, l): a (titles, columns) matrix
+    whose columns are position_patterns(l, k) for k = 2..min(k_max, l).
+
+    Y sums a over a pattern's positions from left to right, so it is the sum
+    of the pattern's prefix (the pattern without its last position, a row of
+    drop_patterns) plus the last position, divided by the length
+    normalization 1 - b + b * k / l_avg_c.
+    """
+    length = a.shape[1]
+    y = np.empty((len(a), count_combinations(length, k_max)))
+    prefix, lo = a, 0  # a one-position pattern sums to its a
+    for kk in range(2, min(k_max, length) + 1):
+        pat = position_patterns(length, kk)
+        prefix = prefix[:, drop_patterns(length, kk)[:, -1]] + a[:, pat[:, -1]]
+        np.divide(prefix, 1.0 - b + b * kk / l_avg_c, out=y[:, lo : lo + len(pat)])
+        lo += len(pat)
+    return y
 
 
 # Upper bound on elements gathered per batch in the scoring pass.
@@ -185,14 +229,14 @@ def _score_bucket(
     length: int,
     block: np.ndarray,
     quality: np.ndarray,
-    avgd: np.ndarray,
     chosen: np.ndarray,
     s1: np.ndarray,
 ) -> None:
     """Score every combination of every product in one equal-length bucket
     and fill in the members' chosen record IDs and summed idf s1.
 
-    block holds the bucket's record IDs, one row per member.
+    block holds the bucket's record IDs, one row per member, -1 for a unique
+    combination; quality[-1] is 0. A product whose choice is unique keeps -1.
     """
     fw = index.forward
     idf = index.idf
@@ -201,7 +245,6 @@ def _score_bucket(
     b = config.b
 
     patterns = [position_patterns(length, kk) for kk in range(2, min(index.k, length) + 1)]
-    denoms = [1.0 - b + b * kk / l_avg_c for kk in range(2, min(index.k, length) + 1)]
     weight = sum(p.size for p in patterns)
     step = max(1, _SCORE_BUDGET // max(1, weight))
 
@@ -218,10 +261,11 @@ def _score_bucket(
         s1[batch] = idf_mat.sum(axis=1)
         a = idf_mat * (total_tokens / x_per_token)
 
-        y_mat = np.hstack([a[:, pat].sum(axis=2) / den for pat, den in zip(patterns, denoms)])
+        y_mat = _relevance(a, index.k, b, l_avg_c)
 
         idx_mat = block[c0 : c0 + step]
-        i_mat = (y_mat * y_mat) * quality[idx_mat]
+        i_mat = y_mat * y_mat
+        i_mat *= quality[idx_mat]
 
         row_max = i_mat.max(axis=1)
         n_max = (i_mat == row_max[:, None]).sum(axis=1)
@@ -229,7 +273,7 @@ def _score_bucket(
         best = np.argmax(i_mat, axis=1)
         chosen[batch[plain]] = idx_mat[plain, best[plain]]
         for r in np.flatnonzero(~plain):
-            col = _resolve_row(i_mat[r], y_mat[r], idx_mat[r], index.combos, avgd)
+            col = _resolve_row(i_mat[r], y_mat[r], idx_mat[r], ids_mat[r], patterns, index.combos)
             chosen[batch[r]] = idx_mat[r, col]
 
 
@@ -238,24 +282,25 @@ def select_clusters(index: ProductIndex, config: ScoringConfig) -> ClusterUniver
 
     Products whose analyzed title is a single token cannot form combinations;
     they are grouped by that token, so identical one-token titles still match
-    each other. The index is left unchanged.
+    each other. A product whose choice is a unique combination founds its own
+    cluster. The index is left unchanged.
     """
     fw = index.forward
     n = len(fw)
     combos = index.combos
-    f_arr = combos.f_c.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        avgd = np.where(f_arr > 0, combos.d_acc / np.maximum(f_arr, 1), 0.0)
-    quality = np.log(np.maximum(f_arr, 1)) / (config.alpha + avgd)
+    # records have f_c >= 2; a unique combination's cell (-1) reads the trailing 0
+    quality = np.zeros(len(combos) + 1)
+    np.divide(np.log(combos.f_c), config.alpha + combos.d_acc / combos.f_c, out=quality[:-1])
 
     if len(fw.buckets) != len(fw.combo_blocks):
         raise ValueError("index was built without combinations")
     chosen = np.full(n, -1, dtype=np.int64)
     s1 = np.zeros(n, dtype=np.float64)
     for (length, members), block in zip(fw.buckets, fw.combo_blocks):
-        _score_bucket(index, config, members, length, block, quality, avgd, chosen, s1)
+        _score_bucket(index, config, members, length, block, quality, chosen, s1)
     first_token = fw.tok_flat[fw.tok_offsets[:-1]]
-    lengths = np.diff(fw.tok_offsets)
-    s1[lengths == 1] = index.idf[first_token[lengths == 1]]
+    one_token = np.diff(fw.tok_offsets) == 1
+    s1[one_token] = index.idf[first_token[one_token]]
     vendor = np.asarray(fw.vendor_ids, dtype=np.int64)
-    return ClusterUniverse.from_choices(chosen, first_token, vendor, s1)
+    token = np.where(one_token, first_token, -1)
+    return ClusterUniverse.from_choices(chosen, token, vendor, s1)

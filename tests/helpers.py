@@ -7,16 +7,18 @@ import csv
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from titlematch import scoring
 from titlematch.baseline import cs, cs_idf
 from titlematch.combinatorics import FNV_OFFSET_BASIS, FNV_PRIME, signature_rows
 from titlematch.index import DISTANCE_MODES, CombinationLexicon, ForwardIndex
 from titlematch.ingest import Dataset, RawProduct
-from titlematch.scoring import VERIFY_METRICS
+from titlematch.scoring import VERIFY_METRICS, ScoringConfig, select_clusters
 from titlematch.textprep import (
     AnalyzedTitle,
     Semantics,
@@ -38,6 +40,40 @@ def combo_rows(fw: ForwardIndex) -> List[List[int]]:
         for p, row in zip(members.tolist(), block.tolist()):
             rows[p] = row
     return rows
+
+
+def unique_instances(fw: ForwardIndex) -> Counter:
+    """The -1 cells of each size k's block columns: its instances of a
+    combination unique in the corpus, which has no record."""
+    counts: Counter = Counter()
+    for (l, _), block in zip(fw.buckets, fw.combo_blocks):
+        start, k = 0, 2
+        while start < block.shape[1]:
+            stop = start + math.comb(l, k)
+            counts[k] += int(np.count_nonzero(block[:, start:stop] < 0))
+            start, k = stop, k + 1
+    return counts
+
+
+def lone_title_choice(index, monkeypatch) -> Tuple[int, ...]:
+    """The sorted token IDs of the combination select_clusters picks for an
+    index of one title, read from the title's own tokens: each of its
+    combinations is unique, so it has no record, and the product founds its
+    own cluster with key -1."""
+    picks = []
+    resolve = scoring._resolve_row
+
+    def spy(i_row, y_row, recs, tokens, patterns, combos):
+        col = resolve(i_row, y_row, recs, tokens, patterns, combos)
+        rows = [row for pat in patterns for row in pat.tolist()]
+        picks.append(tuple(sorted(tokens[rows[col]].tolist())))
+        return col
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scoring, "_resolve_row", spy)
+        universe = select_clusters(index, ScoringConfig())
+    assert len(index.forward) == 1 and universe.key.tolist() == [-1] and len(picks) == 1
+    return picks[0]
 
 
 def assert_key_signatures(combos: CombinationLexicon, recs: np.ndarray) -> None:
@@ -391,10 +427,12 @@ class ObjectUniverse:
 
 def object_universe(chosen, token, vendor, s1) -> ObjectUniverse:
     """The insert loop that select_clusters once ran, over the same
-    per-product inputs as ClusterUniverse.from_choices."""
+    per-product inputs as ClusterUniverse.from_choices: a product with
+    neither a chosen record nor a token (both -1) gets a key of its own."""
     u = ObjectUniverse(len(chosen))
     for p, (c, t, v, s) in enumerate(zip(chosen, token, vendor, s1)):
-        u.insert(("token", int(t)) if c < 0 else int(c), p, int(v), float(s))
+        key = int(c) if c >= 0 else ("token", int(t)) if t >= 0 else ("own", p)
+        u.insert(key, p, int(v), float(s))
     return u
 
 

@@ -42,6 +42,7 @@ from helpers import (
     generate_combinations,
     normalize_title_scalar,
     token_rows,
+    unique_instances,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -64,11 +65,15 @@ def test_signature_dedupe_across_orderings():
 
 
 def test_single_product_counts():
+    # a lone title's combinations are all unique: no records, three -1 cells
     ds = tiny_dataset(["aa bb cc"])
     idx = build_index(ds, k=2)
     assert len(idx.tokens) == 3
     assert idx.tokens.f_w.tolist() == [1, 1, 1]
-    assert len(idx.combos) == 3
+    assert len(idx.combos) == 0
+    assert combo_rows(idx.forward) == [[-1, -1, -1]]
+    assert unique_instances(idx.forward) == {2: 3}
+    assert idx.stats.distinct_combinations == idx.stats.combination_instances == 3
 
 
 def test_empty_dataset():
@@ -110,6 +115,33 @@ def test_distance_missing_token_raises(units):
         distance(c, t)
 
 
+@pytest.mark.parametrize(
+    "titles, k",
+    [
+        # a lone title: no size has a record
+        (["aa bb cc"], 2),
+        (["aa bb cc"], 3),
+        # size 2 has the record {aa, bb}; every size-3 instance is unique
+        (["aa bb cc", "aa bb dd", "ee ff"], 3),
+        # the sizes with records are followed by one without
+        (["aa bb cc dd", "aa bb cc ee", "ff gg"], 4),
+    ],
+    ids=["lone-k2", "lone-k3", "unique-k3", "unique-k4"],
+)
+def test_stats_count_unique_instances(titles, k):
+    idx = build_index(tiny_dataset(titles), k=k)
+    assert any(len(table) == 0 for table in idx.combos.keys)
+    counts = Counter()
+    for ids in token_rows(idx.forward):
+        for kk in range(2, min(k, len(ids)) + 1):
+            counts.update(tuple(sorted(c)) for c in itertools.combinations(ids, kk))
+    instances = sum(counts.values())
+    members = sum(len(key) * n for key, n in counts.items())
+    assert idx.stats.combination_instances == instances
+    assert idx.stats.distinct_combinations == len(counts)
+    assert idx.stats.avg_combination_len == members / instances
+
+
 def test_forward_list_lengths_match_counts():
     ds = planted_dataset(n_clusters=8, n_vendors=5, seed=2)
     idx = build_index(ds)
@@ -125,7 +157,8 @@ def test_token_frequency_balance():
 
 
 def brute_force_accumulators(index):
-    """Oracle: recompute f_c and d_acc per combination with plain loops."""
+    """Oracle: recompute f_c and d_acc per combination with plain loops,
+    unique ones included."""
     expected = {}
     for ids in token_rows(index.forward):
         for k in range(2, min(index.k, len(ids)) + 1):
@@ -142,12 +175,16 @@ def test_accumulators_match_brute_force():
     assert ds.title_count <= 500
     idx = build_index(ds)
     expected = brute_force_accumulators(idx)
-    assert len(expected) == len(idx.combos)
+    # records are the keys with f_c >= 2; the unique ones are -1 cells
+    assert len(idx.combos) == sum(f > 1 for f, _ in expected.values())
     for i in range(len(idx.combos)):
         key = tuple(idx.combos.ids_of(i))
         f, acc = expected[key]
         assert idx.combos.f_c[i] == f
         assert idx.combos.d_acc[i] == acc
+    unique = Counter(len(key) for key, (f, _) in expected.items() if f == 1)
+    assert unique_instances(idx.forward) == unique
+    assert idx.stats.distinct_combinations == len(expected)
 
 
 def test_key_signatures_match_scalar():
@@ -204,10 +241,20 @@ def test_snapshot_round_trip(tmp_path):
 
 
 def snapshot_corpus():
-    """The corpus of tests/data/index_v1.npz and index_v2.npz: 40 planted
-    titles and one one-token title, indexed with k=3."""
+    """The corpus of tests/data/index_v1.npz, index_v2.npz and index_v3.npz:
+    40 planted titles and one one-token title, indexed with k=3."""
     ds = planted_dataset(n_clusters=9, n_vendors=4, seed=21)
     return Dataset(products=ds.products + [RawProduct(9001, "widget", 0, 999)])
+
+
+def stored_stats(name):
+    """The stats a v1 or v2 snapshot stored in its meta, without the
+    always-0 collisions_resolved; None for a later version."""
+    with np.load(DATA / name) as z:
+        stats = json.loads(bytes(z["meta"]).decode("utf-8")).get("stats")
+    if stats is not None:
+        stats.pop("collisions_resolved", None)
+    return stats
 
 
 def assert_legacy_snapshot_loads_as_fresh_build(name):
@@ -216,11 +263,8 @@ def assert_legacy_snapshot_loads_as_fresh_build(name):
     fresh = build_index(snapshot_corpus(), k=3)
     assert loaded.stats.title_count == 41
     assert_same_columns(loaded, fresh)
-    # legacy files stored the stats that v3 derives from the columns
-    with np.load(path) as z:
-        stored = json.loads(bytes(z["meta"]).decode("utf-8"))["stats"]
-    stored.pop("collisions_resolved", None)
-    assert asdict(loaded.stats) == stored
+    # v3 stores no stats; index_v2.npz stored those of the same corpus
+    assert asdict(loaded.stats) == (stored_stats(name) or stored_stats("index_v2.npz"))
     got, want = (select_clusters(idx, ScoringConfig()) for idx in (loaded, fresh))
     for name in ("assignment", "pi", "key", "s1"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -236,13 +280,21 @@ def test_v2_snapshot_loads_as_fresh_build():
     assert_legacy_snapshot_loads_as_fresh_build("index_v2.npz")
 
 
-def test_snapshot_v3_stores_the_held_columns(tmp_path):
+def test_v3_snapshot_loads_as_fresh_build():
+    # written by the release that kept a record for every key, unique ones too
+    with np.load(DATA / "index_v3.npz") as z:
+        assert (z["combo_f"] == 1).any()
+    assert_legacy_snapshot_loads_as_fresh_build("index_v3.npz")
+
+
+def test_snapshot_stores_the_held_columns(tmp_path):
     path = tmp_path / "index.npz"
     idx = build_index(snapshot_corpus(), k=3)
+    assert (np.concatenate(idx.forward.combo_blocks, axis=None) < 0).any()
     save_index(idx, path)
     with np.load(path) as z:
         meta = json.loads(bytes(z["meta"]).decode("utf-8"))
-        assert meta["version"] == 3 and "stats" not in meta
+        assert meta["version"] == 4 and "stats" not in meta
         legacy = ("combo_sigs", "combo_flat", "combo_offsets", "combo_k", "key_flat", "key_offsets")
         assert not set(legacy) & set(z.files)
         assert sorted(n for n in z.files if n.startswith("keys_")) == ["keys_2", "keys_3"]
@@ -270,10 +322,10 @@ def test_snapshot_rejects_unsupported_version(tmp_path):
     with np.load(path) as z:
         arrays = dict(z)
     meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    meta["version"] = 4
+    meta["version"] = 5
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     np.savez(path, **arrays)
-    with pytest.raises(ValueError, match="snapshot version 4 unsupported"):
+    with pytest.raises(ValueError, match="snapshot version 5 unsupported"):
         load_index(path)
 
 
@@ -298,12 +350,16 @@ def test_snapshot_keeps_negative_truth_clusters(tmp_path):
 
 
 def test_ids_of_rejects_records_out_of_range():
-    # -1 is the key of one-token clusters and verification singletons
-    ds = Dataset(products=[RawProduct(1, "alpha beta", 0), RawProduct(2, "alpha beta gamma", 1)])
-    combos = build_index(ds, k=2).combos
-    assert [combos.ids_of(i) for i in range(len(combos))] == [[0, 1], [0, 2], [1, 2]]
+    # -1 is the key of one-token clusters, unique choices and verification
+    # singletons; {beta, gamma} is unique and has no record
+    titles = ["alpha beta", "alpha beta gamma", "alpha gamma"]
+    ds = Dataset(products=[RawProduct(i, t, i) for i, t in enumerate(titles)])
+    index = build_index(ds, k=2)
+    combos = index.combos
+    assert [combos.ids_of(i) for i in range(len(combos))] == [[0, 1], [0, 2]]
+    assert unique_instances(index.forward) == {2: 1}
     for idx in (-1, -len(combos), len(combos)):
-        message = f"^combination record {idx} out of range for 3 records$"
+        message = f"^combination record {idx} out of range for 2 records$"
         with pytest.raises(IndexError, match=message):
             combos.ids_of(idx)
     with pytest.raises(IndexError, match="^combination record 0 out of range for 0 records$"):
@@ -326,6 +382,15 @@ def test_snapshot_rejects_foreign_files(tmp_path):
             load_index(path)
     with pytest.raises(FileNotFoundError):
         load_index(tmp_path / "missing.npz")
+
+
+@pytest.mark.parametrize("meta", [b"[1]", b"\xff\xfe"], ids=["json-list", "not-utf8"])
+def test_snapshot_rejects_malformed_meta(tmp_path, meta):
+    # JSON that is not an object, and bytes that are not UTF-8
+    path = tmp_path / "index.npz"
+    np.savez(path, meta=np.frombuffer(meta, dtype=np.uint8))
+    with pytest.raises(ValueError, match=f"^not a titlematch-index snapshot: {re.escape(str(path))}$"):
+        load_index(path)
 
 
 def test_build_index_rejects_repeated_product_ids():
@@ -411,15 +476,20 @@ def assert_matches_reference(index):
         itertools.accumulate(t.length for t in titles)
     )
     combos = index.combos
+    # the keys with f_c >= 2 are the records; a unique key's cells hold -1
     keys = [tuple(combos.ids_of(i)) for i in range(len(combos))]
-    assert keys == sorted(expected, key=lambda key: (len(key), key))
+    shared = [key for key, (f, _) in expected.items() if f > 1]
+    assert keys == sorted(shared, key=lambda key: (len(key), key))
     assert combos.sizes(np.arange(len(combos))).tolist() == [len(key) for key in keys]
     for i, key in enumerate(keys):
         f, d = expected[key]
         assert combos.f_c[i] == f, key
         assert combos.d_acc[i] == d, key
     for p, row in enumerate(combo_rows(index.forward)):
-        assert [keys[r] for r in row] == keys_of[p], f"product {p}"
+        want = [key if expected[key][0] > 1 else None for key in keys_of[p]]
+        assert [keys[r] if r >= 0 else None for r in row] == want, f"product {p}"
+    unique = Counter(len(key) for key, (f, _) in expected.items() if f == 1)
+    assert unique_instances(index.forward) == unique
     assert index.stats.distinct_combinations == len(expected)
     assert index.stats.combination_instances == sum(len(k) for k in keys_of)
 
@@ -503,7 +573,7 @@ def test_index_memory_per_instance_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / idx.stats.combination_instances <= 56
+    assert peak / idx.stats.combination_instances <= 40
 
 
 def test_analyze_dataset_leaves_no_per_title_objects():
@@ -524,11 +594,17 @@ def test_id_overflow_error_gives_the_count():
 
 
 def _assert_ranks_like_unique(values):
-    distinct, rank = index_module._rank_values(values.copy())
-    want_distinct, want_rank = np.unique(values, return_inverse=True)
-    assert distinct.dtype == np.int64 and rank.dtype == np.int64
-    assert np.array_equal(distinct, want_distinct)
-    assert np.array_equal(rank, want_rank.ravel())
+    # numpy's unique, restricted to the values that occur more than once
+    distinct, counts, index = index_module._rank_values(values.copy())
+    want_distinct, want_inverse, want_counts = np.unique(
+        values, return_inverse=True, return_counts=True
+    )
+    repeated = want_counts > 1
+    want_index = np.where(repeated, np.cumsum(repeated) - 1, -1)[want_inverse.ravel()]
+    assert distinct.dtype == counts.dtype == index.dtype == np.int64
+    assert np.array_equal(distinct, want_distinct[repeated])
+    assert np.array_equal(counts, want_counts[repeated])
+    assert np.array_equal(index, want_index)
 
 
 # (7, 7) makes every value equal and (0, 1), (0, 3) repeat heavily; from

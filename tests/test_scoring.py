@@ -5,13 +5,17 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from titlematch import scoring as scoring_module
+from titlematch.combinatorics import drop_patterns, position_patterns
 from titlematch.index import build_index
 from titlematch.ingest import Dataset, RawProduct
+from titlematch.pipeline import run_match
 from titlematch.scoring import ClusterUniverse, ScoringConfig, select_clusters
 from titlematch.synth import long_title_dataset, planted_dataset
 from titlematch.textprep import Semantics
@@ -25,6 +29,7 @@ from helpers import (
     field_population,
     field_weight,
     ir_score,
+    lone_title_choice,
     object_universe,
     signature,
     token_rows,
@@ -161,8 +166,8 @@ def test_universe_equal_s1_keeps_earlier():
 @given(
     st.lists(
         st.tuples(
-            st.integers(min_value=-1, max_value=5),  # chosen record, -1: one token
-            st.integers(min_value=0, max_value=3),  # token
+            st.integers(min_value=-1, max_value=5),  # chosen record, -1: none
+            st.integers(min_value=-1, max_value=3),  # token, -1: none
             st.integers(min_value=0, max_value=3),  # vendor
             st.sampled_from([0.0, 0.5, 1.5, 2.0]),  # s1, ties likely
         ),
@@ -222,23 +227,23 @@ def test_all_unique_corpus_yields_singletons():
     assert sorted(universe.assignment) == [0, 1, 2]
 
 
-def test_single_combination_product():
+def test_single_combination_product(monkeypatch):
     ds = tiny_dataset(["left right"])
     idx = build_index(ds, k=2)
     universe = select_clusters(idx, ScoringConfig())
     assert len(universe) == 1
-    assert len(idx.combos.ids_of(universe.clusters[0].key)) == 2
+    assert lone_title_choice(idx, monkeypatch) == (0, 1)
 
 
-def test_all_zero_row_prefers_larger_k_then_smaller_signature():
+def test_all_zero_row_prefers_larger_k_then_smaller_signature(monkeypatch):
     # a lone title: every combination is unique and every idf is 0, so every
     # score and every Y is 0
     ds = tiny_dataset(["aa bb cc dd"])
     for k in (2, 3):
         idx = build_index(ds, k=k)
-        keys = [tuple(idx.combos.ids_of(i)) for i in idx.combos.records(k)]
-        key = select_clusters(idx, ScoringConfig()).clusters[0].key
-        assert tuple(idx.combos.ids_of(key)) == min(keys, key=lambda ids: signature(ids).value)
+        keys = list(itertools.combinations(sorted(idx.forward.tokens_of(0).tolist()), k))
+        want = min(keys, key=lambda ids: signature(ids).value)
+        assert lone_title_choice(idx, monkeypatch) == want
 
 
 def test_positive_tie_prefers_smaller_signature():
@@ -255,6 +260,19 @@ def test_positive_tie_prefers_smaller_signature():
     want = min(tied, key=lambda key: signature(key).value)
     for p in (0, 1):
         assert tuple(idx.combos.ids_of(universe.key[universe.assignment[p]])) == want
+
+
+def test_unique_choices_found_their_own_clusters():
+    # every combination of "aa bb" and of "cc dd" is unique, so each product's
+    # all-zero choice has no record: it shares a cluster neither with the
+    # one-token title of its first token nor with the other; the two "ee ff"
+    # share record 0
+    ds = tiny_dataset(["aa bb", "aa", "cc dd", "ee ff", "ee ff"])
+    idx = build_index(ds, k=2)
+    assert len(idx.combos) == 1 and idx.combos.ids_of(0) == [4, 5]
+    for universe in (select_clusters(idx, ScoringConfig()), run_match(ds).universe):
+        assert universe.assignment.tolist() == [0, 1, 2, 3, 3]
+        assert universe.key.tolist() == [-1, -1, -1, 0]
 
 
 def test_one_token_titles_cluster_by_token():
@@ -297,6 +315,50 @@ def test_scale_invariance_of_argmax():
         base = (y**2) * np.log(f) / (1.0 + d / f)
         scaled = ((17.0 * y) ** 2) * np.log(f) / (1.0 + d / f)
         assert np.argmax(base) == np.argmax(scaled)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+def test_relevance_is_a_left_to_right_sum(length, k_max, titles, data):
+    # float addition is not associative: Y is pinned to one summation order
+    values = st.lists(st.floats(0.0, 1e6), min_size=length, max_size=length)
+    a = np.array(data.draw(st.lists(values, min_size=titles, max_size=titles)))
+    b = data.draw(st.floats(0.0, 1.0))
+    l_avg_c = data.draw(st.floats(2.0, 6.0))
+    want = []
+    for row in a.tolist():
+        cols = []
+        for k in range(2, min(k_max, length) + 1):
+            den = 1.0 - b + b * k / l_avg_c
+            for positions in itertools.combinations(range(length), k):
+                y = row[positions[0]]
+                for p in positions[1:]:
+                    y += row[p]
+                cols.append(y / den)
+        want.append(cols)
+    got = scoring_module._relevance(a, k_max, b, l_avg_c)
+    assert got.shape == (titles, len(want[0]))
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_selection_memory_per_instance_is_bounded():
+    # 2.4M instances at K=5: the quality column of the f_c >= 2 records and
+    # one bucket's Y and score matrices, above the built index
+    idx = build_index(long_title_dataset(1000, seed=5), k=5)
+    for table in (position_patterns, drop_patterns):
+        table.cache_clear()
+    tracemalloc.start()
+    try:
+        select_clusters(idx, ScoringConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / idx.stats.combination_instances <= 16
 
 
 def test_config_validation():
