@@ -2,8 +2,10 @@
 
 Four token-set metrics over analyzed titles: binary cosine, IDF-weighted
 cosine, Jaccard, and IDF-weighted Jaccard. Each is one expression over a set
-weight W, and these are the only definitions: the sweep below and
-verification (titlematch.verify) call the same code.
+weight W, and these are the only definitions. The sweep below calls them;
+verification (titlematch.verify) computes cs and cs_idf with the same
+expressions and addition order over numpy columns, so it gets the same
+floats.
 
 - W(S) is |S| for the plain metrics. For the idf metrics it is the sum of
   idf(w)^2 over S, added in ascending token-ID order, so its value depends on
@@ -11,10 +13,11 @@ verification (titlematch.verify) call the same code.
 - cosine = W(A & B) / sqrt(W(A) * W(B)), or 0 when that product is <= 0.
 - Jaccard = W(A & B) / (W(A) + W(B) - W(A & B)), or 0 when that is <= 0.
 
-Matching evaluates every unordered title pair and keeps those whose
-similarity strictly exceeds the threshold; a pair at exactly tau does not
-match. There is deliberately no blocking or candidate pruning: the quadratic
-sweep is the point of comparison for the combination-based pipeline.
+Matching keeps every unordered title pair whose similarity strictly exceeds
+the threshold; a pair at exactly tau does not match. Every pair is still
+decided, and only token-disjoint pairs, which score 0, are skipped: there is
+no blocking, and the quadratic sweep is the point of comparison for the
+combination-based pipeline.
 
 idf values come from the same token lexicon the main pipeline uses, so both
 routes see identical token statistics.

@@ -564,12 +564,15 @@ def _read_meta(z) -> dict:
 
 def _read_snapshot(z, path) -> ProductIndex:
     meta = _read_meta(z)
-    if meta.get("format") != SNAPSHOT_FORMAT:
+    required = {"k", "variant", "distance_mode"}
+    if meta.get("format") != SNAPSHOT_FORMAT or not required <= meta.keys():
         raise ValueError(f"not a {SNAPSHOT_FORMAT} snapshot: {path}")
     version = meta.get("version")
-    if version not in SNAPSHOT_VERSIONS:
+    # true == 1 and 1.0 == 1 in Python: only a JSON integer names a version
+    if type(version) is not int or version not in SNAPSHOT_VERSIONS:
         raise ValueError(
-            f"snapshot version {version} unsupported (expected one of {SNAPSHOT_VERSIONS})"
+            f"snapshot version {version!r} unsupported"
+            f" (expected one of {SNAPSHOT_VERSIONS}): {path}"
         )
     product_ids = z["product_ids"].tolist()
     vendor_ids = z["vendor_ids"].tolist()

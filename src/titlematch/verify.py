@@ -18,27 +18,26 @@ occupancy is a set of (cluster, vendor) pairs; it only grows, as an eviction
 leaves its group's keeper behind. Moves rewrite assignment in place, and
 founded singletons are appended to pi and key once, at the end.
 
-Candidates are scored from one token-to-slot posting array. The slots are the
-initial representatives (slot = cluster index) followed by the evicted
-products in plan order; an evicted product's slot becomes a cluster only if it
-founds one. Singletons are appended in plan order, so ascending slot order is
-ascending cluster-index order, and the rule "most similar, then lowest cluster
-index" is a (-similarity, slot) sort. A cluster sharing no token with the
-product has similarity 0, which never clears the threshold, so the postings
-lose no valid candidate.
-
 Similarity is titlematch.baseline's cs or cs_idf, the one definition of each
-metric; eviction ranking calls product_similarity, which calls them. The
-posting pass computes the same floats in a few numpy calls: cs as
-|I| / sqrt(|A| * |B|), and cs-idf with np.bincount, which adds idf^2 in the
-order the product's tokens are given. Those tokens are sorted first, so every
-sum runs in ascending token-ID order, as cs_idf's do, and the vectorised score
-equals cs_idf bit for bit. No candidate is rescored.
+metric. product_similarity calls them; verification computes the same floats
+with a PostingScorer over slots: the initial representatives (slot = cluster
+index), then each violating group's other members in plan-building order.
+Its postings map each token ID to the slots holding it, built by one gather
+and one stable argsort. Eviction ranking scores every (representative,
+member) pair in one pass. A migrant is scored against all slots by one
+np.bincount over the postings of its tokens, and only the slots above the
+threshold come back. Of those, the slots that have founded a cluster are the
+candidates: every representative, and an evicted product once it has
+founded one. A cluster sharing no token with the migrant has similarity 0,
+which never clears the threshold, so the postings lose no valid candidate.
+The rule "most similar, then lowest cluster index" sorts only the few
+candidates left. No migrants x slots matrix is ever held: each migrant's
+scores are one row, dropped before the next.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +52,90 @@ def product_similarity(index: ProductIndex, p: int, pi: int, metric: str = "cs")
         raise ValueError(f"unknown verify metric {metric!r}")
     a, b = index.token_set(p), index.token_set(pi)
     return cs(a, b) if metric == "cs" else cs_idf(a, b, index.idf)
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [starts[i], starts[i] + lens[i])."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(int(ends[-1]) if len(ends) else 0)
+
+
+class PostingScorer:
+    """cs or cs_idf between slots, each slot a product given by index.
+
+    The postings list, per token ID, the slots holding it in ascending
+    order. The weights of a slot and of an intersection are added in
+    ascending token-ID order, as cs_idf adds them, and each score is the
+    expression inter / sqrt(w_a * w_b), so every score equals cs or cs_idf
+    bit for bit.
+    """
+
+    def __init__(self, index: ProductIndex, products: np.ndarray, metric: str) -> None:
+        if metric not in VERIFY_METRICS:
+            raise ValueError(f"unknown verify metric {metric!r}")
+        offsets = index.forward.tok_offsets
+        n_slots, n_tokens = len(products), len(index.tokens)
+        lens = offsets[products + 1] - offsets[products]
+        toks = index.forward.tok_flat[_ranges(offsets[products], lens)]
+        slots = np.repeat(np.arange(n_slots), lens)
+        # (slot, token) and (token, slot) pairs packed into one int64 each, so
+        # that a value sort orders the pairs
+        self.slot_tokens = np.sort(slots * n_tokens + toks) % n_tokens
+        self.slot_offsets = np.append(0, np.cumsum(lens))
+        # a title's tokens are distinct, so the (token, slot) pairs are too
+        toks, self.post = np.divmod(np.sort(toks * n_slots + slots), n_slots)
+        self.indptr = np.append(0, np.cumsum(np.bincount(toks, minlength=n_tokens)))
+        if metric == "cs-idf":
+            self.sq: Optional[np.ndarray] = index.idf * index.idf
+            # token-major postings add each slot's idf^2 in ascending token order
+            self.weight = np.bincount(self.post, weights=self.sq[toks], minlength=n_slots)
+        else:
+            self.sq = None
+            self.weight = lens
+        # cs denominators per scored slot's length: few lengths, one row each
+        self._norms: Dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.weight)
+
+    def score(self, s: int, above: float) -> Tuple[np.ndarray, np.ndarray]:
+        """(slots, similarities) of the slots whose similarity to slot s
+        exceeds above >= 0, slots ascending: one np.bincount over the
+        postings of s's tokens, which are all the slots sharing one."""
+        toks = self.slot_tokens[self.slot_offsets[s] : self.slot_offsets[s + 1]]
+        starts, ends = self.indptr[toks], self.indptr[toks + 1]
+        hits = np.concatenate([self.post[a:b] for a, b in zip(starts.tolist(), ends.tolist())])
+        # s's tokens ascend, so each slot's idf^2 are added in ascending order
+        weights = None if self.sq is None else np.repeat(self.sq[toks], ends - starts)
+        inter = np.bincount(hits, weights=weights, minlength=len(self))
+        w_a = self.weight[s]
+        if self.sq is not None:
+            den = np.sqrt(w_a * self.weight)
+        elif w_a in self._norms:
+            den = self._norms[w_a]
+        else:
+            den = self._norms[w_a] = np.sqrt(w_a * self.weight)
+        # a slot of zero weight scores 0 / 0: nan, which exceeds nothing
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sims = inter / den
+        slots = np.flatnonzero(sims > above)
+        return slots, sims[slots]
+
+    def pair_scores(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The similarity of slot a[i] to slot b[i], for each i."""
+        n_tokens = len(self.indptr) - 1
+        keys = []
+        for slots in (a, b):
+            lens = np.diff(self.slot_offsets)[slots]
+            toks = self.slot_tokens[_ranges(self.slot_offsets[slots], lens)]
+            keys.append(np.repeat(np.arange(len(slots)) * n_tokens, lens) + toks)
+        # pair-major, tokens ascending: a shared token is a repeated key
+        keys = np.sort(np.concatenate(keys))
+        pair, tok = np.divmod(keys[1:][keys[1:] == keys[:-1]], n_tokens)
+        weights = None if self.sq is None else self.sq[tok]
+        inter = np.bincount(pair, weights=weights, minlength=len(a))
+        norm = self.weight[a] * self.weight[b]
+        return np.divide(inter, np.sqrt(norm), out=np.zeros(len(a)), where=norm > 0)
 
 
 def _violating_groups(universe: ClusterUniverse) -> List[Tuple[int, int, List[int]]]:
@@ -85,69 +168,54 @@ def verify_universe(
     """
     if metric not in VERIFY_METRICS:
         raise ValueError(f"unknown verify metric {metric!r}")
-    fw = index.forward
-    pids = fw.product_ids
-    plan: List[Tuple[int, int]] = []  # (vendor, product), in eviction order
-    for ci, vendor, members in _violating_groups(universe):
-        pi = int(universe.pi[ci])
-        ranked = sorted(
-            members, key=lambda p: (-product_similarity(index, p, pi, metric), pids[p])
-        )
-        keeper = pi if pi in members else ranked[0]
-        plan.extend((vendor, p) for p in ranked if p != keeper)
-    if not plan:
+    groups = _violating_groups(universe)
+    if not groups:
         return universe
-
     n_init = len(universe)
-    slot_product = universe.pi.tolist() + [p for _, p in plan]
-    n_slots = len(slot_product)
-    # cluster index of each slot, -1 while an evicted slot founded nothing
-    slot_ci = np.full(n_slots, -1, dtype=np.int64)
-    slot_ci[:n_init] = np.arange(n_init)
+    movers = [[p for p in members if p != universe.pi[ci]] for ci, _, members in groups]
+    slot_product = universe.pi.tolist() + [p for rest in movers for p in rest]
+    scorer = PostingScorer(index, np.array(slot_product), metric)
+    # each mover's similarity to its cluster's representative
+    reps = np.repeat([ci for ci, _, _ in groups], [len(rest) for rest in movers])
+    to_pi = scorer.pair_scores(reps, np.arange(n_init, len(scorer))).tolist()
 
-    # token-major, deduplicated (token, slot) pairs: a CSR from token to slots
-    rows = [fw.tokens_of(q) for q in slot_product]
-    keys = np.unique(
-        np.concatenate(rows).astype(np.int64) * n_slots
-        + np.repeat(np.arange(n_slots, dtype=np.int64), [len(r) for r in rows])
-    )
-    post_tok, post_slot = np.divmod(keys, n_slots)
-    indptr = np.searchsorted(post_tok, np.arange(len(index.tokens) + 1))
-    slot_len = np.bincount(post_slot, minlength=n_slots)
-    if metric == "cs-idf":
-        idf_sq = index.idf * index.idf
-        # post_tok ascends within each slot, so these are cs_idf's ordered sums
-        slot_norm = np.bincount(post_slot, weights=idf_sq[post_tok], minlength=n_slots)
+    pids = index.forward.product_ids
+    plan: List[int] = []  # slots, in eviction order
+    slot = n_init
+    for (_, _, members), rest in zip(groups, movers):
+        ranked = sorted(
+            range(slot, slot + len(rest)),
+            key=lambda s: (-to_pi[s - n_init], pids[slot_product[s]]),
+        )
+        # a representative stays; without one, the member closest to it does
+        plan.extend(ranked[len(rest) == len(members) :])
+        slot += len(rest)
+
+    # cluster index of each slot, -1 while it has founded nothing
+    slot_ci = np.full(len(scorer), -1, dtype=np.int64)
+    slot_ci[:n_init] = np.arange(n_init)
     # a zero score never wins, whatever tau is
     floor = max(tau, 0.0)
-    occupied = set(zip(universe.assignment.tolist(), universe.vendor.tolist()))
+    # a (cluster, vendor) pair is cluster * n_vendors + the vendor's code
+    vendors, code = np.unique(universe.vendor, return_inverse=True)
+    n_vendors = len(vendors)
+    occupied = set((universe.assignment * n_vendors + code).tolist())
     founded: List[int] = []
-
-    for j, (vendor, p) in enumerate(plan):
-        own = n_init + j
-        # ascending tokens make bincount add each candidate's idf^2 in
-        # ascending token order, the order cs_idf sums in
-        toks = np.sort(fw.tokens_of(p))
-        hits = np.concatenate([post_slot[indptr[w] : indptr[w + 1]] for w in toks])
-        cand, inter = np.unique(hits, return_counts=True)
-        if metric == "cs":
-            score = inter / np.sqrt(slot_len[own] * slot_len[cand])
-        else:
-            hit_w = np.repeat(idf_sq[toks], indptr[toks + 1] - indptr[toks])
-            num = np.bincount(np.searchsorted(cand, hits), weights=hit_w, minlength=len(cand))
-            norm = slot_norm[own] * slot_norm[cand]
-            score = np.divide(num, np.sqrt(norm), out=np.zeros(len(cand)), where=norm > 0.0)
-        keep = (score > floor) & (slot_ci[cand] >= 0)
-        cand, score = cand[keep], score[keep]
-        for s in cand[np.lexsort((cand, -score))].tolist():
-            target = int(slot_ci[s])
-            if (target, vendor) not in occupied:
+    for own in plan:
+        p = slot_product[own]
+        vendor = int(code[p])
+        slots, sims = scorer.score(own, floor)
+        cand = slot_ci[slots]
+        live = cand >= 0
+        cand, sims = cand[live], sims[live]
+        for target in cand[np.lexsort((cand, -sims))].tolist():
+            if target * n_vendors + vendor not in occupied:
                 universe.assignment[p] = target
                 break
         else:
             target = slot_ci[own] = n_init + len(founded)
             founded.append(p)
-        occupied.add((target, vendor))
+        occupied.add(target * n_vendors + vendor)
     universe.add_singletons(founded)
 
     leftovers = scan_violators(universe)

@@ -184,6 +184,47 @@ def test_sweep_equals_scalar_definitions(seed, n_clusters):
             assert swept[tau] == {pair for pair, sim in sims.items() if sim > tau}, (metric, tau)
 
 
+WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(WORDS), min_size=1, max_size=6, unique=True),
+        min_size=1,
+        max_size=9,
+    ),
+    st.data(),
+)
+def test_sweep_at_exact_scores(word_lists, data):
+    # either "common" is in every title, so its idf is 0 and the title holding
+    # it alone weighs 0, or "solo" shares no token with any other title
+    if data.draw(st.booleans()):
+        titles = [" ".join(["common"] + words) for words in word_lists] + ["common"]
+    else:
+        titles = [" ".join(words) for words in word_lists] + ["solo"]
+    idx = build_index(tiny_dataset(titles), with_combinations=False)
+    n = len(idx.forward)
+    sets = [idx.token_set(p) for p in range(n)]
+    pids = idx.forward.product_ids
+    scalar = {
+        "cs": cs,
+        "j": jaccard,
+        "cs-idf": lambda a, b: cs_idf(a, b, idx.idf),
+        "j-idf": lambda a, b: jaccard_idf(a, b, idx.idf),
+    }
+    for metric, fn in scalar.items():
+        pairs = itertools.combinations(range(n), 2)
+        sims = {(pids[i], pids[j]): fn(sets[i], sets[j]) for i, j in pairs}
+        # ascending thresholds that include pairs' exact scores, which do not match
+        exact = sorted({x for x in sims.values() if 0.0 < x < 1.0})
+        drawn = data.draw(st.lists(st.sampled_from(exact + [0.05, 0.5, 0.95]), min_size=1))
+        taus = sorted(set(drawn))
+        swept = pairwise_sweep(idx, metric, taus)
+        for tau in taus:
+            assert swept[tau] == {pair for pair, x in sims.items() if x > tau}, (metric, tau)
+
+
 def test_idf_similarity_ignores_set_iteration_order():
     # small ints hash to themselves, so IDs 3, 11, 19 and 27 collide in a
     # frozenset's eight-slot table and iterate in insertion order

@@ -329,6 +329,38 @@ def test_snapshot_rejects_unsupported_version(tmp_path):
         load_index(path)
 
 
+def _rewrite_meta(path, edit) -> None:
+    """Save index.npz again with edit applied to its meta object."""
+    with np.load(path) as z:
+        arrays = dict(z)
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    edit(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize(
+    "version, shown", [(True, "True"), (1.0, "1.0"), ("4", "'4'")], ids=["true", "float", "string"]
+)
+def test_snapshot_version_must_be_an_int(tmp_path, version, shown):
+    # true == 1 and 1.0 == 1 in Python, yet neither is a version number
+    path = tmp_path / "index.npz"
+    save_index(build_index(snapshot_corpus(), k=3), path)
+    _rewrite_meta(path, lambda meta: meta.update(version=version))
+    expected = f"snapshot version {shown} unsupported (expected one of (1, 2, 3, 4)): {path}"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("field", ["k", "variant", "distance_mode"])
+def test_snapshot_meta_without_a_field_is_foreign(tmp_path, field):
+    path = tmp_path / "index.npz"
+    save_index(build_index(snapshot_corpus(), k=3), path)
+    _rewrite_meta(path, lambda meta: meta.pop(field))
+    with pytest.raises(ValueError, match=f"^not a titlematch-index snapshot: {re.escape(str(path))}$"):
+        load_index(path)
+
+
 def test_snapshot_keeps_negative_truth_clusters(tmp_path):
     # feeds may name negative cluster IDs; only None means no truth cluster
     titles = ["alpha beta gamma", "beta gamma delta", "gamma delta epsilon"]

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import copy
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from titlematch.baseline import cs, cs_idf
 from titlematch.index import build_index
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.scoring import ClusterUniverse, ScoringConfig, select_clusters
 from titlematch.synth import planted_dataset
-from titlematch.verify import product_similarity, scan_violators, verify_universe
+from titlematch.verify import PostingScorer, product_similarity, scan_violators, verify_universe
 
 from helpers import cluster_state, make_ablation_dataset, object_universe, verify_universe_scalar
 
@@ -101,6 +103,41 @@ def test_unknown_metric_rejected():
         product_similarity(idx, 0, 1, metric="dice")
     with pytest.raises(ValueError):
         verify_universe(universe, idx, metric="dice")
+
+
+WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(WORDS), min_size=1, max_size=7, unique=True),
+        min_size=1,
+        max_size=10,
+    ),
+    st.data(),
+)
+def test_posting_scorer_matches_scalar_metrics(word_lists, data):
+    # "common" is in every title, so its idf is 0, and the last title holds
+    # it alone: under cs-idf that title weighs 0 and scores 0 to anything
+    titles = [" ".join(["common"] + words) for words in word_lists] + ["common"]
+    idx = build_index(tiny_dataset(titles, list(range(len(titles)))), with_combinations=False)
+    sets = [idx.token_set(p) for p in range(len(titles))]
+    products = np.array(
+        data.draw(st.lists(st.integers(0, len(titles) - 1), min_size=1, max_size=12))
+    )
+    scalar = {"cs": cs, "cs-idf": lambda a, b: cs_idf(a, b, idx.idf)}
+    for metric, fn in scalar.items():
+        scorer = PostingScorer(idx, products, metric)
+        sims = [[fn(sets[p], sets[q]) for q in products] for p in products]
+        # exact scores as thresholds: a score equal to above does not exceed it
+        above = data.draw(st.sampled_from(sorted({0.0} | {x for row in sims for x in row})))
+        for s, row in enumerate(sims):
+            slots, got = scorer.score(s, above)
+            expected = [(t, x) for t, x in enumerate(row) if x > above]
+            assert list(zip(slots.tolist(), got.tolist())) == expected, (metric, s)
+        a, b = np.divmod(np.arange(len(products) ** 2), len(products))
+        assert scorer.pair_scores(a, b).tolist() == [x for row in sims for x in row], metric
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +385,46 @@ def test_verify_matches_scalar_reference(seed):
     for metric in ("cs", "cs-idf"):
         for tau in (0.0, 0.4, 1.0):
             verify_both(idx, copy.deepcopy(initial), tau=tau, metric=metric)
+
+
+def test_verify_one_giant_cluster_in_bounded_memory():
+    # 3 000 listings of one vendor form one cluster, beside 300 single-listing
+    # clusters of other vendors whose titles repeat the first 300 listings'.
+    # All but the representative are evicted: 2 999 migrants against some
+    # 3 300 slots, so a migrants x slots float matrix would take ~79 MB.
+    n, n_others = 3000, 300
+    # two listings rarely share 3 of their 6 tokens, the least that clears 0.4
+    titles = [f"model{i} a{i % 17} b{i % 19} c{i % 23} d{i % 29} e{i % 31}" for i in range(n)]
+    titles += titles[:n_others]
+    vendors = [0] * n + list(range(1, n_others + 1))
+    idx = build_index(tiny_dataset(titles, vendors), with_combinations=False)
+    s1 = np.zeros(n + n_others)
+    s1[0] = 1.0
+    universe = ClusterUniverse.from_choices(
+        np.concatenate([np.zeros(n, dtype=np.int64), np.arange(1, n_others + 1)]),
+        np.zeros(n + n_others, dtype=np.int64),
+        np.array(vendors),
+        s1,
+    )
+    assert len(universe) == n_others + 1 and universe.pi[0] == 0
+
+    tracemalloc.start()
+    try:
+        verify_universe(universe, idx, tau=0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"verify peaked at {peak / 2**20:.1f} MB"
+
+    assert scan_violators(universe) == []
+    assert universe.assignment[0] == 0
+    for p in range(1, n):
+        ci = universe.assignment[p]
+        # a migrant joins another vendor's cluster or founds its own
+        assert universe.pi[ci] == p or universe.vendor[universe.pi[ci]] != 0, p
+    # a migrant's twin cluster takes it unless an earlier migrant took the
+    # place, so every twin cluster of a migrant ends with one vendor-0 listing
+    sizes = np.bincount(universe.assignment)
+    assert sizes[2 : n_others + 1].tolist() == [2] * (n_others - 1)
+    migrated = int(np.count_nonzero(universe.vendor[universe.pi[universe.assignment[1:n]]]))
+    assert len(universe) == n_others + 1 + (n - 1 - migrated)
