@@ -14,23 +14,27 @@ in one whole-array pass per combination size k. A size-k key is the key of
 the size-(k-1) subset without its largest member, plus that member's ID, so
 each pass packs the subset's record ID from the pass below above the
 largest ID, which takes as many bits as the largest token ID. The packed
-values are ranked by one in-place value sort (_rank_values). Only keys that
-occur at least twice become records: I(c) is 0 at f_c = 1, so a unique
+values are ranked inside their column by one in-place value sort
+(_rank_values), which leaves the column holding the permutation. Only keys
+that occur at least twice become records: I(c) is 0 at f_c = 1, so a unique
 key's cells hold -1 instead, and so do those of every instance whose prefix
 holds -1, since a superset of a unique subset is unique too. Records are
-ordered by (k, key) and each size's records form one run; f_c is counted in
-the sorted column and the positional distance accumulator d_acc comes from
-np.bincount. Each size's keys stay one (records, k) int32 table, which the
-pass above extends and the lexicon keeps. Equality never rests on a hash,
-and the index stores none: scoring computes the FNV-1a signature of a key
-only when a tie reaches it.
+ordered by (k, key) and each size's records form one run. f_c is counted and
+the int32 record IDs numbered in the sorted column, before one scatter back
+to positions; the positional distance accumulator d_acc is summed there too,
+by one np.bincount per batch of whole runs (_sum_distances). Each size's keys
+stay one (records, k) int32 table, which the pass above extends and the
+lexicon keeps. Equality never rests on a hash, and the index stores none:
+scoring computes the FNV-1a signature of a key only when a tie reaches it.
 
 Titles are bucketed by length (ForwardIndex.buckets), ascending, file order
 within a length. A bucket's record IDs form one block with a row per title,
 which scoring slices as it is. Within one k, instances follow the bucket
-order and enumeration order within a title; bincount sums d_acc in that
-order, so the accumulators are reproducible run to run. With the default
-squared distance the accumulator is integral and therefore exact.
+order and enumeration order within a title. A run of the sorted column
+lists its instances' positions ascending, so each record's d_acc adds them in
+that order and the accumulators are reproducible run to run, whatever the
+batches. With the default squared distance the accumulator is integral and
+therefore exact.
 
 A snapshot (save_index) stores the key tables and blocks as they are held,
 and no stats: ProductIndex.stats derives them from the columns, unique
@@ -281,48 +285,95 @@ def _pack(
     packed[unique] = no_record + np.flatnonzero(unique)
 
 
-def _rank_values(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sorted values that occur more than once in a 1-D column of
-    non-negative int64 values, how often each occurs, and each position's
-    index among them, -1 where its value occurs once; the column is
-    overwritten.
+# sorted cells per chunk of the neighbour comparison and per d_acc batch
+_BATCH = 1 << 16
+
+
+def _rank_values(
+    values: np.ndarray, offset: int = 0
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rank, inside the column, the values that occur more than once in a
+    1-D column of non-negative int64 values.
+
+    Returns the sorted repeated values, the sorted position where each one's
+    run starts, how often each occurs, and the rank of every sorted position
+    as int32: offset plus the index of its value among the repeated ones, -1
+    where its value occurs once. The column is left holding the permutation,
+    each sorted value's position, ascending within a run.
 
     When the values' bit width plus that of their positions fits in 63 bits,
     each value is shifted up and its position written into the low bits, so
-    every packed value is distinct and one in-place sort orders them: the
-    high bits then read as the sorted values and the low bits as the
-    permutation. Wider inputs argsort the values instead. Either way the
-    result depends on no sort's stability.
+    every packed value is distinct and one in-place sort orders them. Two
+    neighbours then share a value when their XOR is below 2**pos_bits, and
+    masking the high bits off leaves the permutation. Wider inputs take a
+    stable argsort instead.
     """
     n = len(values)
     pos_bits = max(n - 1, 0).bit_length()
+    order = None
     if int(values.max(initial=0)).bit_length() + pos_bits <= 63:
         values <<= pos_bits
         values |= np.arange(n)
         values.sort()
-        order = values & ((1 << pos_bits) - 1)
-        values >>= pos_bits
     else:
-        order = values.argsort()
+        order = values.argsort(kind="stable")
         values[:] = values[order]
-    new = np.empty(n, dtype=bool)
-    new[:1] = True
-    np.not_equal(values[1:], values[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=n)
-    repeated = counts > 1
-    distinct, counts, once = values[starts[repeated]], counts[repeated], starts[~repeated]
-    del starts, repeated
-    # in sorted order, the repeated runs begun so far index each value; a
-    # value that occurs once is its own run and reads -1
-    new[once] = False
-    np.cumsum(new, out=values)
-    del new
-    values -= 1
-    values[once] = -1
-    index = np.empty(n, dtype=np.int64)
-    index[order] = values
-    return distinct, counts, index
+        pos_bits = 0
+    # same[i]: sorted values i - 1 and i share a value; both ends read False
+    same = np.zeros(n + 1, dtype=bool)
+    xor = np.empty(min(n, _BATCH), dtype=np.int64)
+    for a in range(1, n, _BATCH):
+        b = min(a + _BATCH, n)
+        np.bitwise_xor(values[a:b], values[a - 1 : b - 1], out=xor[: b - a])
+        np.less(xor[: b - a], 1 << pos_bits, out=same[a:b])
+    del xor
+    # 1 at each run's head, which begins the next rank
+    ranks = np.empty(n, dtype=np.int32)
+    np.greater(same[1:], same[:-1], out=ranks)
+    starts = np.flatnonzero(ranks)
+    counts = np.flatnonzero(np.greater(same[:-1], same[1:])) - starts + 1
+    distinct = values[starts] >> pos_bits
+    if order is None:
+        values &= (1 << pos_bits) - 1
+    else:
+        values[:] = order
+        del order
+    _check_int32(offset + len(starts), "combination records")
+    np.cumsum(ranks, out=ranks)
+    ranks += offset - 1
+    # a value that occurs once is in no run
+    ranks[~(same[1:] | same[:-1])] = -1
+    return distinct, starts, counts, ranks
+
+
+def _sum_distances(
+    positions: np.ndarray,
+    ranks: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    squared: np.ndarray,
+    weight: np.ndarray,
+) -> np.ndarray:
+    """Each record's d_acc: the sum of weight[squared[p]] over the positions
+    p of its instances, added in position order, as np.bincount over the
+    whole column would add them.
+
+    positions, ranks, starts and counts describe a column as _rank_values
+    left it. Each batch of about _BATCH sorted cells holds whole runs, and
+    one bincount adds each run's terms in sorted order: positions ascending.
+    """
+    d_acc = np.empty(len(starts))
+    cuts = starts.searchsorted(range(0, len(positions), _BATCH)).tolist() + [len(starts)]
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        if r0 == r1:
+            continue
+        batch = slice(starts[r0], starts[r1 - 1] + counts[r1 - 1])
+        rank = ranks[batch]
+        kept = rank >= 0
+        cells = positions[batch][kept]
+        # the batch begins with record r0's head
+        d_acc[r0:r1] = np.bincount(rank[kept] - rank[0], weight.take(squared.take(cells)), r1 - r0)
+    return d_acc
 
 
 def _group_size(
@@ -343,7 +394,8 @@ def _group_size(
     the cells of a unique key hold -1, and so do those of an instance whose
     prefix holds -1, since a superset of a unique subset is unique too.
     Returns the records' keys, from prev_keys, with their f_c and d_acc;
-    record IDs are offset + rank among the records.
+    record IDs are offset + rank among the records. The packed column is
+    ranked where it lies and scattered back to positions once, as int32.
     """
     bounds = np.cumsum([0] + [block.size for *_, block in blocks])
     packed = np.empty(bounds[-1], dtype=np.int64)
@@ -352,21 +404,25 @@ def _group_size(
     for (l, ids, prev, block), start in zip(blocks, bounds):
         part = packed[start : start + block.size].reshape(block.shape)
         _pack(part, l, kk, ids, prev - prev_offset, id_bits, no_record + start)
-    distinct, f_c, index = _rank_values(packed)
-    del packed
-    _check_int32(offset + len(distinct), "combination records")
-    dist = np.empty(len(index))
-    for (l, _, _, block), start in zip(blocks, bounds):
-        part = index[start : start + block.size].reshape(block.shape)
-        block[:] = np.where(part < 0, -1, part + offset)
-        dist[start : start + block.size].reshape(block.shape)[:] = pattern_distances(l, kk)
-    # the unique instances sum into bin 0
-    index += 1
-    d_acc = np.bincount(index, np.sqrt(dist, out=dist) if euclidean else dist, len(distinct) + 1)
+    distinct, starts, f_c, ranks = _rank_values(packed, offset)
+    # packed now holds the permutation. One int32 buffer takes each cell's
+    # record ID, for its block, and then its squared distance.
+    cell = np.empty(len(packed), dtype=np.int32)
+    cell[packed] = ranks
+    for (l, *_, block), start in zip(blocks, bounds):
+        part = cell[start : start + block.size].reshape(block.shape)
+        block[:] = part
+        part[:] = pattern_distances(l, kk)
+    # d_acc's term for each squared distance; the longest titles reach the largest
+    weight = np.arange(pattern_distances(blocks[-1][0], kk).max() + 1, dtype=np.float64)
+    if euclidean:
+        np.sqrt(weight, out=weight)
+    d_acc = _sum_distances(packed, ranks, starts, f_c, cell, weight)
+    del packed, ranks, starts, cell
     keys = np.empty((len(distinct), kk), dtype=np.int32)
     keys[:, :-1] = prev_keys.take(distinct >> id_bits, axis=0)
     keys[:, -1] = distinct & ((1 << id_bits) - 1)
-    return keys, f_c, d_acc[1:]
+    return keys, f_c, d_acc
 
 
 def _index_combinations(
@@ -574,6 +630,15 @@ def _read_snapshot(z, path) -> ProductIndex:
             f"snapshot version {version!r} unsupported"
             f" (expected one of {SNAPSHOT_VERSIONS}): {path}"
         )
+    k, distance_mode = meta["k"], meta["distance_mode"]
+    # like the version, K must be a JSON integer: true == 1 and "3" is text
+    if type(k) is not int or k < 2:
+        raise ValueError(f"snapshot k {k!r} is not an integer >= 2: {path}")
+    if distance_mode not in DISTANCE_MODES:
+        raise ValueError(
+            f"snapshot distance_mode {distance_mode!r} unknown"
+            f" (expected one of {DISTANCE_MODES}): {path}"
+        )
     product_ids = z["product_ids"].tolist()
     vendor_ids = z["vendor_ids"].tolist()
     truth = z["truth"]
@@ -586,7 +651,6 @@ def _read_snapshot(z, path) -> ProductIndex:
         )
     ]
     forward = ForwardIndex(product_ids, vendor_ids, z["tok_flat"], z["sem_flat"], z["tok_offsets"])
-    k = meta["k"]
     if version < 3:
         blocks, keys = _flat_combinations(z, forward, k)
     else:
@@ -605,5 +669,5 @@ def _read_snapshot(z, path) -> ProductIndex:
         forward=forward,
         k=k,
         variant=meta["variant"],
-        distance_mode=meta["distance_mode"],
+        distance_mode=distance_mode,
     )

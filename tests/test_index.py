@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from titlematch import index as index_module
 from titlematch.combinatorics import (
@@ -352,6 +352,30 @@ def test_snapshot_version_must_be_an_int(tmp_path, version, shown):
         load_index(path)
 
 
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("k", "3", "snapshot k '3' is not an integer >= 2"),
+        ("k", 1, "snapshot k 1 is not an integer >= 2"),
+        ("k", True, "snapshot k True is not an integer >= 2"),
+        ("k", 2.0, "snapshot k 2.0 is not an integer >= 2"),
+        (
+            "distance_mode",
+            "manhattan",
+            "snapshot distance_mode 'manhattan' unknown (expected one of ('squared', 'euclidean'))",
+        ),
+    ],
+    ids=["k-string", "k-one", "k-true", "k-float", "distance-mode"],
+)
+def test_snapshot_meta_fields_are_checked(tmp_path, field, value, shown):
+    # a meta value of the wrong type or out of range names the file
+    path = tmp_path / "index.npz"
+    save_index(build_index(snapshot_corpus(), k=3), path)
+    _rewrite_meta(path, lambda meta: meta.update({field: value}))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{shown}: {path}')}$"):
+        load_index(path)
+
+
 @pytest.mark.parametrize("field", ["k", "variant", "distance_mode"])
 def test_snapshot_meta_without_a_field_is_foreign(tmp_path, field):
     path = tmp_path / "index.npz"
@@ -566,6 +590,20 @@ def test_index_matches_scalar_reference(ds, k, mode, variant):
     assert_matches_reference(build_index(ds, k=k, variant=variant, distance_mode=mode))
 
 
+@settings(max_examples=40, deadline=None)
+@given(corpora(), st.integers(min_value=2, max_value=5), st.sampled_from((1, 2, 3, 7)))
+def test_small_batches_build_the_same_index(ds, k, batch):
+    # batches cut the neighbour comparison and d_acc's bincounts; each batch
+    # holds whole runs, so every euclidean sum keeps its position order
+    default = build_index(ds, k=k, distance_mode="euclidean")
+    assume(len(default.forward.buckets) > 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(index_module, "_BATCH", batch)
+        small = build_index(ds, k=k, distance_mode="euclidean")
+    assert_same_columns(small, default)
+    assert small.combos.d_acc.tobytes() == default.combos.d_acc.tobytes()
+
+
 def _word(i):
     """The i-th four-letter lower-case word."""
     letters = []
@@ -593,8 +631,9 @@ def test_index_matches_reference_past_64_bit_keys():
 
 
 def test_index_memory_per_instance_is_bounded():
-    # 2.4M instances at K=5 peak at about 50 bytes each, while the last size
-    # is grouped; parts of a size kept alive past it push that to about 60
+    # 2.4M instances at K=5 peak at 20.9 bytes each, while the last size sums
+    # d_acc: its packed column holds the permutation (8 bytes a cell), beside
+    # the int32 ranks and the int32 cell buffer, plus the blocks of every size
     ds = long_title_dataset(1000, seed=5)
     analyzed = analyze_dataset(ds)
     for table in (position_patterns, drop_patterns, pattern_distances):
@@ -605,7 +644,7 @@ def test_index_memory_per_instance_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / idx.stats.combination_instances <= 40
+    assert peak / idx.stats.combination_instances <= 24
 
 
 def test_analyze_dataset_leaves_no_per_title_objects():
@@ -625,17 +664,25 @@ def test_id_overflow_error_gives_the_count():
     index_module._check_int32(2**31, "combination records")
 
 
-def _assert_ranks_like_unique(values):
+def _assert_ranks_like_unique(values, offset=0):
     # numpy's unique, restricted to the values that occur more than once
-    distinct, counts, index = index_module._rank_values(values.copy())
+    column = values.copy()
+    distinct, starts, counts, ranks = index_module._rank_values(column, offset)
     want_distinct, want_inverse, want_counts = np.unique(
         values, return_inverse=True, return_counts=True
     )
     repeated = want_counts > 1
-    want_index = np.where(repeated, np.cumsum(repeated) - 1, -1)[want_inverse.ravel()]
-    assert distinct.dtype == counts.dtype == index.dtype == np.int64
+    want_index = np.where(repeated, np.cumsum(repeated) - 1 + offset, -1)[want_inverse.ravel()]
+    assert distinct.dtype == starts.dtype == counts.dtype == np.int64
+    assert ranks.dtype == np.int32
     assert np.array_equal(distinct, want_distinct[repeated])
     assert np.array_equal(counts, want_counts[repeated])
+    # the column is left holding the permutation, ascending within a run,
+    # and each run's head has its record's rank
+    assert np.array_equal(column, np.argsort(values, kind="stable"))
+    assert np.array_equal(ranks[starts], offset + np.arange(len(starts)))
+    index = np.empty(len(values), dtype=np.int32)
+    index[column] = ranks
     assert np.array_equal(index, want_index)
 
 
@@ -649,10 +696,14 @@ _RANK_RANGES = ((7, 7), (0, 1), (0, 3), (0, 2**31), (2**60, 2**61), (2**62, 2**6
 @given(
     st.sampled_from(_RANK_RANGES).flatmap(
         lambda bounds: st.lists(st.integers(*bounds), max_size=300)
-    )
+    ),
+    st.integers(0, 2**20),
+    st.sampled_from((1, 3, index_module._BATCH)),
 )
-def test_rank_values_matches_unique(values):
-    _assert_ranks_like_unique(np.array(values, dtype=np.int64))
+def test_rank_values_matches_unique(values, offset, batch):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(index_module, "_BATCH", batch)
+        _assert_ranks_like_unique(np.array(values, dtype=np.int64), offset)
 
 
 @pytest.mark.parametrize("width", [61, 62])
