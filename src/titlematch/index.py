@@ -13,19 +13,21 @@ Combinations are grouped by their exact key, the sorted member-ID sequence,
 in one whole-array pass per combination size k. A size-k key is the key of
 the size-(k-1) subset without its largest member, plus that member's ID, so
 each pass packs the subset's record ID from the pass below above the
-largest ID, which takes as many bits as the largest token ID. The packed
-values are ranked inside their column by one in-place value sort
-(_rank_values), which leaves the column holding the permutation. Only keys
+largest ID, which takes as many bits as the largest token ID. Only keys
 that occur at least twice become records: I(c) is 0 at f_c = 1, so a unique
-key's cells hold -1 instead, and so do those of every instance whose prefix
-holds -1, since a superset of a unique subset is unique too. Records are
-ordered by (k, key) and each size's records form one run. f_c is counted and
-the int32 record IDs numbered in the sorted column, before one scatter back
-to positions; the positional distance accumulator d_acc is summed there too,
-by one np.bincount per batch of whole runs (_sum_distances). Each size's keys
-stay one (records, k) int32 table, which the pass above extends and the
-lexicon keeps. Equality never rests on a hash, and the index stores none:
-scoring computes the FNV-1a signature of a key only when a tie reaches it.
+key's cells hold -1 instead. Support is downward-closed, so an instance any
+of whose k size-(k-1) subsets holds -1 is unique too: its cell holds -1 and
+it is never ranked (Apriori's candidate pruning). Each kept instance packs
+its key above its position in the size's whole column, and one in-place
+value sort (_rank_values) ranks them inside the compacted column, which it
+leaves holding the sorted positions. Records are ordered by (k, key) and
+each size's records form one run. f_c is counted and the int32 record IDs
+numbered in the sorted column, before one scatter back to positions; the
+positional distance accumulator d_acc is summed there too, by one
+np.bincount per batch of whole runs (_sum_distances). Each size's keys stay
+one (records, k) int32 table, which the pass above extends and the lexicon
+keeps. Equality never rests on a hash, and the index stores none: scoring
+computes the FNV-1a signature of a key only when a tie reaches it.
 
 Titles are bucketed by length (ForwardIndex.buckets), ascending, file order
 within a length. A bucket's record IDs form one block with a row per title,
@@ -38,7 +40,7 @@ therefore exact.
 
 A snapshot (save_index) stores the key tables and blocks as they are held,
 and no stats: ProductIndex.stats derives them from the columns, unique
-instances included.
+instances included. An older snapshot is rebuilt from the rows it stores.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ from .textprep import TitleCorpus, TitleNormalizationError, UnitLexicon, analyze
 
 SNAPSHOT_FORMAT = "titlematch-index"
 SNAPSHOT_VERSION = 4
-# v1 and v2 snapshots store flat combination columns (_flat_combinations), and
-# v1 to v3 a record for every key (_drop_unique)
+# v1 to v3 snapshots are rebuilt from their rows (_rebuild)
 SNAPSHOT_VERSIONS = (1, 2, 3, 4)
 
 DISTANCE_MODES = ("squared", "euclidean")
@@ -253,73 +254,71 @@ def _check_int32(count: int, what: str) -> None:
 
 
 def _pack(
-    packed: np.ndarray,
-    l: int,
-    kk: int,
-    ids: np.ndarray,
-    prefix_ranks: np.ndarray,
-    id_bits: int,
-    no_record: int,
-) -> None:
-    """Write (prefix rank << id_bits) | largest ID for every size-kk instance
-    of a length-l bucket into its (titles, C(l, kk)) view of packed. An
-    instance's prefix is its size-(kk-1) subset without the largest member;
-    prefix_ranks holds each title's subset ranks in position_patterns(l, kk - 1)
-    order, negative for a prefix without a record, and every token ID is below
-    2**id_bits. An instance whose prefix has no record packs to no_record plus
-    its position in the view, so that value occurs once."""
-    patterns = position_patterns(l, kk)
-    # a running maximum over the members beats argmax along an axis of length kk
-    largest = ids[:, patterns[:, 0]]
-    top = np.zeros(largest.shape, dtype=np.intp)
+    l: int, kk: int, ids: np.ndarray, prev_ranks: np.ndarray, id_bits: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The key of every size-kk instance of a length-l bucket, and whether it
+    is kept, as two (titles, C(l, kk)) matrices.
+
+    prev_ranks holds each title's size-(kk-1) subset ranks in
+    position_patterns(l, kk - 1) order, negative for a subset without a
+    record, and drop_patterns(l, kk) finds an instance's kk subsets in it. An
+    instance is kept when all of them have a record; any other is unique,
+    since support is downward-closed. A kept instance's key is
+    (prefix rank << id_bits) | largest ID, its prefix being the subset without
+    the largest member; every token ID is below 2**id_bits.
+    """
+    patterns, drops = position_patterns(l, kk), drop_patterns(l, kk)
+    # a running maximum over the members beats argmax along an axis of length
+    # kk; take gathers columns faster than indexing, several times faster from
+    # the wide subset matrix
+    largest = ids.take(patterns[:, 0], axis=1)
+    prefix = prev_ranks.take(drops[:, 0], axis=1)
+    lowest = prefix.copy()
     for j in range(1, kk):
-        member = ids[:, patterns[:, j]]
-        top[member > largest] = j
+        member = ids.take(patterns[:, j], axis=1)
+        subset = prev_ranks.take(drops[:, j], axis=1)
+        np.copyto(prefix, subset, where=member > largest)
         np.maximum(largest, member, out=largest)
-    subsets = drop_patterns(l, kk)[np.arange(top.shape[1]), top]
-    ranks = np.take_along_axis(prefix_ranks, subsets, axis=1)
-    packed[:] = ranks
-    packed <<= id_bits
-    packed |= largest
-    unique = ranks < 0
-    packed[unique] = no_record + np.flatnonzero(unique)
+        np.minimum(lowest, subset, out=lowest)
+    key = prefix.astype(np.int64)
+    key <<= id_bits
+    key |= largest
+    return key, lowest >= 0
 
 
 # sorted cells per chunk of the neighbour comparison and per d_acc batch
 _BATCH = 1 << 16
+# bits a key and its position may share in one non-negative int64
+_BITS = 63
 
 
 def _rank_values(
-    values: np.ndarray, offset: int = 0
+    values: np.ndarray, pos_bits: int, offset: int = 0, positions: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rank, inside the column, the values that occur more than once in a
-    1-D column of non-negative int64 values.
+    """Rank, inside the column, the keys that occur more than once in a 1-D
+    int64 column of non-negative keys at distinct positions.
 
-    Returns the sorted repeated values, the sorted position where each one's
-    run starts, how often each occurs, and the rank of every sorted position
-    as int32: offset plus the index of its value among the repeated ones, -1
-    where its value occurs once. The column is left holding the permutation,
-    each sorted value's position, ascending within a run.
+    Each value holds its key shifted up by pos_bits and its position in the
+    low bits, so every value is distinct and one in-place sort orders them
+    by key, then position. Two neighbours then share a key when their XOR is
+    below 2**pos_bits, and masking the high bits off leaves the positions.
+    Where key and position bits would pass _BITS, the values are the bare
+    keys instead (pos_bits 0), positions holds their positions, and a stable
+    argsort orders them.
 
-    When the values' bit width plus that of their positions fits in 63 bits,
-    each value is shifted up and its position written into the low bits, so
-    every packed value is distinct and one in-place sort orders them. Two
-    neighbours then share a value when their XOR is below 2**pos_bits, and
-    masking the high bits off leaves the permutation. Wider inputs take a
-    stable argsort instead.
+    Returns the sorted repeated keys, the sorted index where each one's run
+    starts, how often each occurs, and the rank of every sorted index as
+    int32: offset plus the index of its key among the repeated ones, -1 where
+    its key occurs once. The column is left holding each sorted value's
+    position, ascending within a run.
     """
     n = len(values)
-    pos_bits = max(n - 1, 0).bit_length()
-    order = None
-    if int(values.max(initial=0)).bit_length() + pos_bits <= 63:
-        values <<= pos_bits
-        values |= np.arange(n)
+    if positions is None:
         values.sort()
     else:
         order = values.argsort(kind="stable")
         values[:] = values[order]
-        pos_bits = 0
-    # same[i]: sorted values i - 1 and i share a value; both ends read False
+    # same[i]: sorted values i - 1 and i share a key; both ends read False
     same = np.zeros(n + 1, dtype=bool)
     xor = np.empty(min(n, _BATCH), dtype=np.int64)
     for a in range(1, n, _BATCH):
@@ -333,15 +332,15 @@ def _rank_values(
     starts = np.flatnonzero(ranks)
     counts = np.flatnonzero(np.greater(same[:-1], same[1:])) - starts + 1
     distinct = values[starts] >> pos_bits
-    if order is None:
+    if positions is None:
         values &= (1 << pos_bits) - 1
     else:
-        values[:] = order
+        positions.take(order, out=values)
         del order
     _check_int32(offset + len(starts), "combination records")
     np.cumsum(ranks, out=ranks)
     ranks += offset - 1
-    # a value that occurs once is in no run
+    # a key that occurs once is in no run
     ranks[~(same[1:] | same[:-1])] = -1
     return distinct, starts, counts, ranks
 
@@ -390,24 +389,40 @@ def _group_size(
     blocks holds (l, ID matrix, size-(kk-1) record IDs, size-kk record-ID
     block) per title length l >= kk, ascending. A sorted key is its prefix's
     key plus the largest ID, so ranking (prefix rank << id_bits) | largest ID
-    ranks the keys lexicographically. Only keys with f_c >= 2 become records;
-    the cells of a unique key hold -1, and so do those of an instance whose
-    prefix holds -1, since a superset of a unique subset is unique too.
-    Returns the records' keys, from prev_keys, with their f_c and d_acc;
-    record IDs are offset + rank among the records. The packed column is
-    ranked where it lies and scattered back to positions once, as int32.
+    ranks the keys lexicographically. Only keys with f_c >= 2 become records,
+    and only the instances whose every size-(kk-1) subset has a record are
+    ranked (_pack): the cells of the others hold -1, as do those of a key
+    ranked once. Returns the records' keys, from prev_keys, with their f_c
+    and d_acc; record IDs are offset + rank among the records.
+
+    The ranked column holds the kept instances in position order, each
+    packed with its position in the size's whole column, so the sorted
+    column's low bits scatter the int32 ranks straight back to positions.
     """
     bounds = np.cumsum([0] + [block.size for *_, block in blocks])
-    packed = np.empty(bounds[-1], dtype=np.int64)
-    # past every packed prefix rank, so no instance of a unique prefix repeats a key
-    no_record = len(prev_keys) << id_bits
+    pos_bits = max(int(bounds[-1]) - 1, 0).bit_length()
+    # keys and positions past _BITS are ranked beside a position column
+    wide = ((len(prev_keys) << id_bits) - 1).bit_length() + pos_bits > _BITS
+    parts, where = [], []
     for (l, ids, prev, block), start in zip(blocks, bounds):
-        part = packed[start : start + block.size].reshape(block.shape)
-        _pack(part, l, kk, ids, prev - prev_offset, id_bits, no_record + start)
-    distinct, starts, f_c, ranks = _rank_values(packed, offset)
-    # packed now holds the permutation. One int32 buffer takes each cell's
-    # record ID, for its block, and then its squared distance.
-    cell = np.empty(len(packed), dtype=np.int32)
+        key, kept = _pack(l, kk, ids, prev - prev_offset, id_bits)
+        position = np.arange(start, start + block.size).reshape(block.shape)
+        if wide:
+            where.append(position[kept])
+        else:
+            key <<= pos_bits
+            key |= position
+        parts.append(key[kept])
+        # the matrices of the largest bucket are not held through the ranking
+        del key, kept, position
+    packed = np.concatenate(parts)
+    positions = np.concatenate(where) if wide else None
+    del parts, where
+    distinct, starts, f_c, ranks = _rank_values(packed, 0 if wide else pos_bits, offset, positions)
+    del positions
+    # packed now holds the sorted positions. One int32 buffer takes each
+    # cell's record ID, for its block, and then its squared distance.
+    cell = np.full(bounds[-1], -1, dtype=np.int32)
     cell[packed] = ranks
     for (l, *_, block), start in zip(blocks, bounds):
         part = cell[start : start + block.size].reshape(block.shape)
@@ -565,35 +580,18 @@ def save_index(index: ProductIndex, path) -> None:
         )
 
 
-def _flat_combinations(z, forward: ForwardIndex, k: int) -> Tuple[List, List]:
-    """The blocks and key tables of a v1 or v2 snapshot, which stores record
-    IDs in product order (combo_flat, combo_offsets) and keys as one column
-    (key_flat) with each record's size (combo_k)."""
-    combo_flat = z["combo_flat"].astype(np.int32)
-    combo_offsets = z["combo_offsets"]
-    blocks = [
-        combo_flat[combo_offsets[members][:, None] + np.arange(count_combinations(l, k))]
-        for l, members in forward.buckets
-        if len(combo_flat)
-    ]
-    # records are ordered by size, so each size's keys are one run of key_flat
-    sizes, counts = np.unique(z["combo_k"], return_counts=True)
-    runs = np.split(z["key_flat"].astype(np.int32), np.cumsum(sizes * counts)[:-1])
-    return blocks, [run.reshape(-1, kk) for run, kk in zip(runs, sizes.tolist())]
-
-
-def _drop_unique(combos: CombinationLexicon, blocks: List) -> Tuple[CombinationLexicon, List]:
-    """The lexicon and blocks of a snapshot before v4, which keeps a record
-    for every key, without the f_c = 1 records: their cells become -1 and the
-    other records are renumbered in order."""
-    shared = combos.f_c > 1
-    record = np.where(shared, np.cumsum(shared) - 1, -1).astype(np.int32)
-    keys = [
-        table[shared[start : start + len(table)]]
-        for table, start in zip(combos.keys, combos.size_starts.tolist())
-    ]
-    lexicon = CombinationLexicon(f_c=combos.f_c[shared], d_acc=combos.d_acc[shared], keys=keys)
-    return lexicon, [record[block] for block in blocks]
+def _rebuild(z, dataset: Dataset, k: int, variant: str, distance_mode: str, path) -> ProductIndex:
+    """A fresh build from the rows a snapshot before v4 stores. Snapshots do
+    not record the UnitLexicon, so a file whose stored tokens the default
+    units do not give raises ValueError."""
+    # v1 to v3 keep a record for every key, so only an index built without
+    # combinations stores none where it has titles of two tokens or more
+    index = build_index(dataset, k, variant, distance_mode, with_combinations=len(z["combo_f"]) > 0)
+    if index.tokens.surfaces != z["token_surfaces"].tolist() or not np.array_equal(
+        index.forward.tok_flat, z["tok_flat"]
+    ):
+        raise ValueError(f"snapshot tokens differ from the default units' analysis: {path}")
+    return index
 
 
 def load_index(path) -> ProductIndex:
@@ -650,20 +648,18 @@ def _read_snapshot(z, path) -> ProductIndex:
             product_ids, z["titles"].tolist(), vendor_ids, truth.tolist(), known.tolist()
         )
     ]
-    forward = ForwardIndex(product_ids, vendor_ids, z["tok_flat"], z["sem_flat"], z["tok_offsets"])
-    if version < 3:
-        blocks, keys = _flat_combinations(z, forward, k)
-    else:
-        # the sizes past the longest title and, without combinations, all blocks are absent
-        keys = [z[f"keys_{kk}"] for kk in range(2, k + 1) if f"keys_{kk}" in z.files]
-        names = [f"block_{b}" for b in range(len(forward.buckets))]
-        blocks = [z[name] for name in names if name in z.files]
-    combos = CombinationLexicon(f_c=z["combo_f"], d_acc=z["combo_d"], keys=keys)
+    dataset = Dataset(products=products)
     if version < 4:
-        combos, blocks = _drop_unique(combos, blocks)
+        return _rebuild(z, dataset, k, meta["variant"], distance_mode, path)
+    forward = ForwardIndex(product_ids, vendor_ids, z["tok_flat"], z["sem_flat"], z["tok_offsets"])
+    # the sizes past the longest title and, without combinations, all blocks are absent
+    keys = [z[f"keys_{kk}"] for kk in range(2, k + 1) if f"keys_{kk}" in z.files]
+    names = [f"block_{b}" for b in range(len(forward.buckets))]
+    blocks = [z[name] for name in names if name in z.files]
+    combos = CombinationLexicon(f_c=z["combo_f"], d_acc=z["combo_d"], keys=keys)
     forward.combo_blocks = blocks
     return ProductIndex(
-        dataset=Dataset(products=products),
+        dataset=dataset,
         tokens=TokenLexicon(z["token_surfaces"].tolist(), z["token_f"], z["token_sem"]),
         combos=combos,
         forward=forward,

@@ -287,6 +287,22 @@ def test_v3_snapshot_loads_as_fresh_build():
     assert_legacy_snapshot_loads_as_fresh_build("index_v3.npz")
 
 
+def test_legacy_snapshot_with_custom_units_is_rejected(tmp_path):
+    # an older snapshot is rebuilt with the default units, which would not
+    # fuse "500 zz" as the custom units did
+    titles = ["acme widget 500 zz", "acme widget 500 zz blue", "other gadget 500 zz"]
+    ds = tiny_dataset(titles)
+    custom = build_index(ds, k=2, units=UnitLexicon.from_lines(["zz"]))
+    assert custom.tokens.surfaces != build_index(ds, k=2).tokens.surfaces
+    path = tmp_path / "index.npz"
+    save_index(custom, path)
+    assert_same_columns(load_index(path), custom)
+    _rewrite_meta(path, lambda meta: meta.update(version=3))
+    expected = f"snapshot tokens differ from the default units' analysis: {path}"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        load_index(path)
+
+
 def test_snapshot_stores_the_held_columns(tmp_path):
     path = tmp_path / "index.npz"
     idx = build_index(snapshot_corpus(), k=3)
@@ -604,6 +620,21 @@ def test_small_batches_build_the_same_index(ds, k, batch):
     assert small.combos.d_acc.tobytes() == default.combos.d_acc.tobytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(corpora(), st.integers(min_value=2, max_value=5))
+def test_wide_keys_build_the_same_index(ds, k):
+    # keys and positions past the bit budget are argsorted beside a position
+    # column; a budget of 0 sends every size there
+    for mode in ("squared", "euclidean"):
+        default = build_index(ds, k=k, distance_mode=mode)
+        assume(len(default.forward.buckets) > 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(index_module, "_BITS", 0)
+            wide = build_index(ds, k=k, distance_mode=mode)
+        assert_same_columns(wide, default)
+        assert wide.combos.d_acc.tobytes() == default.combos.d_acc.tobytes()
+
+
 def _word(i):
     """The i-th four-letter lower-case word."""
     letters = []
@@ -631,9 +662,10 @@ def test_index_matches_reference_past_64_bit_keys():
 
 
 def test_index_memory_per_instance_is_bounded():
-    # 2.4M instances at K=5 peak at 20.9 bytes each, while the last size sums
-    # d_acc: its packed column holds the permutation (8 bytes a cell), beside
-    # the int32 ranks and the int32 cell buffer, plus the blocks of every size
+    # 2.4M instances at K=5 peak at 17.2 bytes each, while the last size sums
+    # d_acc: its kept instances' compacted int64 column of sorted positions
+    # and their int32 ranks, beside the int32 cell buffer over all of the
+    # size's cells, plus the blocks of every size
     ds = long_title_dataset(1000, seed=5)
     analyzed = analyze_dataset(ds)
     for table in (position_patterns, drop_patterns, pattern_distances):
@@ -644,7 +676,43 @@ def test_index_memory_per_instance_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / idx.stats.combination_instances <= 24
+    assert peak / idx.stats.combination_instances <= 19
+
+
+def test_only_instances_whose_every_subset_repeats_are_ranked():
+    # support is downward-closed: an instance with a unique size-(k-1) subset
+    # is unique, so it is never ranked. Outputs alone would not show a build
+    # that ranks such instances, so the ranked column lengths are pinned.
+    ds = long_title_dataset(1000, seed=5)
+    ranked = []
+    rank_values = index_module._rank_values
+
+    def spy(values, *args):
+        ranked.append(len(values))
+        return rank_values(values, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(index_module, "_rank_values", spy)
+        idx = build_index(ds, k=5)
+    kept, instances = [], []
+    for kk in range(2, 6):
+        layout = zip(idx.forward.buckets, idx.forward.combo_blocks)
+        blocks = [(l, block) for (l, _), block in layout if l >= kk]
+        instances.append(sum(len(block) * math.comb(l, kk) for l, block in blocks))
+        if kk == 2:
+            # a size-1 subset is a token, which always has an ID
+            kept.append(instances[-1])
+            continue
+        count = 0
+        for l, block in blocks:
+            # the size-(kk-1) columns follow those of the smaller sizes
+            start = count_combinations(l, kk - 1) - math.comb(l, kk - 1)
+            subsets = block[:, start : start + math.comb(l, kk - 1)][:, drop_patterns(l, kk)]
+            count += int((subsets.min(axis=2) >= 0).sum())
+        kept.append(count)
+    assert ranked == kept
+    # every size above 2 prunes
+    assert all(k < n for k, n in zip(kept[1:], instances[1:])), (kept, instances)
 
 
 def test_analyze_dataset_leaves_no_per_title_objects():
@@ -664,10 +732,17 @@ def test_id_overflow_error_gives_the_count():
     index_module._check_int32(2**31, "combination records")
 
 
-def _assert_ranks_like_unique(values, offset=0):
-    # numpy's unique, restricted to the values that occur more than once
+def _assert_ranks_like_unique(values, positions, offset=0):
+    # numpy's unique, restricted to the keys that occur more than once; the
+    # keys sit at ascending positions, with gaps where instances were pruned
+    pos_bits = int(positions.max(initial=0)).bit_length()
     column = values.copy()
-    distinct, starts, counts, ranks = index_module._rank_values(column, offset)
+    if int(values.max(initial=0)).bit_length() + pos_bits <= index_module._BITS:
+        column <<= pos_bits
+        column |= positions
+        distinct, starts, counts, ranks = index_module._rank_values(column, pos_bits, offset)
+    else:
+        distinct, starts, counts, ranks = index_module._rank_values(column, 0, offset, positions)
     want_distinct, want_inverse, want_counts = np.unique(
         values, return_inverse=True, return_counts=True
     )
@@ -677,38 +752,44 @@ def _assert_ranks_like_unique(values, offset=0):
     assert ranks.dtype == np.int32
     assert np.array_equal(distinct, want_distinct[repeated])
     assert np.array_equal(counts, want_counts[repeated])
-    # the column is left holding the permutation, ascending within a run,
-    # and each run's head has its record's rank
-    assert np.array_equal(column, np.argsort(values, kind="stable"))
+    # the column is left holding the sorted positions, ascending within a
+    # run, and each run's head has its record's rank
+    assert np.array_equal(column, positions[np.argsort(values, kind="stable")])
     assert np.array_equal(ranks[starts], offset + np.arange(len(starts)))
-    index = np.empty(len(values), dtype=np.int32)
+    index = np.full(int(positions.max(initial=-1)) + 1, -2, dtype=np.int32)
     index[column] = ranks
-    assert np.array_equal(index, want_index)
+    assert np.array_equal(index[positions], want_index)
 
 
 # (7, 7) makes every value equal and (0, 1), (0, 3) repeat heavily; from
-# 2**60 the value bits plus the position bits can pass 63, and from 2**62
-# they always do once there are two values, which argsorts instead
+# 2**60 the key bits plus the position bits can pass 63, and from 2**62
+# they always do once there are two positions, which argsorts instead
 _RANK_RANGES = ((7, 7), (0, 1), (0, 3), (0, 2**31), (2**60, 2**61), (2**62, 2**63 - 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(_RANK_RANGES).flatmap(
-        lambda bounds: st.lists(st.integers(*bounds), max_size=300)
+        lambda bounds: st.lists(
+            st.tuples(st.integers(*bounds), st.integers(1, 4)), max_size=300
+        )
     ),
     st.integers(0, 2**20),
     st.sampled_from((1, 3, index_module._BATCH)),
 )
-def test_rank_values_matches_unique(values, offset, batch):
+def test_rank_values_matches_unique(cells, offset, batch):
+    # each cell is a key and the gap to its position from the one before
+    values = np.array([key for key, _ in cells], dtype=np.int64)
+    positions = np.cumsum([gap for _, gap in cells], dtype=np.int64) - 1
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(index_module, "_BATCH", batch)
-        _assert_ranks_like_unique(np.array(values, dtype=np.int64), offset)
+        _assert_ranks_like_unique(values, positions, offset)
 
 
 @pytest.mark.parametrize("width", [61, 62])
 def test_rank_values_on_both_sides_of_the_63_bit_budget(width):
-    # four values need two position bits: 61 + 2 bits sort in place, 62 + 2 argsort
+    # positions up to 3 need two bits: 61 + 2 bits sort in place, 62 + 2 argsort
     values = np.array([2**width - 1, 5, 2**width - 1, 0], dtype=np.int64)
-    assert int(values.max()).bit_length() + (len(values) - 1).bit_length() == width + 2
-    _assert_ranks_like_unique(values)
+    positions = np.arange(4)
+    assert int(values.max()).bit_length() + int(positions.max()).bit_length() == width + 2
+    _assert_ranks_like_unique(values, positions)
