@@ -12,14 +12,7 @@ included for comparison.
 from .baseline import cs, cs_idf, jaccard, jaccard_idf, pairwise_match, pairwise_sweep
 from .combinatorics import count_combinations
 from .evaluation import expand_cluster_pairs, prf1, run_report
-from .index import (
-    IndexStats,
-    ProductIndex,
-    build_index,
-    load_index,
-    resolve_k,
-    save_index,
-)
+from .index import IndexStats, ProductIndex, build_index, resolve_k
 from .ingest import Dataset, RawProduct, load_ground_truth, load_products, load_truth_file
 from .pipeline import MatchResult, run_baseline, run_match
 from .scoring import ClusterUniverse, ScoringConfig, select_clusters
@@ -56,7 +49,6 @@ __all__ = [
     "jaccard",
     "jaccard_idf",
     "load_ground_truth",
-    "load_index",
     "load_products",
     "load_truth_file",
     "normalize_title",
@@ -68,7 +60,6 @@ __all__ = [
     "run_baseline",
     "run_match",
     "run_report",
-    "save_index",
     "scan_violators",
     "select_clusters",
     "verify_universe",

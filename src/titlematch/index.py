@@ -37,17 +37,11 @@ lists its instances' positions ascending, so each record's d_acc adds them in
 that order and the accumulators are reproducible run to run, whatever the
 batches. With the default squared distance the accumulator is integral and
 therefore exact.
-
-A snapshot (save_index) stores the key tables and blocks as they are held,
-and no stats: ProductIndex.stats derives them from the columns, unique
-instances included. An older snapshot is rebuilt from the rows it stores.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -56,13 +50,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .combinatorics import count_combinations, drop_patterns, pattern_distances, position_patterns
-from .ingest import Dataset, RawProduct
+from .ingest import Dataset
 from .textprep import TitleCorpus, TitleNormalizationError, UnitLexicon, analyze_titles
-
-SNAPSHOT_FORMAT = "titlematch-index"
-SNAPSHOT_VERSION = 4
-# v1 to v3 snapshots are rebuilt from their rows (_rebuild)
-SNAPSHOT_VERSIONS = (1, 2, 3, 4)
 
 DISTANCE_MODES = ("squared", "euclidean")
 
@@ -537,133 +526,5 @@ def build_index(
         forward=forward,
         k=k_resolved,
         variant=variant,
-        distance_mode=distance_mode,
-    )
-
-
-def save_index(index: ProductIndex, path) -> None:
-    """Write a versioned binary snapshot of a built index to exactly path.
-
-    The snapshot holds the columns as the index holds them: keys_<k> is the
-    size-k key table and block_<b> the record-ID block of forward.buckets[b].
-    """
-    fw = index.forward
-    products = index.dataset.products
-    truth = [-1 if p.truth_cluster_id is None else p.truth_cluster_id for p in products]
-    meta = {
-        "format": SNAPSHOT_FORMAT,
-        "version": SNAPSHOT_VERSION,
-        "k": index.k,
-        "variant": index.variant,
-        "distance_mode": index.distance_mode,
-    }
-    # numpy appends .npz to a path without it, so it is handed the open file
-    with open(path, "wb") as fh:
-        np.savez_compressed(
-            fh,
-            meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-            product_ids=np.asarray(fw.product_ids, dtype=np.int64),
-            vendor_ids=np.asarray(fw.vendor_ids, dtype=np.int64),
-            truth=np.asarray(truth, dtype=np.int64),
-            truth_known=np.asarray([p.truth_cluster_id is not None for p in products], dtype=bool),
-            titles=np.asarray([p.title for p in products], dtype=np.str_),
-            token_surfaces=np.asarray(index.tokens.surfaces, dtype=np.str_),
-            token_f=index.tokens.f_w,
-            token_sem=index.tokens.s_w,
-            tok_flat=fw.tok_flat,
-            tok_offsets=fw.tok_offsets,
-            sem_flat=fw.sem_flat,
-            combo_f=index.combos.f_c,
-            combo_d=index.combos.d_acc,
-            **{f"keys_{k}": table for k, table in enumerate(index.combos.keys, start=2)},
-            **{f"block_{b}": block for b, block in enumerate(fw.combo_blocks)},
-        )
-
-
-def _rebuild(z, dataset: Dataset, k: int, variant: str, distance_mode: str, path) -> ProductIndex:
-    """A fresh build from the rows a snapshot before v4 stores. Snapshots do
-    not record the UnitLexicon, so a file whose stored tokens the default
-    units do not give raises ValueError."""
-    # v1 to v3 keep a record for every key, so only an index built without
-    # combinations stores none where it has titles of two tokens or more
-    index = build_index(dataset, k, variant, distance_mode, with_combinations=len(z["combo_f"]) > 0)
-    if index.tokens.surfaces != z["token_surfaces"].tolist() or not np.array_equal(
-        index.forward.tok_flat, z["tok_flat"]
-    ):
-        raise ValueError(f"snapshot tokens differ from the default units' analysis: {path}")
-    return index
-
-
-def load_index(path) -> ProductIndex:
-    """Reload a snapshot of any version in SNAPSHOT_VERSIONS. A file that is
-    not an .npz with this format's meta, or of another version, raises
-    ValueError."""
-    with open(path, "rb") as fh:
-        # numpy would read a file that is not a zip archive as a pickle
-        if not zipfile.is_zipfile(fh):
-            raise ValueError(f"not a {SNAPSHOT_FORMAT} snapshot: {path}")
-        fh.seek(0)
-        with np.load(fh, allow_pickle=False) as z:
-            return _read_snapshot(z, path)
-
-
-def _read_meta(z) -> dict:
-    """The snapshot's meta object, or {} when it is missing or not a JSON object."""
-    try:
-        meta = json.loads(bytes(z["meta"]).decode("utf-8"))
-    except (KeyError, ValueError):  # also UnicodeDecodeError and JSONDecodeError
-        return {}
-    return meta if isinstance(meta, dict) else {}
-
-
-def _read_snapshot(z, path) -> ProductIndex:
-    meta = _read_meta(z)
-    required = {"k", "variant", "distance_mode"}
-    if meta.get("format") != SNAPSHOT_FORMAT or not required <= meta.keys():
-        raise ValueError(f"not a {SNAPSHOT_FORMAT} snapshot: {path}")
-    version = meta.get("version")
-    # true == 1 and 1.0 == 1 in Python: only a JSON integer names a version
-    if type(version) is not int or version not in SNAPSHOT_VERSIONS:
-        raise ValueError(
-            f"snapshot version {version!r} unsupported"
-            f" (expected one of {SNAPSHOT_VERSIONS}): {path}"
-        )
-    k, distance_mode = meta["k"], meta["distance_mode"]
-    # like the version, K must be a JSON integer: true == 1 and "3" is text
-    if type(k) is not int or k < 2:
-        raise ValueError(f"snapshot k {k!r} is not an integer >= 2: {path}")
-    if distance_mode not in DISTANCE_MODES:
-        raise ValueError(
-            f"snapshot distance_mode {distance_mode!r} unknown"
-            f" (expected one of {DISTANCE_MODES}): {path}"
-        )
-    product_ids = z["product_ids"].tolist()
-    vendor_ids = z["vendor_ids"].tolist()
-    truth = z["truth"]
-    # snapshots without truth_known wrote -1 for an unknown truth cluster
-    known = z["truth_known"] if "truth_known" in z.files else truth >= 0
-    products = [
-        RawProduct(pid, title, vid, t if ok else None)
-        for pid, title, vid, t, ok in zip(
-            product_ids, z["titles"].tolist(), vendor_ids, truth.tolist(), known.tolist()
-        )
-    ]
-    dataset = Dataset(products=products)
-    if version < 4:
-        return _rebuild(z, dataset, k, meta["variant"], distance_mode, path)
-    forward = ForwardIndex(product_ids, vendor_ids, z["tok_flat"], z["sem_flat"], z["tok_offsets"])
-    # the sizes past the longest title and, without combinations, all blocks are absent
-    keys = [z[f"keys_{kk}"] for kk in range(2, k + 1) if f"keys_{kk}" in z.files]
-    names = [f"block_{b}" for b in range(len(forward.buckets))]
-    blocks = [z[name] for name in names if name in z.files]
-    combos = CombinationLexicon(f_c=z["combo_f"], d_acc=z["combo_d"], keys=keys)
-    forward.combo_blocks = blocks
-    return ProductIndex(
-        dataset=dataset,
-        tokens=TokenLexicon(z["token_surfaces"].tolist(), z["token_f"], z["token_sem"]),
-        combos=combos,
-        forward=forward,
-        k=k,
-        variant=meta["variant"],
         distance_mode=distance_mode,
     )

@@ -212,7 +212,8 @@ def _relevance(a: np.ndarray, k_max: int, b: float, l_avg_c: float) -> np.ndarra
     prefix, lo = a, 0  # a one-position pattern sums to its a
     for kk in range(2, min(k_max, length) + 1):
         pat = position_patterns(length, kk)
-        prefix = prefix[:, drop_patterns(length, kk)[:, -1]] + a[:, pat[:, -1]]
+        # take gathers columns faster than fancy indexing
+        prefix = prefix.take(drop_patterns(length, kk)[:, -1], axis=1) + a.take(pat[:, -1], axis=1)
         np.divide(prefix, 1.0 - b + b * kk / l_avg_c, out=y[:, lo : lo + len(pat)])
         lo += len(pat)
     return y

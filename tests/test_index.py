@@ -4,15 +4,11 @@ from __future__ import annotations
 
 import gc
 import itertools
-import json
 import math
 import random
-import re
 import string
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,10 +21,9 @@ from titlematch.combinatorics import (
     pattern_distances,
     position_patterns,
 )
-from titlematch.index import analyze_dataset, build_index, load_index, resolve_k, save_index
+from titlematch.index import analyze_dataset, build_index, resolve_k
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.pipeline import run_match
-from titlematch.scoring import ScoringConfig, select_clusters
 from titlematch.synth import efficiency_dataset, long_title_dataset, planted_dataset
 from titlematch.textprep import AnalyzedTitle, UnitLexicon, analyze_title
 
@@ -44,8 +39,6 @@ from helpers import (
     token_rows,
     unique_instances,
 )
-
-DATA = Path(__file__).parent / "data"
 
 
 def tiny_dataset(titles, vendors=None):
@@ -228,199 +221,6 @@ def test_avg_combination_len_in_range():
     assert 2.0 <= idx.stats.avg_combination_len <= idx.k
 
 
-def test_snapshot_round_trip(tmp_path):
-    ds = planted_dataset(n_clusters=8, n_vendors=5, seed=11)
-    ds.products.append(RawProduct(999, "widget", 0, None))
-    # K=5 keeps key tables of three widths or more, each stored as its own member
-    cases = [("upm", "squared", None), ("upm+", "euclidean", None), ("upm", "squared", 5)]
-    for variant, mode, k in cases:
-        idx = build_index(ds, k=k, variant=variant, distance_mode=mode)
-        path = tmp_path / f"{variant}-{k}.npz"
-        save_index(idx, path)
-        assert_same_columns(load_index(path), idx)
-
-
-def snapshot_corpus():
-    """The corpus of tests/data/index_v1.npz, index_v2.npz and index_v3.npz:
-    40 planted titles and one one-token title, indexed with k=3."""
-    ds = planted_dataset(n_clusters=9, n_vendors=4, seed=21)
-    return Dataset(products=ds.products + [RawProduct(9001, "widget", 0, 999)])
-
-
-def stored_stats(name):
-    """The stats a v1 or v2 snapshot stored in its meta, without the
-    always-0 collisions_resolved; None for a later version."""
-    with np.load(DATA / name) as z:
-        stats = json.loads(bytes(z["meta"]).decode("utf-8")).get("stats")
-    if stats is not None:
-        stats.pop("collisions_resolved", None)
-    return stats
-
-
-def assert_legacy_snapshot_loads_as_fresh_build(name):
-    path = DATA / name
-    loaded = load_index(path)
-    fresh = build_index(snapshot_corpus(), k=3)
-    assert loaded.stats.title_count == 41
-    assert_same_columns(loaded, fresh)
-    # v3 stores no stats; index_v2.npz stored those of the same corpus
-    assert asdict(loaded.stats) == (stored_stats(name) or stored_stats("index_v2.npz"))
-    got, want = (select_clusters(idx, ScoringConfig()) for idx in (loaded, fresh))
-    for name in ("assignment", "pi", "key", "s1"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-
-
-def test_v1_snapshot_loads_as_fresh_build():
-    # written by the release that stored per-product forward lists
-    assert_legacy_snapshot_loads_as_fresh_build("index_v1.npz")
-
-
-def test_v2_snapshot_loads_as_fresh_build():
-    # written by the release that stored flat combo and key columns
-    assert_legacy_snapshot_loads_as_fresh_build("index_v2.npz")
-
-
-def test_v3_snapshot_loads_as_fresh_build():
-    # written by the release that kept a record for every key, unique ones too
-    with np.load(DATA / "index_v3.npz") as z:
-        assert (z["combo_f"] == 1).any()
-    assert_legacy_snapshot_loads_as_fresh_build("index_v3.npz")
-
-
-def test_legacy_snapshot_with_custom_units_is_rejected(tmp_path):
-    # an older snapshot is rebuilt with the default units, which would not
-    # fuse "500 zz" as the custom units did
-    titles = ["acme widget 500 zz", "acme widget 500 zz blue", "other gadget 500 zz"]
-    ds = tiny_dataset(titles)
-    custom = build_index(ds, k=2, units=UnitLexicon.from_lines(["zz"]))
-    assert custom.tokens.surfaces != build_index(ds, k=2).tokens.surfaces
-    path = tmp_path / "index.npz"
-    save_index(custom, path)
-    assert_same_columns(load_index(path), custom)
-    _rewrite_meta(path, lambda meta: meta.update(version=3))
-    expected = f"snapshot tokens differ from the default units' analysis: {path}"
-    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-        load_index(path)
-
-
-def test_snapshot_stores_the_held_columns(tmp_path):
-    path = tmp_path / "index.npz"
-    idx = build_index(snapshot_corpus(), k=3)
-    assert (np.concatenate(idx.forward.combo_blocks, axis=None) < 0).any()
-    save_index(idx, path)
-    with np.load(path) as z:
-        meta = json.loads(bytes(z["meta"]).decode("utf-8"))
-        assert meta["version"] == 4 and "stats" not in meta
-        legacy = ("combo_sigs", "combo_flat", "combo_offsets", "combo_k", "key_flat", "key_offsets")
-        assert not set(legacy) & set(z.files)
-        assert sorted(n for n in z.files if n.startswith("keys_")) == ["keys_2", "keys_3"]
-        for k, table in enumerate(idx.combos.keys, start=2):
-            assert z[f"keys_{k}"].dtype == np.int32 and np.array_equal(z[f"keys_{k}"], table)
-        blocks = [n for n in z.files if n.startswith("block_")]
-        assert len(blocks) == len(idx.forward.buckets) == len(idx.forward.combo_blocks)
-        for b, block in enumerate(idx.forward.combo_blocks):
-            assert z[f"block_{b}"].dtype == np.int32 and np.array_equal(z[f"block_{b}"], block)
-
-
-def test_snapshot_writes_exactly_the_given_path(tmp_path):
-    # numpy's savez appends .npz to a path without that suffix
-    idx = build_index(snapshot_corpus(), k=3)
-    path = tmp_path / "snap"
-    save_index(idx, path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["snap"]
-    assert_same_columns(load_index(path), idx)
-    assert_same_columns(load_index(str(path)), idx)
-
-
-def test_snapshot_rejects_unsupported_version(tmp_path):
-    path = tmp_path / "index.npz"
-    save_index(build_index(snapshot_corpus(), k=3), path)
-    with np.load(path) as z:
-        arrays = dict(z)
-    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    meta["version"] = 5
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
-    with pytest.raises(ValueError, match="snapshot version 5 unsupported"):
-        load_index(path)
-
-
-def _rewrite_meta(path, edit) -> None:
-    """Save index.npz again with edit applied to its meta object."""
-    with np.load(path) as z:
-        arrays = dict(z)
-    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    edit(meta)
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
-
-
-@pytest.mark.parametrize(
-    "version, shown", [(True, "True"), (1.0, "1.0"), ("4", "'4'")], ids=["true", "float", "string"]
-)
-def test_snapshot_version_must_be_an_int(tmp_path, version, shown):
-    # true == 1 and 1.0 == 1 in Python, yet neither is a version number
-    path = tmp_path / "index.npz"
-    save_index(build_index(snapshot_corpus(), k=3), path)
-    _rewrite_meta(path, lambda meta: meta.update(version=version))
-    expected = f"snapshot version {shown} unsupported (expected one of (1, 2, 3, 4)): {path}"
-    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-        load_index(path)
-
-
-@pytest.mark.parametrize(
-    "field, value, shown",
-    [
-        ("k", "3", "snapshot k '3' is not an integer >= 2"),
-        ("k", 1, "snapshot k 1 is not an integer >= 2"),
-        ("k", True, "snapshot k True is not an integer >= 2"),
-        ("k", 2.0, "snapshot k 2.0 is not an integer >= 2"),
-        (
-            "distance_mode",
-            "manhattan",
-            "snapshot distance_mode 'manhattan' unknown (expected one of ('squared', 'euclidean'))",
-        ),
-    ],
-    ids=["k-string", "k-one", "k-true", "k-float", "distance-mode"],
-)
-def test_snapshot_meta_fields_are_checked(tmp_path, field, value, shown):
-    # a meta value of the wrong type or out of range names the file
-    path = tmp_path / "index.npz"
-    save_index(build_index(snapshot_corpus(), k=3), path)
-    _rewrite_meta(path, lambda meta: meta.update({field: value}))
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{shown}: {path}')}$"):
-        load_index(path)
-
-
-@pytest.mark.parametrize("field", ["k", "variant", "distance_mode"])
-def test_snapshot_meta_without_a_field_is_foreign(tmp_path, field):
-    path = tmp_path / "index.npz"
-    save_index(build_index(snapshot_corpus(), k=3), path)
-    _rewrite_meta(path, lambda meta: meta.pop(field))
-    with pytest.raises(ValueError, match=f"^not a titlematch-index snapshot: {re.escape(str(path))}$"):
-        load_index(path)
-
-
-def test_snapshot_keeps_negative_truth_clusters(tmp_path):
-    # feeds may name negative cluster IDs; only None means no truth cluster
-    titles = ["alpha beta gamma", "beta gamma delta", "gamma delta epsilon"]
-    path = tmp_path / "index.npz"
-    for truth in ([-1, -1, 4], [None, -1, 4]):
-        products = [RawProduct(i, t, i, c) for i, (t, c) in enumerate(zip(titles, truth))]
-        ds = Dataset(products=products)
-        idx = build_index(ds, k=2)
-        save_index(idx, path)
-        loaded = load_index(path)
-        assert [p.truth_cluster_id for p in loaded.dataset.products] == truth
-        assert loaded.dataset.has_truth == ds.has_truth
-        assert_same_columns(loaded, idx)
-    # a snapshot without truth_known wrote -1 for an unknown truth cluster
-    with np.load(path) as z:
-        arrays = {name: z[name] for name in z.files if name != "truth_known"}
-    np.savez(path, **arrays)
-    assert [p.truth_cluster_id for p in load_index(path).dataset.products] == [None, None, 4]
-
-
 def test_ids_of_rejects_records_out_of_range():
     # -1 is the key of one-token clusters, unique choices and verification
     # singletons; {beta, gamma} is unique and has no record
@@ -436,33 +236,6 @@ def test_ids_of_rejects_records_out_of_range():
             combos.ids_of(idx)
     with pytest.raises(IndexError, match="^combination record 0 out of range for 0 records$"):
         build_index(ds, k=2, with_combinations=False).combos.ids_of(0)
-
-
-def test_snapshot_rejects_foreign_files(tmp_path):
-    path = tmp_path / "other.npz"
-    np.savez(path, meta=np.frombuffer(b'{"format": "something-else"}', dtype=np.uint8))
-    with pytest.raises(ValueError, match="snapshot"):
-        load_index(path)
-    # an .npz without meta, a feed, an .npy array and an empty file
-    np.savez(tmp_path / "bare.npz", product_ids=np.arange(3))
-    (tmp_path / "feed.csv").write_text("product_id,title,vendor_id\n1,acme toaster,0\n")
-    np.save(tmp_path / "array.npy", np.arange(3))
-    (tmp_path / "empty").write_bytes(b"")
-    for name in ("bare.npz", "feed.csv", "array.npy", "empty"):
-        path = tmp_path / name
-        with pytest.raises(ValueError, match=f"^not a titlematch-index snapshot: {re.escape(str(path))}$"):
-            load_index(path)
-    with pytest.raises(FileNotFoundError):
-        load_index(tmp_path / "missing.npz")
-
-
-@pytest.mark.parametrize("meta", [b"[1]", b"\xff\xfe"], ids=["json-list", "not-utf8"])
-def test_snapshot_rejects_malformed_meta(tmp_path, meta):
-    # JSON that is not an object, and bytes that are not UTF-8
-    path = tmp_path / "index.npz"
-    np.savez(path, meta=np.frombuffer(meta, dtype=np.uint8))
-    with pytest.raises(ValueError, match=f"^not a titlematch-index snapshot: {re.escape(str(path))}$"):
-        load_index(path)
 
 
 def test_build_index_rejects_repeated_product_ids():

@@ -35,7 +35,6 @@ PUBLIC_API = [
     "jaccard",
     "jaccard_idf",
     "load_ground_truth",
-    "load_index",
     "load_products",
     "load_truth_file",
     "normalize_title",
@@ -47,7 +46,6 @@ PUBLIC_API = [
     "run_baseline",
     "run_match",
     "run_report",
-    "save_index",
     "scan_violators",
     "select_clusters",
     "verify_universe",
