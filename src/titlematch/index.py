@@ -18,25 +18,27 @@ that occur at least twice become records: I(c) is 0 at f_c = 1, so a unique
 key's cells hold -1 instead. Support is downward-closed, so an instance any
 of whose k size-(k-1) subsets holds -1 is unique too: its cell holds -1 and
 it is never ranked (Apriori's candidate pruning). Each kept instance packs
-its key above its position in the size's whole column, and one in-place
-value sort (_rank_values) ranks them inside the compacted column, which it
-leaves holding the sorted positions. Records are ordered by (k, key) and
-each size's records form one run. f_c is counted and the int32 record IDs
-numbered in the sorted column, before one scatter back to positions; the
-positional distance accumulator d_acc is summed there too, by one
-np.bincount per batch of whole runs (_sum_distances). Each size's keys stay
-one (records, k) int32 table, which the pass above extends and the lexicon
-keeps. Equality never rests on a hash, and the index stores none: scoring
-computes the FNV-1a signature of a key only when a tie reaches it.
+its key above its position in the size's record-ID column, and one
+in-place value sort (_rank_values) ranks them inside the compacted column,
+which it leaves holding the sorted positions. Records are ordered by
+(k, key) and each size's records form one run. f_c is counted and the
+int32 record IDs numbered in the sorted column, and one scatter writes
+them straight into the column at those positions. The lexicon keeps only
+f_c, d_acc and the record count of each size: a record's member IDs are
+derived when asked for, from its first instance (CombinationLexicon.ids_of).
+Equality never rests on a hash, and the index stores none: scoring computes
+the FNV-1a signature of a key only when a tie reaches it.
 
 Titles are bucketed by length (ForwardIndex.buckets), ascending, file order
-within a length. A bucket's record IDs form one block with a row per title,
-which scoring slices as it is. Within one k, instances follow the bucket
-order and enumeration order within a title. A run of the sorted column
-lists its instances' positions ascending, so each record's d_acc adds them in
-that order and the accumulators are reproducible run to run, whatever the
-batches. With the default squared distance the accumulator is integral and
-therefore exact.
+within a length. Each size's record IDs are one int32 column, bucket-major
+and row-major within a bucket, so a bucket's (titles, C(l, k)) matrix is a
+view of it (ForwardIndex.combo_views), which scoring reads as it is.
+Within a title, instances follow enumeration order. The positional
+distance accumulator d_acc is summed by scanning the column in that order
+with np.add.at, which adds in the order given (_sum_distances), so each
+record's terms are added in position order and the accumulators are
+reproducible run to run, whatever the batches. With the default squared
+distance the accumulator is integral and therefore exact.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .combinatorics import count_combinations, drop_patterns, pattern_distances, position_patterns
+from .combinatorics import drop_patterns, pattern_distances, position_patterns
 from .ingest import Dataset
 from .textprep import TitleCorpus, TitleNormalizationError, UnitLexicon, analyze_titles
 
@@ -81,44 +83,59 @@ class CombinationLexicon:
     """Combination records as numpy columns, ordered by (k, key): one per
     key that occurs at least twice, since I(c) is 0 at f_c = 1.
 
-    Record i has frequency f_c[i] and distance accumulator d_acc[i]. keys
-    holds one table per size: keys[k - 2] is the (n_k, k) int32 table of the
-    size-k records' sorted member IDs, a row per record in record order. The
-    records of size k are the n_k IDs from size_starts[k - 2].
+    Record i has int32 frequency f_c[i] and distance accumulator d_acc[i].
+    size_counts[k - 2] records have size k: the IDs from size_starts[k - 2].
+    The lexicon holds no member IDs. key_rows, ids_of and records derive them
+    for tests, demos and tracing from each record's first instance in
+    forward, the index's per-size record-ID columns.
     """
 
-    f_c: np.ndarray = field(default_factory=lambda: _empty(np.int64))
+    f_c: np.ndarray = field(default_factory=lambda: _empty(np.int32))
     d_acc: np.ndarray = field(default_factory=lambda: _empty(np.float64))
-    keys: List[np.ndarray] = field(default_factory=list)
+    size_counts: List[int] = field(default_factory=list)
+    forward: Optional[ForwardIndex] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.f_c)
 
     @cached_property
     def size_starts(self) -> np.ndarray:
-        """The first record ID of each size, from the key table lengths."""
-        return np.cumsum([0] + [len(table) for table in self.keys])[:-1]
+        """The first record ID of each size, from the per-size counts."""
+        return np.cumsum([0] + self.size_counts)[:-1]
 
     def sizes(self, recs: np.ndarray) -> np.ndarray:
         """The size k of each record in recs."""
-        return np.searchsorted(self.size_starts, recs, side="right") + 1
+        return self.size_starts.searchsorted(recs, side="right") + 1
 
     def records(self, k: int) -> np.ndarray:
         """The IDs of the records of size k, ascending."""
-        if k - 2 not in range(len(self.keys)):
+        if k - 2 not in range(len(self.size_counts)):
             return np.arange(0)
         start = self.size_starts[k - 2]
-        return np.arange(start, start + len(self.keys[k - 2]))
+        return np.arange(start, start + self.size_counts[k - 2])
+
+    @cached_property
+    def _first_cells(self) -> List[np.ndarray]:
+        """Per size, the position in its column of each record's first
+        instance, in record order; the -1 cells of unique instances drop out."""
+        firsts = []
+        for column in self.forward.combo_columns:
+            recs, first = np.unique(column, return_index=True)
+            firsts.append(first[recs >= 0])
+        return firsts
 
     def key_rows(self, recs: np.ndarray, k: int) -> np.ndarray:
         """The sorted member IDs of records recs, all of size k, one row each."""
-        return self.keys[k - 2][recs - self.size_starts[k - 2]]
+        rows = [self.ids_of(rec) for rec in np.ravel(recs)]
+        return np.array(rows, dtype=np.int64).reshape(-1, k)
 
     def ids_of(self, idx: int) -> List[int]:
-        """The sorted member IDs of record idx."""
+        """The sorted member IDs of record idx, read from its first instance."""
         if not 0 <= idx < len(self):
             raise IndexError(f"combination record {idx} out of range for {len(self)} records")
-        return self.key_rows(idx, int(self.sizes(idx))).tolist()
+        k = int(self.sizes(idx))
+        cell = self._first_cells[k - 2][idx - self.size_starts[k - 2]]
+        return self.forward.instance_tokens(k, int(cell))
 
 
 @dataclass
@@ -127,11 +144,13 @@ class ForwardIndex:
 
     Product p's token IDs, in title order, are
     tok_flat[tok_offsets[p] : tok_offsets[p + 1]] and their semantics the
-    same slice of sem_flat. Combination record IDs live in one block per
-    length bucket: row r of combo_blocks[b] holds the record IDs of the r-th
-    product of buckets[b] in enumeration order, -1 for a combination unique
-    in the corpus. combo_blocks is empty when the index was built without
-    combinations.
+    same slice of sem_flat. combo_columns[k - 2] holds the record ID of every
+    size-k combination instance as one int32 column, -1 for a combination
+    unique in the corpus. It runs over the length buckets with l >= k in
+    order, and within a bucket title by title, each title's C(l, k) cells in
+    enumeration order. combo_views[b] holds the views of bucket b of length
+    l: its (titles, C(l, k)) matrix of each size k = 2, ..., min(K, l), a row
+    per title. Both are empty when the index was built without combinations.
     """
 
     product_ids: List[int] = field(default_factory=list)
@@ -139,7 +158,8 @@ class ForwardIndex:
     tok_flat: np.ndarray = field(default_factory=lambda: _empty(np.int64))
     sem_flat: np.ndarray = field(default_factory=lambda: _empty(np.int64))
     tok_offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
-    combo_blocks: List[np.ndarray] = field(default_factory=list)
+    combo_columns: List[np.ndarray] = field(default_factory=list)
+    combo_views: List[List[np.ndarray]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.product_ids)
@@ -150,7 +170,7 @@ class ForwardIndex:
     @cached_property
     def buckets(self) -> List[Tuple[int, np.ndarray]]:
         """(length, products) per title length >= 2, ascending, products in
-        file order: the layout of the blocks, of each k's instances and of scoring."""
+        file order: the layout of the columns and of scoring."""
         lengths = np.diff(self.tok_offsets)
         order = np.argsort(lengths, kind="stable")
         cuts = np.flatnonzero(np.diff(lengths[order])) + 1
@@ -159,6 +179,24 @@ class ForwardIndex:
             for group in np.split(order, cuts)
             if len(group) and lengths[group[0]] >= 2
         ]
+
+    @cached_property
+    def _column_bounds(self) -> List[np.ndarray]:
+        """Per size k, where each bucket with l >= k starts in combo_columns[k - 2]."""
+        sizes = [[view.size for view in views] for views in self.combo_views]
+        return [
+            np.cumsum([0] + [bucket[s] for bucket in sizes if len(bucket) > s])[:-1]
+            for s in range(len(self.combo_columns))
+        ]
+
+    def instance_tokens(self, kk: int, cell: int) -> List[int]:
+        """The sorted token IDs of the size-kk instance at position cell of
+        combo_columns[kk - 2]."""
+        bounds = self._column_bounds[kk - 2]
+        b = int(bounds.searchsorted(cell, side="right")) - 1
+        l, members = self.buckets[len(self.buckets) - len(bounds) + b]
+        title, pattern = divmod(cell - int(bounds[b]), math.comb(l, kk))
+        return sorted(self.tokens_of(members[title])[position_patterns(l, kk)[pattern]].tolist())
 
 
 @dataclass(frozen=True)
@@ -190,18 +228,16 @@ class ProductIndex:
 
     @cached_property
     def stats(self) -> IndexStats:
-        """Title, token and combination counts, from the columns. A length-l
-        block row holds C(l, k) instances of each size k; those its records'
-        f_c do not count are unique, one distinct combination each."""
+        """Title, token and combination counts, from the columns. A size-k
+        column holds every size-k instance; those its records' f_c do not
+        count are unique, one distinct combination each."""
         n = len(self.forward)
         combos = self.combos
         instances = members = unique = 0
-        layout = list(zip(self.forward.buckets, self.forward.combo_blocks))
-        for kk in range(2, len(combos.keys) + 2):
-            count = sum(len(block) * math.comb(l, kk) for (l, _), block in layout)
-            instances += count
-            members += kk * count
-            unique += count - int(combos.f_c[combos.records(kk)].sum())
+        for kk, column in enumerate(self.forward.combo_columns, start=2):
+            instances += len(column)
+            members += kk * len(column)
+            unique += len(column) - int(combos.f_c[combos.records(kk)].sum(dtype=np.int64))
         return IndexStats(
             title_count=n,
             distinct_tokens=len(self.tokens),
@@ -275,7 +311,7 @@ def _pack(
     return key, lowest >= 0
 
 
-# sorted cells per chunk of the neighbour comparison and per d_acc batch
+# cells per chunk of the neighbour comparison and of the d_acc scan
 _BATCH = 1 << 16
 # bits a key and its position may share in one non-negative int64
 _BITS = 63
@@ -283,7 +319,7 @@ _BITS = 63
 
 def _rank_values(
     values: np.ndarray, pos_bits: int, offset: int = 0, positions: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Rank, inside the column, the keys that occur more than once in a 1-D
     int64 column of non-negative keys at distinct positions.
 
@@ -295,11 +331,10 @@ def _rank_values(
     keys instead (pos_bits 0), positions holds their positions, and a stable
     argsort orders them.
 
-    Returns the sorted repeated keys, the sorted index where each one's run
-    starts, how often each occurs, and the rank of every sorted index as
-    int32: offset plus the index of its key among the repeated ones, -1 where
-    its key occurs once. The column is left holding each sorted value's
-    position, ascending within a run.
+    Returns how often each repeated key occurs, in key order, and the rank
+    of every sorted index as int32: offset plus the index of its key among
+    the repeated ones, -1 where its key occurs once. The column is left
+    holding each sorted value's position.
     """
     n = len(values)
     if positions is None:
@@ -320,82 +355,79 @@ def _rank_values(
     np.greater(same[1:], same[:-1], out=ranks)
     starts = np.flatnonzero(ranks)
     counts = np.flatnonzero(np.greater(same[:-1], same[1:])) - starts + 1
-    distinct = values[starts] >> pos_bits
+    del starts
     if positions is None:
         values &= (1 << pos_bits) - 1
     else:
         positions.take(order, out=values)
         del order
-    _check_int32(offset + len(starts), "combination records")
+    _check_int32(offset + len(counts), "combination records")
     np.cumsum(ranks, out=ranks)
     ranks += offset - 1
     # a key that occurs once is in no run
     ranks[~(same[1:] | same[:-1])] = -1
-    return distinct, starts, counts, ranks
+    return counts, ranks
 
 
 def _sum_distances(
-    positions: np.ndarray,
-    ranks: np.ndarray,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    squared: np.ndarray,
-    weight: np.ndarray,
+    views: List[np.ndarray], lengths: List[int], kk: int, euclidean: bool, offset: int, n: int
 ) -> np.ndarray:
-    """Each record's d_acc: the sum of weight[squared[p]] over the positions
-    p of its instances, added in position order, as np.bincount over the
-    whole column would add them.
+    """The d_acc of the n size-kk records from offset: the sum of their
+    instances' distance terms, added in position order, as np.bincount over
+    the whole column would add them.
 
-    positions, ranks, starts and counts describe a column as _rank_values
-    left it. Each batch of about _BATCH sorted cells holds whole runs, and
-    one bincount adds each run's terms in sorted order: positions ascending.
+    views holds the (titles, C(l, kk)) record-ID matrix of each bucket of
+    title length l in lengths, -1 for a unique instance. A term is a
+    pattern's squared distance, or its root. np.add.at adds its values in
+    the order given, so scanning the views in order, about _BATCH cells at a
+    time, adds each record's terms in position order.
     """
-    d_acc = np.empty(len(starts))
-    cuts = starts.searchsorted(range(0, len(positions), _BATCH)).tolist() + [len(starts)]
-    for r0, r1 in zip(cuts[:-1], cuts[1:]):
-        if r0 == r1:
-            continue
-        batch = slice(starts[r0], starts[r1 - 1] + counts[r1 - 1])
-        rank = ranks[batch]
-        kept = rank >= 0
-        cells = positions[batch][kept]
-        # the batch begins with record r0's head
-        d_acc[r0:r1] = np.bincount(rank[kept] - rank[0], weight.take(squared.take(cells)), r1 - r0)
+    d_acc = np.zeros(n)
+    for view, l in zip(views, lengths):
+        # float64 terms keep np.add.at on its fast, uncast path
+        term = pattern_distances(l, kk).astype(np.float64)
+        if euclidean:
+            np.sqrt(term, out=term)
+        step = max(1, _BATCH // view.shape[1])
+        for r0 in range(0, len(view), step):
+            part = view[r0 : r0 + step]
+            rows, cols = np.nonzero(part >= 0)
+            np.add.at(d_acc, part[rows, cols] - offset, term.take(cols))
     return d_acc
 
 
 def _group_size(
     kk: int,
     blocks: list,
-    prev_keys: np.ndarray,
+    prev_count: int,
     prev_offset: int,
     offset: int,
     id_bits: int,
-    euclidean: bool,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
     """Group every size-kk combination instance by exact key.
 
-    blocks holds (l, ID matrix, size-(kk-1) record IDs, size-kk record-ID
-    block) per title length l >= kk, ascending. A sorted key is its prefix's
-    key plus the largest ID, so ranking (prefix rank << id_bits) | largest ID
-    ranks the keys lexicographically. Only keys with f_c >= 2 become records,
-    and only the instances whose every size-(kk-1) subset has a record are
-    ranked (_pack): the cells of the others hold -1, as do those of a key
-    ranked once. Returns the records' keys, from prev_keys, with their f_c
-    and d_acc; record IDs are offset + rank among the records.
+    blocks holds (l, ID matrix, size-(kk-1) record-ID view) per title length
+    l >= kk, ascending; the size below has prev_count records from
+    prev_offset. A sorted key is its prefix's key plus the largest ID, so
+    ranking (prefix rank << id_bits) | largest ID ranks the keys
+    lexicographically. Only keys with f_c >= 2 become records, and only the
+    instances whose every size-(kk-1) subset has a record are ranked
+    (_pack): the cells of the others hold -1, as do those of a key ranked
+    once. Returns the size's record-ID column, its view of each bucket and
+    its records' int32 f_c; record IDs are offset + rank among the records.
 
     The ranked column holds the kept instances in position order, each
-    packed with its position in the size's whole column, so the sorted
-    column's low bits scatter the int32 ranks straight back to positions.
+    packed with its position in the size's column, so the sorted column's
+    low bits scatter the int32 ranks straight into it.
     """
-    bounds = np.cumsum([0] + [block.size for *_, block in blocks])
+    bounds = np.cumsum([0] + [len(ids) * math.comb(l, kk) for l, ids, _ in blocks])
     pos_bits = max(int(bounds[-1]) - 1, 0).bit_length()
     # keys and positions past _BITS are ranked beside a position column
-    wide = ((len(prev_keys) << id_bits) - 1).bit_length() + pos_bits > _BITS
+    wide = ((prev_count << id_bits) - 1).bit_length() + pos_bits > _BITS
     parts, where = [], []
-    for (l, ids, prev, block), start in zip(blocks, bounds):
+    for (l, ids, prev), start in zip(blocks, bounds):
         key, kept = _pack(l, kk, ids, prev - prev_offset, id_bits)
-        position = np.arange(start, start + block.size).reshape(block.shape)
+        position = np.arange(start, start + key.size).reshape(key.shape)
         if wide:
             where.append(position[kept])
         else:
@@ -407,26 +439,17 @@ def _group_size(
     packed = np.concatenate(parts)
     positions = np.concatenate(where) if wide else None
     del parts, where
-    distinct, starts, f_c, ranks = _rank_values(packed, 0 if wide else pos_bits, offset, positions)
+    f_c, ranks = _rank_values(packed, 0 if wide else pos_bits, offset, positions)
     del positions
-    # packed now holds the sorted positions. One int32 buffer takes each
-    # cell's record ID, for its block, and then its squared distance.
-    cell = np.full(bounds[-1], -1, dtype=np.int32)
-    cell[packed] = ranks
-    for (l, *_, block), start in zip(blocks, bounds):
-        part = cell[start : start + block.size].reshape(block.shape)
-        block[:] = part
-        part[:] = pattern_distances(l, kk)
-    # d_acc's term for each squared distance; the longest titles reach the largest
-    weight = np.arange(pattern_distances(blocks[-1][0], kk).max() + 1, dtype=np.float64)
-    if euclidean:
-        np.sqrt(weight, out=weight)
-    d_acc = _sum_distances(packed, ranks, starts, f_c, cell, weight)
-    del packed, ranks, starts, cell
-    keys = np.empty((len(distinct), kk), dtype=np.int32)
-    keys[:, :-1] = prev_keys.take(distinct >> id_bits, axis=0)
-    keys[:, -1] = distinct & ((1 << id_bits) - 1)
-    return keys, f_c, d_acc
+    # packed now holds the sorted positions
+    column = np.full(bounds[-1], -1, dtype=np.int32)
+    column[packed] = ranks
+    del packed, ranks
+    views = [
+        column[a:b].reshape(len(ids), math.comb(l, kk))
+        for (l, ids, _), a, b in zip(blocks, bounds[:-1], bounds[1:])
+    ]
+    return column, views, f_c.astype(np.int32)
 
 
 def _index_combinations(
@@ -435,38 +458,48 @@ def _index_combinations(
     """Group every 2..K combination instance by exact key, one pass per k,
     each extending the ranks the pass below wrote (Apriori's prefix join).
 
-    Fills forward.combo_blocks (each product's record IDs in enumeration
-    order, -1 for a unique combination) and returns the lexicon.
+    Fills forward.combo_columns (every instance's record ID, -1 for a unique
+    combination) and combo_views, and returns the lexicon.
     """
     offsets = forward.tok_offsets
     n_tokens = int(forward.tok_flat.max(initial=-1)) + 1
     _check_int32(n_tokens, "distinct tokens")
     id_bits = max(n_tokens - 1, 0).bit_length()
-    forward.combo_blocks, columns = [], []
-    for l, members in forward.buckets:
-        ids = forward.tok_flat[offsets[members][:, None] + np.arange(l)].astype(np.int32)
-        out = np.empty((len(members), count_combinations(l, k_max)), dtype=np.int32)
-        forward.combo_blocks.append(out)
-        # the record-ID columns of each size; token IDs stand in for size 1
-        cuts = [count_combinations(l, kk) for kk in range(2, min(l, k_max))]
-        columns.append((l, ids, [ids] + np.split(out, cuts, axis=1)))
-
-    keys, f_c, d_acc = [np.arange(n_tokens, dtype=np.int32)[:, None]], [], []
+    buckets = forward.buckets
+    lengths = [l for l, _ in buckets]
+    ids = [
+        forward.tok_flat[offsets[members][:, None] + np.arange(l)].astype(np.int32)
+        for l, members in buckets
+    ]
+    # token IDs stand in for the records of size 1
+    prev, prev_count = ids, n_tokens
+    forward.combo_columns, forward.combo_views = [], [[] for _ in buckets]
+    f_c, d_acc, size_counts = [], [], []
     prev_offset = offset = 0
     for kk in range(2, k_max + 1):
-        blocks = [(l, ids, cols[kk - 2], cols[kk - 1]) for l, ids, cols in columns if l >= kk]
-        if not blocks:
+        # the buckets with l >= kk are the last ones
+        n = sum(l >= kk for l in lengths)
+        if not n:
             break
-        table, f, d = _group_size(kk, blocks, keys[-1], prev_offset, offset, id_bits, euclidean)
-        keys.append(table)
+        blocks = list(zip(lengths[-n:], ids[-n:], prev[-n:]))
+        column, views, f = _group_size(kk, blocks, prev_count, prev_offset, offset, id_bits)
+        forward.combo_columns.append(column)
+        for bucket, view in zip(forward.combo_views[-n:], views):
+            bucket.append(view)
         f_c.append(f)
-        d_acc.append(d)
+        d_acc.append(_sum_distances(views, lengths[-n:], kk, euclidean, offset, len(f)))
+        size_counts.append(len(f))
+        prev, prev_count = views, len(f)
         prev_offset, offset = offset, offset + len(f)
 
     if not f_c:
-        return CombinationLexicon()
-    # the size-1 table is the token IDs themselves
-    return CombinationLexicon(f_c=np.concatenate(f_c), d_acc=np.concatenate(d_acc), keys=keys[1:])
+        return CombinationLexicon(forward=forward)
+    return CombinationLexicon(
+        f_c=np.concatenate(f_c),
+        d_acc=np.concatenate(d_acc),
+        size_counts=size_counts,
+        forward=forward,
+    )
 
 
 def build_index(

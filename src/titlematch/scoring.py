@@ -12,7 +12,7 @@ token. The highest-scoring combination becomes the product's dominating
 cluster, and all products that select the same combination are declared
 matching.
 
-A combination unique in the corpus has no record (its block cell is -1)
+A combination unique in the corpus has no record (its cell is -1)
 and scores 0. Y_c is summed over the combination's title positions from
 left to right, each size extending the sums of the size below.
 
@@ -219,8 +219,12 @@ def _relevance(a: np.ndarray, k_max: int, b: float, l_avg_c: float) -> np.ndarra
     return y
 
 
-# Upper bound on elements gathered per batch in the scoring pass.
-_SCORE_BUDGET = 1 << 23
+# Upper bound on the cells of one scoring batch: records when computing their
+# quality, score-matrix cells (titles times combinations) when scoring a
+# bucket. A bucket batch's Y, score, record-ID and quality matrices take 32
+# bytes a cell, so scoring, with the index it reads, peaks below the build
+# of that index, as test_scoring_sets_no_memory_peak checks.
+_SCORE_BUDGET = 1 << 16
 
 
 def _score_bucket(
@@ -228,7 +232,7 @@ def _score_bucket(
     config: ScoringConfig,
     members: np.ndarray,
     length: int,
-    block: np.ndarray,
+    views: List[np.ndarray],
     quality: np.ndarray,
     chosen: np.ndarray,
     s1: np.ndarray,
@@ -236,8 +240,9 @@ def _score_bucket(
     """Score every combination of every product in one equal-length bucket
     and fill in the members' chosen record IDs and summed idf s1.
 
-    block holds the bucket's record IDs, one row per member, -1 for a unique
-    combination; quality[-1] is 0. A product whose choice is unique keeps -1.
+    views holds the bucket's record-ID matrix of each size k = 2, 3, ...,
+    one row per member, -1 for a unique combination; quality[-1] is 0. A
+    product whose choice is unique keeps -1.
     """
     fw = index.forward
     idf = index.idf
@@ -245,18 +250,16 @@ def _score_bucket(
     l_avg_c = index.stats.avg_combination_len
     b = config.b
 
-    patterns = [position_patterns(length, kk) for kk in range(2, min(index.k, length) + 1)]
-    weight = sum(p.size for p in patterns)
-    step = max(1, _SCORE_BUDGET // max(1, weight))
+    patterns = [position_patterns(length, kk) for kk in range(2, len(views) + 2)]
+    step = max(1, _SCORE_BUDGET // sum(len(p) for p in patterns))
 
     for c0 in range(0, len(members), step):
         batch = members[c0 : c0 + step]
         cells = fw.tok_offsets[batch][:, None] + np.arange(length)
         ids_mat = fw.tok_flat[cells]
         sem_mat = fw.sem_flat[cells]
-        t = len(batch)
-        x = np.stack([(sem_mat == s).sum(axis=1) for s in range(1, 6)], axis=1)
-        x_per_token = x[np.arange(t)[:, None], sem_mat - 1]
+        # each token's field population: the title's tokens of its semantics
+        x_per_token = (sem_mat[:, :, None] == sem_mat[:, None, :]).sum(axis=2)
         idf_mat = idf[ids_mat]
         # a row sum equals float(idf[ids].sum()) of the title bit for bit
         s1[batch] = idf_mat.sum(axis=1)
@@ -264,9 +267,12 @@ def _score_bucket(
 
         y_mat = _relevance(a, index.k, b, l_avg_c)
 
-        idx_mat = block[c0 : c0 + step]
+        # the batch's record IDs from the size views, as intp: take then needs
+        # no cast buffer, which past about 16k cells costs more than the gather
+        recs = [view[c0 : c0 + step] for view in views]
+        idx_mat = np.concatenate(recs, axis=1, dtype=np.intp)
         i_mat = y_mat * y_mat
-        i_mat *= quality[idx_mat]
+        i_mat *= quality.take(idx_mat)
 
         row_max = i_mat.max(axis=1)
         n_max = (i_mat == row_max[:, None]).sum(axis=1)
@@ -289,16 +295,19 @@ def select_clusters(index: ProductIndex, config: ScoringConfig) -> ClusterUniver
     fw = index.forward
     n = len(fw)
     combos = index.combos
-    # records have f_c >= 2; a unique combination's cell (-1) reads the trailing 0
+    # records have f_c >= 2; a unique combination's cell (-1) reads the trailing 0.
+    # Computed a batch of records at a time, so no temporary spans them all.
     quality = np.zeros(len(combos) + 1)
-    np.divide(np.log(combos.f_c), config.alpha + combos.d_acc / combos.f_c, out=quality[:-1])
+    for a in range(0, len(combos), _SCORE_BUDGET):
+        f_c, d_acc = combos.f_c[a : a + _SCORE_BUDGET], combos.d_acc[a : a + _SCORE_BUDGET]
+        np.divide(np.log(f_c), config.alpha + d_acc / f_c, out=quality[a : a + len(f_c)])
 
-    if len(fw.buckets) != len(fw.combo_blocks):
+    if fw.buckets and not fw.combo_columns:
         raise ValueError("index was built without combinations")
     chosen = np.full(n, -1, dtype=np.int64)
     s1 = np.zeros(n, dtype=np.float64)
-    for (length, members), block in zip(fw.buckets, fw.combo_blocks):
-        _score_bucket(index, config, members, length, block, quality, chosen, s1)
+    for (length, members), views in zip(fw.buckets, fw.combo_views):
+        _score_bucket(index, config, members, length, views, quality, chosen, s1)
     first_token = fw.tok_flat[fw.tok_offsets[:-1]]
     one_token = np.diff(fw.tok_offsets) == 1
     s1[one_token] = index.idf[first_token[one_token]]

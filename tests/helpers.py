@@ -34,25 +34,20 @@ def token_rows(fw: ForwardIndex) -> List[List[int]]:
 
 
 def combo_rows(fw: ForwardIndex) -> List[List[int]]:
-    """Each product's record IDs in enumeration order, from the length blocks."""
+    """Each product's record IDs in enumeration order, from its rows of the
+    per-size views."""
     rows: List[List[int]] = [[] for _ in range(len(fw))]
-    for (_, members), block in zip(fw.buckets, fw.combo_blocks):
-        for p, row in zip(members.tolist(), block.tolist()):
-            rows[p] = row
+    for (_, members), views in zip(fw.buckets, fw.combo_views):
+        for r, p in enumerate(members.tolist()):
+            rows[p] = [rec for view in views for rec in view[r].tolist()]
     return rows
 
 
 def unique_instances(fw: ForwardIndex) -> Counter:
-    """The -1 cells of each size k's block columns: its instances of a
-    combination unique in the corpus, which has no record."""
-    counts: Counter = Counter()
-    for (l, _), block in zip(fw.buckets, fw.combo_blocks):
-        start, k = 0, 2
-        while start < block.shape[1]:
-            stop = start + math.comb(l, k)
-            counts[k] += int(np.count_nonzero(block[:, start:stop] < 0))
-            start, k = stop, k + 1
-    return counts
+    """The -1 cells of each size k's column: its instances of a combination
+    unique in the corpus, which has no record."""
+    columns = enumerate(fw.combo_columns, start=2)
+    return Counter({k: int(np.count_nonzero(column < 0)) for k, column in columns})
 
 
 def lone_title_choice(index, monkeypatch) -> Tuple[int, ...]:
@@ -95,19 +90,18 @@ def assert_same_columns(a, b) -> None:
     assert a.tokens.surfaces == b.tokens.surfaces
     for name in ("f_w", "s_w"):
         assert np.array_equal(getattr(a.tokens, name), getattr(b.tokens, name)), name
+    assert a.combos.f_c.dtype == b.combos.f_c.dtype == np.int32
     for name in ("f_c", "d_acc"):
         assert np.array_equal(getattr(a.combos, name), getattr(b.combos, name)), name
-    assert len(a.combos.keys) == len(b.combos.keys)
-    for k, (ta, tb) in enumerate(zip(a.combos.keys, b.combos.keys), start=2):
-        assert ta.dtype == tb.dtype == np.int32, k
-        assert ta.shape == tb.shape and ta.shape[1] == k and np.array_equal(ta, tb), k
+    assert a.combos.size_counts == b.combos.size_counts
     assert a.forward.product_ids == b.forward.product_ids
     assert a.forward.vendor_ids == b.forward.vendor_ids
     for name in ("tok_flat", "sem_flat", "tok_offsets"):
         assert np.array_equal(getattr(a.forward, name), getattr(b.forward, name)), name
-    assert len(a.forward.combo_blocks) == len(b.forward.combo_blocks)
-    for ba, bb in zip(a.forward.combo_blocks, b.forward.combo_blocks):
-        assert ba.shape == bb.shape and np.array_equal(ba, bb)
+    assert len(a.forward.combo_columns) == len(b.forward.combo_columns)
+    for k, (ca, cb) in enumerate(zip(a.forward.combo_columns, b.forward.combo_columns), start=2):
+        assert ca.dtype == cb.dtype == np.int32, k
+        assert np.array_equal(ca, cb), k
 
 
 def make_ablation_dataset() -> Dataset:

@@ -123,7 +123,7 @@ def test_distance_missing_token_raises(units):
 )
 def test_stats_count_unique_instances(titles, k):
     idx = build_index(tiny_dataset(titles), k=k)
-    assert any(len(table) == 0 for table in idx.combos.keys)
+    assert 0 in idx.combos.size_counts
     counts = Counter()
     for ids in token_rows(idx.forward):
         for kk in range(2, min(k, len(ids)) + 1):
@@ -321,11 +321,18 @@ def assert_matches_reference(index):
         itertools.accumulate(t.length for t in titles)
     )
     combos = index.combos
-    # the keys with f_c >= 2 are the records; a unique key's cells hold -1
+    # the keys with f_c >= 2 are the records; a unique key's cells hold -1.
+    # The lexicon keeps no member IDs: records, key_rows and ids_of derive
+    # them from each record's first instance.
     keys = [tuple(combos.ids_of(i)) for i in range(len(combos))]
     shared = [key for key, (f, _) in expected.items() if f > 1]
     assert keys == sorted(shared, key=lambda key: (len(key), key))
     assert combos.sizes(np.arange(len(combos))).tolist() == [len(key) for key in keys]
+    for kk in range(2, index.k + 1):
+        recs = combos.records(kk).tolist()
+        assert recs == [i for i, key in enumerate(keys) if len(key) == kk], kk
+        assert combos.key_rows(recs, kk).tolist() == [list(keys[i]) for i in recs], kk
+    assert_key_signatures(combos, np.arange(len(combos)))
     for i, key in enumerate(keys):
         f, d = expected[key]
         assert combos.f_c[i] == f, key
@@ -382,8 +389,8 @@ def test_index_matches_scalar_reference(ds, k, mode, variant):
 @settings(max_examples=40, deadline=None)
 @given(corpora(), st.integers(min_value=2, max_value=5), st.sampled_from((1, 2, 3, 7)))
 def test_small_batches_build_the_same_index(ds, k, batch):
-    # batches cut the neighbour comparison and d_acc's bincounts; each batch
-    # holds whole runs, so every euclidean sum keeps its position order
+    # batches cut the neighbour comparison and d_acc's scan; np.add.at adds
+    # in the order given, so every euclidean sum keeps its position order
     default = build_index(ds, k=k, distance_mode="euclidean")
     assume(len(default.forward.buckets) > 1)
     with pytest.MonkeyPatch.context() as patch:
@@ -435,10 +442,10 @@ def test_index_matches_reference_past_64_bit_keys():
 
 
 def test_index_memory_per_instance_is_bounded():
-    # 2.4M instances at K=5 peak at 17.2 bytes each, while the last size sums
-    # d_acc: its kept instances' compacted int64 column of sorted positions
-    # and their int32 ranks, beside the int32 cell buffer over all of the
-    # size's cells, plus the blocks of every size
+    # 2.4M instances at K=5 peak at 10.6 bytes each, when the last size
+    # scatters its ranks: its kept instances' compacted int64 column of
+    # sorted positions and their int32 ranks, beside the int32 record-ID
+    # columns of every size
     ds = long_title_dataset(1000, seed=5)
     analyzed = analyze_dataset(ds)
     for table in (position_patterns, drop_patterns, pattern_distances):
@@ -449,7 +456,7 @@ def test_index_memory_per_instance_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / idx.stats.combination_instances <= 19
+    assert peak / idx.stats.combination_instances <= 11
 
 
 def test_only_instances_whose_every_subset_repeats_are_ranked():
@@ -469,19 +476,17 @@ def test_only_instances_whose_every_subset_repeats_are_ranked():
         idx = build_index(ds, k=5)
     kept, instances = [], []
     for kk in range(2, 6):
-        layout = zip(idx.forward.buckets, idx.forward.combo_blocks)
-        blocks = [(l, block) for (l, _), block in layout if l >= kk]
-        instances.append(sum(len(block) * math.comb(l, kk) for l, block in blocks))
+        instances.append(len(idx.forward.combo_columns[kk - 2]))
         if kk == 2:
             # a size-1 subset is a token, which always has an ID
             kept.append(instances[-1])
             continue
         count = 0
-        for l, block in blocks:
-            # the size-(kk-1) columns follow those of the smaller sizes
-            start = count_combinations(l, kk - 1) - math.comb(l, kk - 1)
-            subsets = block[:, start : start + math.comb(l, kk - 1)][:, drop_patterns(l, kk)]
-            count += int((subsets.min(axis=2) >= 0).sum())
+        for (l, _), views in zip(idx.forward.buckets, idx.forward.combo_views):
+            if l >= kk:
+                # the size-(kk-1) view of the bucket
+                subsets = views[kk - 3][:, drop_patterns(l, kk)]
+                count += int((subsets.min(axis=2) >= 0).sum())
         kept.append(count)
     assert ranked == kept
     # every size above 2 prunes
@@ -513,22 +518,17 @@ def _assert_ranks_like_unique(values, positions, offset=0):
     if int(values.max(initial=0)).bit_length() + pos_bits <= index_module._BITS:
         column <<= pos_bits
         column |= positions
-        distinct, starts, counts, ranks = index_module._rank_values(column, pos_bits, offset)
+        counts, ranks = index_module._rank_values(column, pos_bits, offset)
     else:
-        distinct, starts, counts, ranks = index_module._rank_values(column, 0, offset, positions)
-    want_distinct, want_inverse, want_counts = np.unique(
-        values, return_inverse=True, return_counts=True
-    )
+        counts, ranks = index_module._rank_values(column, 0, offset, positions)
+    _, want_inverse, want_counts = np.unique(values, return_inverse=True, return_counts=True)
     repeated = want_counts > 1
     want_index = np.where(repeated, np.cumsum(repeated) - 1 + offset, -1)[want_inverse.ravel()]
-    assert distinct.dtype == starts.dtype == counts.dtype == np.int64
+    assert counts.dtype == np.int64
     assert ranks.dtype == np.int32
-    assert np.array_equal(distinct, want_distinct[repeated])
     assert np.array_equal(counts, want_counts[repeated])
-    # the column is left holding the sorted positions, ascending within a
-    # run, and each run's head has its record's rank
+    # the column is left holding the sorted positions, ascending within a run
     assert np.array_equal(column, positions[np.argsort(values, kind="stable")])
-    assert np.array_equal(ranks[starts], offset + np.arange(len(starts)))
     index = np.full(int(positions.max(initial=-1)) + 1, -2, dtype=np.int32)
     index[column] = ranks
     assert np.array_equal(index[positions], want_index)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from titlematch import scoring as scoring_module
-from titlematch.combinatorics import drop_patterns, position_patterns
-from titlematch.index import build_index
+from titlematch.combinatorics import drop_patterns, pattern_distances, position_patterns
+from titlematch.index import analyze_dataset, build_index
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.pipeline import run_match
 from titlematch.scoring import ClusterUniverse, ScoringConfig, select_clusters
@@ -298,7 +298,7 @@ def test_every_product_assigned_exactly_once(fixture_200):
 def test_selection_leaves_index_unchanged():
     ds = planted_dataset(n_clusters=6, n_vendors=5, seed=3)
     idx = build_index(ds)
-    assert len(idx.combos) > 0 and len(idx.forward.combo_blocks) > 0
+    assert len(idx.combos) > 0 and len(idx.forward.combo_columns) > 0
     before = copy.deepcopy(idx)
     select_clusters(idx, ScoringConfig())
     assert_same_columns(idx, before)
@@ -347,8 +347,9 @@ def test_relevance_is_a_left_to_right_sum(length, k_max, titles, data):
 
 
 def test_selection_memory_per_instance_is_bounded():
-    # 2.4M instances at K=5: the quality column of the f_c >= 2 records and
-    # one bucket's Y and score matrices, above the built index
+    # 2.4M instances at K=5: the quality column of the f_c >= 2 records, one
+    # batch's Y, score and quality matrices and the pattern tables, above
+    # the built index
     idx = build_index(long_title_dataset(1000, seed=5), k=5)
     for table in (position_patterns, drop_patterns):
         table.cache_clear()
@@ -358,7 +359,26 @@ def test_selection_memory_per_instance_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / idx.stats.combination_instances <= 16
+    assert peak / idx.stats.combination_instances <= 3.9
+
+
+def test_scoring_sets_no_memory_peak():
+    # scoring's batches and quality column, on top of the built index, stay
+    # below the peak of the build itself, which so sets a run's peak
+    ds = long_title_dataset(1000, seed=5)
+    analyzed = analyze_dataset(ds)
+    for table in (position_patterns, drop_patterns, pattern_distances):
+        table.cache_clear()
+    tracemalloc.start()
+    try:
+        idx = build_index(ds, k=5, analyzed=analyzed)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        select_clusters(idx, ScoringConfig())
+        scoring_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scoring_peak < build_peak
 
 
 def test_config_validation():
