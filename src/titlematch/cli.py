@@ -30,7 +30,7 @@ import numpy as np
 
 from .baseline import METRICS
 from .evaluation import pair_scores, run_report
-from .index import DISTANCE_MODES, build_index
+from .index import DISTANCE_MODES, analyze_dataset, build_index
 from .ingest import (
     FORMATS,
     check_assignment,
@@ -370,7 +370,11 @@ def cmd_eval(args) -> int:
 def cmd_inspect(args) -> int:
     dataset = _load_dataset(args)
     index = build_index(
-        dataset, k=args.k, variant=args.variant, distance_mode=args.distance, units=_load_units(args)
+        dataset,
+        k=args.k,
+        variant=args.variant,
+        distance_mode=args.distance,
+        analyzed=analyze_dataset(dataset, _load_units(args)),
     )
     s = index.stats
     print(f"titles={s.title_count} vendors={dataset.vendor_count}")

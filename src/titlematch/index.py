@@ -24,8 +24,9 @@ which it leaves holding the sorted positions. Records are ordered by
 (k, key) and each size's records form one run. f_c is counted and the
 int32 record IDs numbered in the sorted column, and one scatter writes
 them straight into the column at those positions. The lexicon keeps only
-f_c, d_acc and the record count of each size: a record's member IDs are
-derived when asked for, from its first instance (CombinationLexicon.ids_of).
+f_c, d_acc and the record count of each size. A record's member IDs are
+read back only on request (CombinationLexicon.ids_of, key_rows): one scan
+of the views writes every kept cell's sorted tokens to its record's row.
 Equality never rests on a hash, and the index stores none: scoring computes
 the FNV-1a signature of a key only when a tie reaches it.
 
@@ -85,9 +86,9 @@ class CombinationLexicon:
 
     Record i has int32 frequency f_c[i] and distance accumulator d_acc[i].
     size_counts[k - 2] records have size k: the IDs from size_starts[k - 2].
-    The lexicon holds no member IDs. key_rows, ids_of and records derive them
-    for tests, demos and tracing from each record's first instance in
-    forward, the index's per-size record-ID columns.
+    The build keeps no member IDs. key_rows and ids_of read them, for tests
+    and demos, from per-size key tables that the first lookup fills in one
+    scan of forward.combo_views, the index's per-size record-ID views.
     """
 
     f_c: np.ndarray = field(default_factory=lambda: _empty(np.int32))
@@ -115,27 +116,40 @@ class CombinationLexicon:
         return np.arange(start, start + self.size_counts[k - 2])
 
     @cached_property
-    def _first_cells(self) -> List[np.ndarray]:
-        """Per size, the position in its column of each record's first
-        instance, in record order; the -1 cells of unique instances drop out."""
-        firsts = []
-        for column in self.forward.combo_columns:
-            recs, first = np.unique(column, return_index=True)
-            firsts.append(first[recs >= 0])
-        return firsts
+    def _key_tables(self) -> List[np.ndarray]:
+        """Per size k, one int32 row of sorted member IDs per record. One scan
+        of the views writes each kept cell's sorted tokens to its record's row:
+        a record's instances all share its key, so any write may land last."""
+        fw = self.forward
+        tables = [np.empty((n, kk), dtype=np.int32) for kk, n in enumerate(self.size_counts, 2)]
+        for (l, members), views in zip(fw.buckets, fw.combo_views):
+            for kk, view in enumerate(views, start=2):
+                step = max(1, _BATCH // view.shape[1])
+                for r0 in range(0, len(view), step):
+                    part = view[r0 : r0 + step]
+                    rows, cols = np.nonzero(part >= 0)
+                    starts = fw.tok_offsets[members[r0 + rows]]
+                    keys = fw.tok_flat[starts[:, None] + position_patterns(l, kk)[cols]]
+                    keys.sort(axis=1)
+                    tables[kk - 2][part[rows, cols] - self.size_starts[kk - 2]] = keys
+        return tables
 
     def key_rows(self, recs: np.ndarray, k: int) -> np.ndarray:
-        """The sorted member IDs of records recs, all of size k, one row each."""
-        rows = [self.ids_of(rec) for rec in np.ravel(recs)]
-        return np.array(rows, dtype=np.int64).reshape(-1, k)
+        """The sorted member IDs of records recs, all of size k, one int64 row each."""
+        recs = np.ravel(recs)
+        wrong = (recs < 0) | (recs >= len(self)) | (self.sizes(recs) != k)
+        if wrong.any():
+            raise ValueError(f"combination record {recs[wrong][0]} is not of size {k}")
+        if not len(recs):
+            return np.empty((0, k), dtype=np.int64)
+        return self._key_tables[k - 2][recs - self.size_starts[k - 2]].astype(np.int64)
 
     def ids_of(self, idx: int) -> List[int]:
-        """The sorted member IDs of record idx, read from its first instance."""
+        """The sorted member IDs of record idx."""
         if not 0 <= idx < len(self):
             raise IndexError(f"combination record {idx} out of range for {len(self)} records")
         k = int(self.sizes(idx))
-        cell = self._first_cells[k - 2][idx - self.size_starts[k - 2]]
-        return self.forward.instance_tokens(k, int(cell))
+        return self._key_tables[k - 2][idx - self.size_starts[k - 2]].tolist()
 
 
 @dataclass
@@ -179,24 +193,6 @@ class ForwardIndex:
             for group in np.split(order, cuts)
             if len(group) and lengths[group[0]] >= 2
         ]
-
-    @cached_property
-    def _column_bounds(self) -> List[np.ndarray]:
-        """Per size k, where each bucket with l >= k starts in combo_columns[k - 2]."""
-        sizes = [[view.size for view in views] for views in self.combo_views]
-        return [
-            np.cumsum([0] + [bucket[s] for bucket in sizes if len(bucket) > s])[:-1]
-            for s in range(len(self.combo_columns))
-        ]
-
-    def instance_tokens(self, kk: int, cell: int) -> List[int]:
-        """The sorted token IDs of the size-kk instance at position cell of
-        combo_columns[kk - 2]."""
-        bounds = self._column_bounds[kk - 2]
-        b = int(bounds.searchsorted(cell, side="right")) - 1
-        l, members = self.buckets[len(self.buckets) - len(bounds) + b]
-        title, pattern = divmod(cell - int(bounds[b]), math.comb(l, kk))
-        return sorted(self.tokens_of(members[title])[position_patterns(l, kk)[pattern]].tolist())
 
 
 @dataclass(frozen=True)
@@ -507,16 +503,16 @@ def build_index(
     k: Optional[int] = None,
     variant: str = "upm",
     distance_mode: str = "squared",
-    units: Optional[UnitLexicon] = None,
     analyzed: Optional[TitleCorpus] = None,
     with_combinations: bool = True,
 ) -> ProductIndex:
     """Build lexicons and forward index for a dataset.
 
-    k=None resolves the combination cap from the average analyzed title
-    length. The pruning variant clips each title to its first 2k tokens
-    before indexing (TitleCorpus.clip). with_combinations=False stops after
-    the token pass; pairwise baselines only need token sets and idf.
+    analyzed=None analyzes the titles with the default unit lexicon. k=None
+    resolves the combination cap from the average analyzed title length.
+    The pruning variant clips each title to its first 2k tokens before
+    indexing (TitleCorpus.clip). with_combinations=False stops after the
+    token pass; pairwise baselines only need token sets and idf.
     """
     if distance_mode not in DISTANCE_MODES:
         raise ValueError(f"unknown distance mode {distance_mode!r}")
@@ -524,8 +520,11 @@ def build_index(
     for pid, count in Counter(product_ids).items():
         if count > 1:
             raise ValueError(f"duplicate product_id {pid}")
+    for p in dataset.products:
+        if not -(2**63) <= p.vendor_id < 2**63:  # scoring holds vendor IDs as int64
+            raise ValueError(f"product {p.product_id}: vendor_id {p.vendor_id} is outside int64")
     if analyzed is None:
-        analyzed = analyze_dataset(dataset, units)
+        analyzed = analyze_dataset(dataset)
     k_resolved = resolve_k(analyzed.mean_length) if k is None else int(k)
     if k_resolved < 2:
         raise ValueError(f"K must be >= 2, got {k_resolved}")

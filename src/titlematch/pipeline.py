@@ -75,7 +75,6 @@ def run_match(
         k=config.k,
         variant=config.variant,
         distance_mode=config.distance_mode,
-        units=units,
         analyzed=analyzed,
     )
     timings["index"] = (time.perf_counter() - t1) * 1000.0
@@ -136,7 +135,7 @@ def run_baseline(
     timings["textprep"] = (time.perf_counter() - t0) * 1000.0
 
     t1 = time.perf_counter()
-    index = build_index(dataset, units=units, analyzed=analyzed, with_combinations=False)
+    index = build_index(dataset, analyzed=analyzed, with_combinations=False)
     timings["index"] = (time.perf_counter() - t1) * 1000.0
 
     t2 = time.perf_counter()
@@ -147,6 +146,7 @@ def run_baseline(
     if dataset.has_truth:
         truth = load_ground_truth(dataset)
 
+    dataset_block = _dataset_block(dataset, dataset_path, analyzed.mean_length)
     rows: List[dict] = []
     for tau in taus:
         predicted = match_sets[tau]
@@ -158,7 +158,7 @@ def run_baseline(
         rows.append(
             {
                 "command": "baseline",
-                "dataset": _dataset_block(dataset, dataset_path, analyzed.mean_length),
+                "dataset": dataset_block,
                 "method": metric,
                 # constant; kept so baseline rows share the match rows' params schema
                 "params": {"tau": tau, "threads": 1},

@@ -336,6 +336,29 @@ def test_empty_title_error_names_product(tmp_path, capsys):
     assert err == "error: product 17: title normalizes to zero tokens: '!!!'\n"
 
 
+def test_vendor_id_outside_int64_fails_cleanly(tmp_path):
+    """Feeds parse vendor IDs as Python ints of any size; every subcommand
+    that builds an index rejects one past int64 without a traceback."""
+    products = [RawProduct(1, "acme kf310 toaster", 0, 0), RawProduct(2, "acme kf310", 10**20, 0)]
+    feed = tmp_path / "feed.csv"
+    write_feed_csv(feed, Dataset(products=products), "published")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    for command in (["match"], ["baseline", "--baseline", "cs"], ["inspect"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "titlematch.cli", *command, "--input", str(feed)]
+            + ["--format", "published"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1, command
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr == f"error: product 2: vendor_id {10**20} is outside int64\n", command
+
+
 def test_threads_flag_changes_nothing(feed, tmp_path, capsys):
     """The flag is gone (a usage error now); repeated runs stay identical."""
     argv = ["match", "--input", str(feed), "--format", "published"]

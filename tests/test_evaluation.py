@@ -223,7 +223,7 @@ def test_report_written_as_json_lines(tmp_path, fixture_200):
 def test_reports_identical_modulo_timings(fixture_200):
     a = run_match(fixture_200, dataset_path="fixture").report
     b = run_match(fixture_200, dataset_path="fixture").report
-    assert a != b or a == b  # timings may coincide, but never differ elsewhere
+    assert a["timings_ms"].keys() == b["timings_ms"].keys()
     assert strip_timings(a) == strip_timings(b)
 
 

@@ -238,6 +238,35 @@ def test_ids_of_rejects_records_out_of_range():
         build_index(ds, k=2, with_combinations=False).combos.ids_of(0)
 
 
+def test_key_rows_of_a_size_without_records_are_empty():
+    # one-token titles have no combinations, so the index has no records;
+    # the pair titles below have size-2 records and none of size 3
+    for titles, k in ((["alpha", "beta"], 2), (["alpha beta", "beta alpha"], 3)):
+        combos = build_index(tiny_dataset(titles), k=k).combos
+        rows = combos.key_rows(combos.records(k), k)
+        assert rows.dtype == np.int64 and rows.shape == (0, k)
+
+
+def test_key_rows_rejects_records_of_another_size():
+    titles = ["alpha beta gamma", "gamma beta alpha"]
+    combos = build_index(tiny_dataset(titles), k=3).combos
+    assert combos.size_counts == [3, 1]
+    assert combos.key_rows([3], 3).tolist() == [[0, 1, 2]]
+    for recs, k, wrong in (([2, 3], 3, 2), ([3], 2, 3), ([-1], 2, -1), ([4], 3, 4)):
+        with pytest.raises(ValueError, match=f"^combination record {wrong} is not of size {k}$"):
+            combos.key_rows(recs, k)
+
+
+def test_build_index_rejects_vendor_ids_outside_int64():
+    titles = ["alpha beta", "alpha beta gamma"]
+    for vendor in (-(2**63) - 1, 2**63):
+        ds = tiny_dataset(titles, vendors=[0, vendor])
+        with pytest.raises(ValueError, match=f"^product 2: vendor_id {vendor} is outside int64$"):
+            build_index(ds, k=2, with_combinations=False)
+    # scoring converts the vendor IDs to int64, which holds both ends
+    assert len(run_match(tiny_dataset(titles, vendors=[-(2**63), 2**63 - 1])).universe) == 2
+
+
 def test_build_index_rejects_repeated_product_ids():
     # ingest rejects repeats in a feed; a library-built Dataset reaches build_index
     titles = ["alpha beta gamma", "alpha beta delta", "beta gamma delta"]
@@ -457,6 +486,20 @@ def test_index_memory_per_instance_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak / idx.stats.combination_instances <= 11
+
+
+def test_first_lookup_memory_per_instance_is_bounded():
+    # the first ids_of fills every size's int32 key table in one batched scan
+    # of the views: 2.4M instances at K=5 peak at 4.9 bytes each, 2.7 of
+    # them the tables, which stay
+    idx = build_index(long_title_dataset(1000, seed=5), k=5)
+    tracemalloc.start()
+    try:
+        idx.combos.ids_of(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / idx.stats.combination_instances <= 5.2
 
 
 def test_only_instances_whose_every_subset_repeats_are_ranked():
