@@ -331,7 +331,7 @@ def cmd_match(args) -> int:
 def cmd_baseline(args) -> int:
     dataset = _load_dataset(args)
     taus = args.sweep if args.sweep else [args.tau]
-    rows, _ = run_baseline(
+    rows = run_baseline(
         dataset,
         args.baseline,
         taus,

@@ -7,8 +7,11 @@ contingency table of (predicted, truth) labels, the predicted pairs are
 sum C(a_i, 2) over predicted cluster sizes, the truth pairs sum C(b_j, 2)
 over truth cluster sizes, and the shared pairs sum C(n_ij, 2) over the
 cells, so memory stays linear where the pair sets grow with the square of a
-cluster's size. Pairwise baselines produce pair sets, which prf1 scores with
-the same expressions. Reports are JSON lines (one object per run) with a
+cluster's size. Pairwise baselines produce sets of product-ID pairs
+(pair_set_scores): a predicted pair is a hit when both products carry the
+same truth label, and the truth pairs are counted from the truth cluster
+sizes, so those are never listed either. prf1 scores two pair sets with the
+same expressions. Reports are JSON lines (one object per run) with a
 fixed key order plus an optional flat CSV summary, so repeated runs diff
 cleanly except for the timing fields.
 """
@@ -108,6 +111,26 @@ def pair_scores(
             hits = _pairs(np.unique(cell, return_counts=True)[1])
             scores = _scores(hits, n_predicted, n_truth)
     return {**scores, "predicted_pairs": n_predicted, "truth_pairs": n_truth}
+
+
+def pair_set_scores(
+    predicted: Sequence[MatchSet], product_ids: Sequence[int], truth: Optional[Sequence[int]]
+) -> List[Dict[str, Optional[float]]]:
+    """pair_scores of each of several sets of product-ID pairs, with
+    product_ids[i] labelled truth[i] by ground truth: prf1 of each set
+    against the truth pair set, without listing that set."""
+    n_truth = None
+    if truth is not None:
+        n_truth = _pairs(np.bincount(_dense_ranks(truth)[1]))
+        label = dict(zip(product_ids, truth))
+    rows = []
+    for pairs in predicted:
+        scores = {"precision": None, "recall": None, "f1": None}
+        if n_truth:
+            hits = sum(label[a] == label[b] for a, b in pairs)
+            scores = _scores(hits, len(pairs), n_truth)
+        rows.append({**scores, "predicted_pairs": len(pairs), "truth_pairs": n_truth})
+    return rows
 
 
 def cluster_size_histogram(universe: ClusterUniverse) -> Dict[str, int]:

@@ -12,12 +12,12 @@ import csv
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .baseline import pairwise_sweep
-from .evaluation import cluster_size_histogram, pair_scores, prf1
+from .evaluation import cluster_size_histogram, pair_scores, pair_set_scores
 from .index import ProductIndex, analyze_dataset, build_index
-from .ingest import CLUSTERS_HEADER, Dataset, MatchSet, load_ground_truth, truth_labels
+from .ingest import CLUSTERS_HEADER, Dataset, MatchSet, truth_labels
 from .scoring import ClusterUniverse, ScoringConfig, select_clusters
 from .textprep import UnitLexicon
 from .verify import verify_universe
@@ -127,7 +127,7 @@ def run_baseline(
     taus: List[float],
     units: Optional[UnitLexicon] = None,
     dataset_path: str = "",
-) -> Tuple[List[dict], Dict[float, MatchSet]]:
+) -> List[dict]:
     """Run one pairwise baseline over one or more thresholds."""
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()
@@ -142,17 +142,13 @@ def run_baseline(
     match_sets = pairwise_sweep(index, metric, taus)
     timings["pairs"] = (time.perf_counter() - t2) * 1000.0
 
-    truth: Optional[MatchSet] = None
-    if dataset.has_truth:
-        truth = load_ground_truth(dataset)
-
+    truth = truth_labels(dataset) if dataset.has_truth else None
+    sweep_scores = pair_set_scores(
+        [match_sets[tau] for tau in taus], index.forward.product_ids, truth
+    )
     dataset_block = _dataset_block(dataset, dataset_path, analyzed.mean_length)
     rows: List[dict] = []
-    for tau in taus:
-        predicted = match_sets[tau]
-        scores = {"precision": None, "recall": None, "f1": None}
-        if truth:
-            scores = prf1(predicted, truth)
+    for tau, scores in zip(taus, sweep_scores):
         timings_row = dict(timings)
         timings_row["total"] = (time.perf_counter() - t0) * 1000.0
         rows.append(
@@ -164,15 +160,11 @@ def run_baseline(
                 "params": {"tau": tau, "threads": 1},
                 "k": None,
                 "clusters": None,
-                "precision": scores["precision"],
-                "recall": scores["recall"],
-                "f1": scores["f1"],
-                "predicted_pairs": len(predicted),
-                "truth_pairs": None if truth is None else len(truth),
+                **scores,
                 "timings_ms": timings_row,
             }
         )
-    return rows, match_sets
+    return rows
 
 
 def write_clusters(path, result: MatchResult) -> None:

@@ -19,20 +19,20 @@ leaves its group's keeper behind. Moves rewrite assignment in place, and
 founded singletons are appended to pi and key once, at the end.
 
 Similarity is titlematch.baseline's cs or cs_idf, the one definition of each
-metric. product_similarity calls them; verification computes the same floats
-with a PostingScorer over slots: the initial representatives (slot = cluster
-index), then each violating group's other members in plan-building order.
-Its postings map each token ID to the slots holding it, built by one gather
-and one stable argsort. Eviction ranking scores every (representative,
-member) pair in one pass. A migrant is scored against all slots by one
-np.bincount over the postings of its tokens, and only the slots above the
-threshold come back. Of those, the slots that have founded a cluster are the
-candidates: every representative, and an evicted product once it has
-founded one. A cluster sharing no token with the migrant has similarity 0,
-which never clears the threshold, so the postings lose no valid candidate.
-The rule "most similar, then lowest cluster index" sorts only the few
-candidates left. No migrants x slots matrix is ever held: each migrant's
-scores are one row, dropped before the next.
+metric. product_similarity calls them, and eviction ranks each group's
+members by it. Migration computes the same floats with a PostingScorer over
+slots: the initial representatives (slot = cluster index), then the evicted
+products in eviction order. Its postings map each token ID to the slots
+holding it, built by two value sorts of packed (slot, token) and (token,
+slot) pairs. A migrant is scored against all slots by one np.bincount over
+the postings of its tokens, and only the slots above the threshold come
+back. Of those, the slots that have founded a cluster are the candidates:
+every representative, and an evicted product once it has founded one. A
+cluster sharing no token with the migrant has similarity 0, which never
+clears the threshold, so the postings lose no valid candidate. The rule
+"most similar, then lowest cluster index" sorts only the few candidates
+left. No migrants x slots matrix is ever held: each migrant's scores are one
+row, dropped before the next.
 """
 
 from __future__ import annotations
@@ -121,22 +121,6 @@ class PostingScorer:
         slots = np.flatnonzero(sims > above)
         return slots, sims[slots]
 
-    def pair_scores(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The similarity of slot a[i] to slot b[i], for each i."""
-        n_tokens = len(self.indptr) - 1
-        keys = []
-        for slots in (a, b):
-            lens = np.diff(self.slot_offsets)[slots]
-            toks = self.slot_tokens[_ranges(self.slot_offsets[slots], lens)]
-            keys.append(np.repeat(np.arange(len(slots)) * n_tokens, lens) + toks)
-        # pair-major, tokens ascending: a shared token is a repeated key
-        keys = np.sort(np.concatenate(keys))
-        pair, tok = np.divmod(keys[1:][keys[1:] == keys[:-1]], n_tokens)
-        weights = None if self.sq is None else self.sq[tok]
-        inter = np.bincount(pair, weights=weights, minlength=len(a))
-        norm = self.weight[a] * self.weight[b]
-        return np.divide(inter, np.sqrt(norm), out=np.zeros(len(a)), where=norm > 0)
-
 
 def _violating_groups(universe: ClusterUniverse) -> List[Tuple[int, int, List[int]]]:
     """(cluster, vendor, members) of every (cluster, vendor) group of two or more
@@ -172,24 +156,18 @@ def verify_universe(
     if not groups:
         return universe
     n_init = len(universe)
-    movers = [[p for p in members if p != universe.pi[ci]] for ci, _, members in groups]
-    slot_product = universe.pi.tolist() + [p for rest in movers for p in rest]
-    scorer = PostingScorer(index, np.array(slot_product), metric)
-    # each mover's similarity to its cluster's representative
-    reps = np.repeat([ci for ci, _, _ in groups], [len(rest) for rest in movers])
-    to_pi = scorer.pair_scores(reps, np.arange(n_init, len(scorer))).tolist()
-
+    pis = universe.pi.tolist()
     pids = index.forward.product_ids
-    plan: List[int] = []  # slots, in eviction order
-    slot = n_init
-    for (_, _, members), rest in zip(groups, movers):
-        ranked = sorted(
-            range(slot, slot + len(rest)),
-            key=lambda s: (-to_pi[s - n_init], pids[slot_product[s]]),
+    plan: List[int] = []  # evicted products, in eviction order
+    for ci, _, members in groups:
+        pi = pis[ci]
+        rest = sorted(
+            (p for p in members if p != pi),
+            key=lambda p: (-product_similarity(index, p, pi, metric), pids[p]),
         )
         # a representative stays; without one, the member closest to it does
-        plan.extend(ranked[len(rest) == len(members) :])
-        slot += len(rest)
+        plan.extend(rest[len(rest) == len(members) :])
+    scorer = PostingScorer(index, np.array(pis + plan), metric)
 
     # cluster index of each slot, -1 while it has founded nothing
     slot_ci = np.full(len(scorer), -1, dtype=np.int64)
@@ -201,8 +179,7 @@ def verify_universe(
     n_vendors = len(vendors)
     occupied = set((universe.assignment * n_vendors + code).tolist())
     founded: List[int] = []
-    for own in plan:
-        p = slot_product[own]
+    for own, p in enumerate(plan, n_init):
         vendor = int(code[p])
         slots, sims = scorer.score(own, floor)
         cand = slot_ci[slots]

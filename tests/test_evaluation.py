@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import tracemalloc
@@ -14,6 +15,7 @@ from titlematch.evaluation import (
     cluster_size_histogram,
     expand_cluster_pairs,
     pair_scores,
+    pair_set_scores,
     prf1,
     run_report,
     strip_timings,
@@ -172,6 +174,48 @@ def test_pair_scores_match_pair_sets(labels):
     }
 
 
+@given(st.lists(_LABELS, max_size=12), st.data())
+def test_pair_set_scores_match_prf1(truth, data):
+    """A pair set that need not come from a clustering, over sparse product
+    IDs, against prf1 of the truth pair set, bit for bit."""
+    ids = [7 * i - 20 for i in range(len(truth))]
+    all_pairs = list(itertools.combinations(ids, 2))
+    predicted = data.draw(st.sets(st.sampled_from(all_pairs)) if all_pairs else st.just(set()))
+    truth_pairs = pairs_from_assignment(dict(zip(ids, truth)))
+    # one call scores every set of a sweep against the same truth
+    sets = [predicted, set()]
+    for pairs, row in zip(sets, pair_set_scores(sets, ids, truth)):
+        expected = {"precision": None, "recall": None, "f1": None}
+        if truth_pairs:
+            expected = prf1(pairs, truth_pairs)
+        assert row == {**expected, "predicted_pairs": len(pairs), "truth_pairs": len(truth_pairs)}
+        assert list(row) == ["precision", "recall", "f1", "predicted_pairs", "truth_pairs"]
+    assert pair_set_scores([predicted], ids, None) == [
+        {**dict.fromkeys(expected), "predicted_pairs": len(predicted), "truth_pairs": None}
+    ]
+
+
+def test_pair_set_scores_one_giant_truth_cluster_in_bounded_memory():
+    """A baseline's few pairs against a 20k-product truth cluster: listing
+    its 200M truth pairs as a set of tuples would take gigabytes."""
+    n = 20_000
+    ids = list(range(100, 100 + n))
+    truth = [7 if i % 4 else -1 for i in range(n)]
+    # two hits in the big cluster, one in the small one, one across them
+    predicted = {(101, 102), (101, 20_099), (100, 104), (100, 101)}
+    tracemalloc.start()
+    try:
+        (row,) = pair_set_scores([predicted], ids, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    big, small = 15_000, 5_000
+    n_truth = big * (big - 1) // 2 + small * (small - 1) // 2
+    assert (row["predicted_pairs"], row["truth_pairs"]) == (4, n_truth)
+    assert (row["precision"], row["recall"]) == (3 / 4, 3 / n_truth)
+
+
 def test_evaluate_one_giant_cluster_in_bounded_memory():
     """One 20k-product cluster is 200M pairs, which as a set of tuples would
     take gigabytes; the contingency counts stay within a few megabytes."""
@@ -239,7 +283,7 @@ def test_report_f1_matches_direct_prf1(fixture_200):
 
 def test_sweep_emits_nine_rows(fixture_200):
     taus = [round(0.1 * i, 1) for i in range(1, 10)]
-    rows, _ = run_baseline(fixture_200, "cs", taus)
+    rows = run_baseline(fixture_200, "cs", taus)
     assert len(rows) == 9
     assert [r["params"]["tau"] for r in rows] == taus
     assert all(r["f1"] is not None for r in rows)

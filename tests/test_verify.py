@@ -136,8 +136,6 @@ def test_posting_scorer_matches_scalar_metrics(word_lists, data):
             slots, got = scorer.score(s, above)
             expected = [(t, x) for t, x in enumerate(row) if x > above]
             assert list(zip(slots.tolist(), got.tolist())) == expected, (metric, s)
-        a, b = np.divmod(np.arange(len(products) ** 2), len(products))
-        assert scorer.pair_scores(a, b).tolist() == [x for row in sims for x in row], metric
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +289,34 @@ def test_equal_similarity_goes_to_lower_cluster_index():
     )
     verify_both(idx, universe)
     assert universe.assignment[1] == 1
+
+
+@pytest.mark.parametrize("ids", [(40, 12), (12, 40)])
+def test_tied_evictions_move_in_product_id_order(ids):
+    # cluster 0's representative shares its vendor with two members that tie
+    # on similarity to it (2 of 4 tokens each) and both score 2 / sqrt(12) to
+    # the one other cluster. The lower product ID is evicted first and takes
+    # that cluster; the other then finds it holding vendor 0 and founds one.
+    rows = [
+        (5, "alpha beta gamma delta", 0, 0, 9.0),
+        (ids[0], "alpha beta omega psi", 0, 0, 1.0),
+        (ids[1], "gamma delta omega psi", 0, 0, 1.0),
+        (7, "omega psi chi", 1, 1, 9.0),
+    ]
+    ds = Dataset(products=[RawProduct(pid, t, v, None) for pid, t, v, _, _ in rows])
+    idx = build_index(ds, k=2)
+    universe = ClusterUniverse.from_choices(
+        np.array([r[3] for r in rows]),
+        np.zeros(len(rows), dtype=np.int64),
+        np.array([r[2] for r in rows]),
+        np.array([r[4] for r in rows]),
+    )
+    assert product_similarity(idx, 1, 0) == product_similarity(idx, 2, 0) == 0.5
+    verify_both(idx, universe)
+    first = 1 + ids.index(12)
+    assert universe.assignment[first] == 1
+    assert universe.assignment[3 - first] == 2
+    assert universe.pi.tolist() == [0, 3, 3 - first]
 
 
 @pytest.mark.parametrize("tau, target", [(0.5, 2), (0.49, 1)])
