@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -290,6 +291,19 @@ def _load_dataset(args):
     return dataset
 
 
+def _timed_load(args):
+    """The dataset of `_load_dataset` and the ms it took: a CLI row's
+    `ingest` time."""
+    start = time.perf_counter()
+    dataset = _load_dataset(args)
+    return dataset, (time.perf_counter() - start) * 1000.0
+
+
+def _with_ingest(timings: dict, ingest_ms: float) -> dict:
+    """`timings` with `ingest` first and counted into `total`."""
+    return {"ingest": ingest_ms, **timings, "total": timings["total"] + ingest_ms}
+
+
 def _load_units(args) -> Optional[UnitLexicon]:
     return UnitLexicon.from_file(args.units) if args.units else None
 
@@ -303,7 +317,7 @@ def _scores_text(row: dict) -> str:
 
 
 def cmd_match(args) -> int:
-    dataset = _load_dataset(args)
+    dataset, ingest_ms = _timed_load(args)
     config = ScoringConfig(
         alpha=args.alpha,
         b=args.b,
@@ -320,16 +334,17 @@ def cmd_match(args) -> int:
         verify=not args.no_verify,
         dataset_path=str(args.input),
     )
+    r = result.report
+    r["timings_ms"] = _with_ingest(r["timings_ms"], ingest_ms)
     if args.clusters:
         write_clusters(args.clusters, result)
-    run_report([result.report], args.report, args.summary)
-    r = result.report
+    run_report([r], args.report, args.summary)
     print(f"titles={r['dataset']['titles']} clusters={r['clusters']} k={r['k']}" + _scores_text(r))
     return 0
 
 
 def cmd_baseline(args) -> int:
-    dataset = _load_dataset(args)
+    dataset, ingest_ms = _timed_load(args)
     taus = args.sweep if args.sweep else [args.tau]
     rows = run_baseline(
         dataset,
@@ -338,6 +353,8 @@ def cmd_baseline(args) -> int:
         units=_load_units(args),
         dataset_path=str(args.input),
     )
+    for row in rows:
+        row["timings_ms"] = _with_ingest(row["timings_ms"], ingest_ms)
     run_report(rows, args.report, args.summary)
     for row in rows:
         line = f"metric={row['method']} tau={row['params']['tau']:.2f} pairs={row['predicted_pairs']}"
@@ -346,11 +363,14 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = _load_dataset(args)
+    dataset, ingest_ms = _timed_load(args)
+    start = time.perf_counter()
     assignment = read_clusters(args.clusters)
     check_assignment(assignment, dataset, args.clusters)
-    truth = truth_labels(dataset)
     predicted = [assignment[p.product_id] for p in dataset.products]
+    # a truth without pairs leaves the scores null, as in match
+    scores = pair_scores(predicted, truth_labels(dataset))
+    evaluate_ms = (time.perf_counter() - start) * 1000.0
     row = {
         "command": "eval",
         "dataset": {"path": str(args.input), "titles": dataset.title_count},
@@ -358,9 +378,8 @@ def cmd_eval(args) -> int:
         "params": {"clusters": str(args.clusters)},
         "k": None,
         "clusters": len(set(assignment.values())),
-        # a truth without pairs leaves the scores null, as in match
-        **pair_scores(predicted, truth),
-        "timings_ms": {},
+        **scores,
+        "timings_ms": _with_ingest({"evaluate": evaluate_ms, "total": evaluate_ms}, ingest_ms),
     }
     run_report([row], args.report, args.summary)
     print(f"clusters={row['clusters']}" + _scores_text(row))

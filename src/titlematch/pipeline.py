@@ -1,16 +1,17 @@
 """End-to-end orchestration: analyze, index, score, verify, evaluate.
 
-Produces per-stage wall-clock timings and a machine-readable report row per
-run. Every stage runs sequentially in a fixed order, so everything downstream
-of ingestion is deterministic for a given dataset and configuration and two
-runs differ only in the timing fields.
+run_match and run_baseline share one timed front half (analyze, index, read
+the truth labels). Stage times live only in each report row's `timings_ms`;
+`total` spans the whole call, and a baseline sweep's rows share one dict.
+Stages run sequentially in a fixed order, so everything downstream of
+ingestion is deterministic and two runs differ only in the timing fields.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -38,22 +39,36 @@ class MatchResult:
     index: ProductIndex
     config: ScoringConfig
     report: dict
-    timings_ms: Dict[str, float] = field(default_factory=dict)
     predicted: Optional[MatchSet] = None
     truth: Optional[MatchSet] = None
 
 
-def _dataset_block(dataset: Dataset, path: str, avg_title_tokens: float) -> dict:
-    truth_clusters = None
-    if dataset.has_truth:
-        truth_clusters = len({p.truth_cluster_id for p in dataset.products})
-    return {
+def _lap(timings: Dict[str, float], stage: str, since: float) -> float:
+    """Record the ms from `since` to now as `stage`; return now."""
+    now = time.perf_counter()
+    timings[stage] = (now - since) * 1000.0
+    return now
+
+
+def _front_half(
+    dataset: Dataset, units: Optional[UnitLexicon], path: str, timings: dict, **index_args
+):
+    """Analyze and index the dataset, timing textprep and index; return the
+    index, the truth labels (None without truth) and the dataset block."""
+    mark = time.perf_counter()
+    analyzed = analyze_dataset(dataset, units)
+    mark = _lap(timings, "textprep", mark)
+    index = build_index(dataset, analyzed=analyzed, **index_args)
+    _lap(timings, "index", mark)
+    truth = truth_labels(dataset) if dataset.has_truth else None
+    block = {
         "path": path,
         "vendors": dataset.vendor_count,
         "titles": dataset.title_count,
-        "truth_clusters": truth_clusters,
-        "avg_title_tokens": avg_title_tokens,
+        "truth_clusters": None if truth is None else len(set(truth)),
+        "avg_title_tokens": analyzed.mean_length,
     }
+    return index, truth, block
 
 
 def run_match(
@@ -65,38 +80,22 @@ def run_match(
 ) -> MatchResult:
     """Run the full combination-clustering pipeline on a dataset."""
     timings: Dict[str, float] = {}
-    t0 = time.perf_counter()
-    analyzed = analyze_dataset(dataset, units)
-    timings["textprep"] = (time.perf_counter() - t0) * 1000.0
-
-    t1 = time.perf_counter()
-    index = build_index(
-        dataset,
-        k=config.k,
-        variant=config.variant,
-        distance_mode=config.distance_mode,
-        analyzed=analyzed,
-    )
-    timings["index"] = (time.perf_counter() - t1) * 1000.0
-
-    t2 = time.perf_counter()
+    start = time.perf_counter()
+    index_args = dict(k=config.k, variant=config.variant, distance_mode=config.distance_mode)
+    index, truth, block = _front_half(dataset, units, dataset_path, timings, **index_args)
+    mark = time.perf_counter()
     universe = select_clusters(index, config)
-    timings["scoring"] = (time.perf_counter() - t2) * 1000.0
-
-    t3 = time.perf_counter()
+    mark = _lap(timings, "scoring", mark)
     if verify:
         verify_universe(universe, index, tau=config.tau, metric=config.verify_metric)
-    timings["verify"] = (time.perf_counter() - t3) * 1000.0
-
-    t4 = time.perf_counter()
-    truth = truth_labels(dataset) if dataset.has_truth else None
+    mark = _lap(timings, "verify", mark)
     scores = pair_scores(universe.assignment, truth)
-    timings["evaluate"] = (time.perf_counter() - t4) * 1000.0
-    timings["total"] = (time.perf_counter() - t0) * 1000.0
+    _lap(timings, "evaluate", mark)
+    _lap(timings, "total", start)
 
     report = {
         "command": "match",
-        "dataset": _dataset_block(dataset, dataset_path, analyzed.mean_length),
+        "dataset": block,
         "method": config.variant,
         "params": {
             "alpha": config.alpha,
@@ -116,9 +115,7 @@ def run_match(
         **scores,
         "timings_ms": timings,
     }
-    return MatchResult(
-        universe=universe, index=index, config=config, report=report, timings_ms=timings
-    )
+    return MatchResult(universe=universe, index=index, config=config, report=report)
 
 
 def run_baseline(
@@ -130,41 +127,32 @@ def run_baseline(
 ) -> List[dict]:
     """Run one pairwise baseline over one or more thresholds."""
     timings: Dict[str, float] = {}
-    t0 = time.perf_counter()
-    analyzed = analyze_dataset(dataset, units)
-    timings["textprep"] = (time.perf_counter() - t0) * 1000.0
-
-    t1 = time.perf_counter()
-    index = build_index(dataset, analyzed=analyzed, with_combinations=False)
-    timings["index"] = (time.perf_counter() - t1) * 1000.0
-
-    t2 = time.perf_counter()
+    start = time.perf_counter()
+    index, truth, block = _front_half(
+        dataset, units, dataset_path, timings, with_combinations=False
+    )
+    mark = time.perf_counter()
     match_sets = pairwise_sweep(index, metric, taus)
-    timings["pairs"] = (time.perf_counter() - t2) * 1000.0
-
-    truth = truth_labels(dataset) if dataset.has_truth else None
+    mark = _lap(timings, "pairs", mark)
     sweep_scores = pair_set_scores(
         [match_sets[tau] for tau in taus], index.forward.product_ids, truth
     )
-    dataset_block = _dataset_block(dataset, dataset_path, analyzed.mean_length)
-    rows: List[dict] = []
-    for tau, scores in zip(taus, sweep_scores):
-        timings_row = dict(timings)
-        timings_row["total"] = (time.perf_counter() - t0) * 1000.0
-        rows.append(
-            {
-                "command": "baseline",
-                "dataset": dataset_block,
-                "method": metric,
-                # constant; kept so baseline rows share the match rows' params schema
-                "params": {"tau": tau, "threads": 1},
-                "k": None,
-                "clusters": None,
-                **scores,
-                "timings_ms": timings_row,
-            }
-        )
-    return rows
+    _lap(timings, "evaluate", mark)
+    _lap(timings, "total", start)
+    return [
+        {
+            "command": "baseline",
+            "dataset": block,
+            "method": metric,
+            # constant; kept so baseline rows share the match rows' params schema
+            "params": {"tau": tau, "threads": 1},
+            "k": None,
+            "clusters": None,
+            **scores,
+            "timings_ms": timings,
+        }
+        for tau, scores in zip(taus, sweep_scores)
+    ]
 
 
 def write_clusters(path, result: MatchResult) -> None:

@@ -197,6 +197,8 @@ def test_baseline_sweep_emits_nine_rows(feed, tmp_path, capsys):
     rows = read_jsonl(report)
     assert len(rows) == 9
     assert [r["params"]["tau"] for r in rows] == [round(0.1 * i, 1) for i in range(1, 10)]
+    # the sweep is one pass: one set of stage times, one total
+    assert all(r["timings_ms"] == rows[0]["timings_ms"] for r in rows)
     assert capsys.readouterr().out.count("metric=cs") == 9
 
 
@@ -293,6 +295,38 @@ def test_eval_subcommand_round_trip(feed, tmp_path, capsys):
     )
     assert code == 0
     assert read_jsonl(report)[0]["f1"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "command, args, keys",
+    [
+        (
+            "match",
+            [],
+            ["ingest", "textprep", "index", "scoring", "verify", "evaluate", "total"],
+        ),
+        (
+            "baseline",
+            ["--baseline", "cs"],
+            ["ingest", "textprep", "index", "pairs", "evaluate", "total"],
+        ),
+        ("eval", ["--clusters", "clusters.csv"], ["ingest", "evaluate", "total"]),
+    ],
+)
+def test_report_timing_keys(feed, tmp_path, monkeypatch, command, args, keys):
+    monkeypatch.chdir(tmp_path)
+    feed_args = ["--input", str(feed), "--format", "published"]
+    assert run_cli(["match", *feed_args, "--clusters", "clusters.csv"]) == 0
+    code = run_cli([command, *feed_args, *args, "--report", "r.jsonl", "--summary", "s.csv"])
+    assert code == 0
+    (row,) = read_jsonl("r.jsonl")
+    timings = row["timings_ms"]
+    assert list(timings) == keys
+    # total runs from reading the feed to the scores, so it spans every stage
+    assert all(0.0 <= ms <= timings["total"] for ms in timings.values())
+    summary = Path("s.csv").read_text().splitlines()
+    assert summary[0].endswith(",total_ms")
+    assert float(summary[1].rsplit(",", 1)[1]) == timings["total"]
 
 
 def test_inspect_prints_statistics(feed, capsys):
@@ -666,7 +700,7 @@ def test_eval_cluster_ids_are_only_labels(feed, tmp_path, capsys):
         assert run_cli(args + ["--report", str(report)]) == 0
         rows.append(read_jsonl(report)[0])
     capsys.readouterr()
-    assert rows[0] == {**rows[1], "params": rows[0]["params"]}
+    assert strip_timings(rows[0]) == {**strip_timings(rows[1]), "params": rows[0]["params"]}
     truth = load_ground_truth(make_twenty_product_dataset())
     expected = prf1(pairs_from_assignment(cluster_of), truth)
     assert {key: rows[1][key] for key in expected} == expected
