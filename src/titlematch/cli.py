@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -284,6 +285,13 @@ def build_parser(preset: Optional[dict] = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _plain_parser() -> argparse.ArgumentParser:
+    """build_parser() without a preset, built once per process: parsing
+    leaves a parser as it was, so every main call can share it."""
+    return build_parser()
+
+
 def _load_dataset(args):
     dataset = load_products(args.input, args.format)
     if args.truth:
@@ -410,9 +418,8 @@ def cmd_inspect(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _plain_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     # FeedFormatError is a ValueError; a missing path, or a directory where a

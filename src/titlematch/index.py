@@ -63,6 +63,12 @@ def _empty(dtype) -> np.ndarray:
     return np.empty(0, dtype=dtype)
 
 
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [starts[i], starts[i] + lens[i])."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(int(ends[-1]) if len(ends) else 0)
+
+
 @dataclass
 class TokenLexicon:
     """Title tokens as columns, IDs in first-encounter order.
@@ -194,6 +200,21 @@ class ForwardIndex:
             if len(group) and lengths[group[0]] >= 2
         ]
 
+    def bucket_rows(self, values: np.ndarray) -> List[np.ndarray]:
+        """values, one per token occurrence in tok_flat order, as each
+        bucket's (titles, l) matrix, a row per title: one gather into bucket
+        order, then a view per bucket."""
+        if not self.buckets:
+            return []
+        products = np.concatenate([members for _, members in self.buckets])
+        starts = self.tok_offsets[products]
+        flat = values[_ranges(starts, self.tok_offsets[products + 1] - starts)]
+        rows, start = [], 0
+        for l, members in self.buckets:
+            rows.append(flat[start : start + l * len(members)].reshape(len(members), l))
+            start += l * len(members)
+        return rows
+
 
 @dataclass(frozen=True)
 class IndexStats:
@@ -260,10 +281,13 @@ def resolve_k(avg_title_len: float) -> int:
 
 def analyze_dataset(dataset: Dataset, units: Optional[UnitLexicon] = None) -> TitleCorpus:
     """Analyze every title into one TitleCorpus, in product order; a title
-    that normalizes to nothing names its product."""
+    that normalizes to nothing names its product. units=None reads the
+    default lexicon; an empty lexicon fuses nothing."""
     products = dataset.products
+    if units is None:
+        units = UnitLexicon.default()
     try:
-        return analyze_titles([p.title for p in products], units or UnitLexicon.default())
+        return analyze_titles([p.title for p in products], units)
     except TitleNormalizationError as exc:
         product = products[exc.position]
         raise TitleNormalizationError(f"product {product.product_id}: {exc}") from None
@@ -274,40 +298,52 @@ def _check_int32(count: int, what: str) -> None:
         raise OverflowError(f"{count} {what} overflow the index's int32 IDs")
 
 
-def _pack(
-    l: int, kk: int, ids: np.ndarray, prev_ranks: np.ndarray, id_bits: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The key of every size-kk instance of a length-l bucket, and whether it
-    is kept, as two (titles, C(l, kk)) matrices.
+def _pack(blocks: list, kk: int, id_bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The key of every size-kk instance of the buckets in blocks, and
+    whether it is kept, as two flat columns over their cells: bucket after
+    bucket, a row of C(l, kk) cells per title.
 
-    prev_ranks holds each title's size-(kk-1) subset ranks in
-    position_patterns(l, kk - 1) order, negative for a subset without a
-    record, and drop_patterns(l, kk) finds an instance's kk subsets in it. An
-    instance is kept when all of them have a record; any other is unique,
-    since support is downward-closed. A kept instance's key is
-    (prefix rank << id_bits) | largest ID, its prefix being the subset without
-    the largest member; every token ID is below 2**id_bits.
+    blocks holds (l, ID matrix, size-(kk-1) record-ID view) per bucket: each
+    title's subset record IDs in position_patterns(l, kk - 1) order, -1 for
+    a subset without a record, and drop_patterns(l, kk) finds an instance's
+    kk subsets in it. An instance is kept when all of them have a record;
+    any other is unique, since support is downward-closed. A kept
+    instance's key is (prefix record ID << id_bits) | largest ID, its prefix
+    being the subset without the largest member; every token ID is below
+    2**id_bits. Each bucket costs only its gathers: every other step runs
+    once over all the blocks' cells.
     """
-    patterns, drops = position_patterns(l, kk), drop_patterns(l, kk)
-    # a running maximum over the members beats argmax along an axis of length
-    # kk; take gathers columns faster than indexing, several times faster from
-    # the wide subset matrix
-    largest = ids.take(patterns[:, 0], axis=1)
-    prefix = prev_ranks.take(drops[:, 0], axis=1)
+    shapes = [(len(ids), math.comb(l, kk)) for l, ids, _ in blocks]
+    cuts = np.cumsum([0] + [rows * width for rows, width in shapes]).tolist()
+
+    def gather(j: int, member: np.ndarray, subset: np.ndarray) -> None:
+        # member j of every instance and the subset without it; take gathers
+        # columns faster than indexing, several times faster from the wide
+        # subset matrix, and mode="clip" writes to out unbuffered
+        for (l, ids, prev), shape, a, b in zip(blocks, shapes, cuts, cuts[1:]):
+            pattern, drop = position_patterns(l, kk)[:, j], drop_patterns(l, kk)[:, j]
+            ids.take(pattern, axis=1, out=member[a:b].reshape(shape), mode="clip")
+            prev.take(drop, axis=1, out=subset[a:b].reshape(shape), mode="clip")
+
+    # a running maximum over the members beats argmax along an axis of length kk
+    largest, prefix = np.empty(cuts[-1], dtype=np.int32), np.empty(cuts[-1], dtype=np.int32)
+    gather(0, largest, prefix)
     lowest = prefix.copy()
+    member, subset = np.empty_like(largest), np.empty_like(prefix)
     for j in range(1, kk):
-        member = ids.take(patterns[:, j], axis=1)
-        subset = prev_ranks.take(drops[:, j], axis=1)
+        gather(j, member, subset)
         np.copyto(prefix, subset, where=member > largest)
         np.maximum(largest, member, out=largest)
         np.minimum(lowest, subset, out=lowest)
+    del member, subset
     key = prefix.astype(np.int64)
     key <<= id_bits
     key |= largest
     return key, lowest >= 0
 
 
-# cells per chunk of the neighbour comparison and of the d_acc scan
+# cells per run of packed buckets, per chunk of the neighbour comparison and
+# of the d_acc scan
 _BATCH = 1 << 16
 # bits a key and its position may share in one non-negative int64
 _BITS = 63
@@ -366,72 +402,93 @@ def _rank_values(
 
 
 def _sum_distances(
-    views: List[np.ndarray], lengths: List[int], kk: int, euclidean: bool, offset: int, n: int
+    column: np.ndarray,
+    bounds: np.ndarray,
+    lengths: List[int],
+    kk: int,
+    euclidean: bool,
+    offset: int,
+    n: int,
 ) -> np.ndarray:
     """The d_acc of the n size-kk records from offset: the sum of their
     instances' distance terms, added in position order, as np.bincount over
     the whole column would add them.
 
-    views holds the (titles, C(l, kk)) record-ID matrix of each bucket of
-    title length l in lengths, -1 for a unique instance. A term is a
-    pattern's squared distance, or its root. np.add.at adds its values in
-    the order given, so scanning the views in order, about _BATCH cells at a
-    time, adds each record's terms in position order.
+    column is the size's record-ID column, -1 for a unique instance; bucket
+    b of title length lengths[b] spans column[bounds[b] : bounds[b + 1]], a
+    row of C(l, kk) cells per title. A term is a pattern's squared distance,
+    or its root. np.add.at adds its values in the order given, so scanning
+    the column in order, _BATCH cells at a time across bucket boundaries,
+    adds each record's terms in position order.
     """
+    widths = np.array([math.comb(l, kk) for l in lengths])
+    # every bucket's pattern terms, one table; bucket b's start at term_starts[b]
+    term_starts = np.cumsum(widths) - widths
+    # float64 terms keep np.add.at on its fast, uncast path
+    terms = np.concatenate([pattern_distances(l, kk) for l in lengths]).astype(np.float64)
+    if euclidean:
+        np.sqrt(terms, out=terms)
     d_acc = np.zeros(n)
-    for view, l in zip(views, lengths):
-        # float64 terms keep np.add.at on its fast, uncast path
-        term = pattern_distances(l, kk).astype(np.float64)
-        if euclidean:
-            np.sqrt(term, out=term)
-        step = max(1, _BATCH // view.shape[1])
-        for r0 in range(0, len(view), step):
-            part = view[r0 : r0 + step]
-            rows, cols = np.nonzero(part >= 0)
-            np.add.at(d_acc, part[rows, cols] - offset, term.take(cols))
+    for a in range(0, len(column), _BATCH):
+        pos = np.flatnonzero(column[a : a + _BATCH] >= 0)
+        pos += a
+        # the positions ascend, so each bucket's are one run of them
+        runs = np.diff(pos.searchsorted(bounds))
+        col = pos - np.repeat(bounds[:-1], runs)
+        col %= np.repeat(widths, runs)
+        col += np.repeat(term_starts, runs)
+        np.add.at(d_acc, column[pos] - offset, terms[col])
     return d_acc
 
 
 def _group_size(
     kk: int,
     blocks: list,
-    prev_count: int,
-    prev_offset: int,
+    prev_end: int,
     offset: int,
     id_bits: int,
-) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray], np.ndarray]:
     """Group every size-kk combination instance by exact key.
 
     blocks holds (l, ID matrix, size-(kk-1) record-ID view) per title length
-    l >= kk, ascending; the size below has prev_count records from
-    prev_offset. A sorted key is its prefix's key plus the largest ID, so
-    ranking (prefix rank << id_bits) | largest ID ranks the keys
-    lexicographically. Only keys with f_c >= 2 become records, and only the
-    instances whose every size-(kk-1) subset has a record are ranked
-    (_pack): the cells of the others hold -1, as do those of a key ranked
-    once. Returns the size's record-ID column, its view of each bucket and
-    its records' int32 f_c; record IDs are offset + rank among the records.
+    l >= kk, ascending; every record ID of the size below is below prev_end.
+    Those IDs follow their keys' order, and a sorted key is its prefix's key
+    plus the largest ID, so ranking (prefix record ID << id_bits) | largest
+    ID ranks the keys lexicographically. Only keys with f_c >= 2 become
+    records, and only the instances whose every size-(kk-1) subset has a
+    record are ranked (_pack, over runs of buckets of at most _BATCH cells,
+    or one bucket): the cells of the others hold -1, as do those of a key
+    ranked once. Returns the size's record-ID column, the bounds of each
+    bucket's cells in it, its view of each bucket and its records' int32
+    f_c; record IDs are offset + rank among the records.
 
     The ranked column holds the kept instances in position order, each
     packed with its position in the size's column, so the sorted column's
-    low bits scatter the int32 ranks straight into it.
+    low bits scatter the int32 ranks straight into it. Positions are packed
+    for the kept cells only.
     """
     bounds = np.cumsum([0] + [len(ids) * math.comb(l, kk) for l, ids, _ in blocks])
     pos_bits = max(int(bounds[-1]) - 1, 0).bit_length()
     # keys and positions past _BITS are ranked beside a position column
-    wide = ((prev_count << id_bits) - 1).bit_length() + pos_bits > _BITS
+    wide = ((prev_end << id_bits) - 1).bit_length() + pos_bits > _BITS
     parts, where = [], []
-    for (l, ids, prev), start in zip(blocks, bounds):
-        key, kept = _pack(l, kk, ids, prev - prev_offset, id_bits)
-        position = np.arange(start, start + key.size).reshape(key.shape)
+    lo = 0
+    while lo < len(blocks):
+        # the buckets from lo whose cells fit in _BATCH, or bucket lo alone
+        hi = max(lo + 1, int(bounds.searchsorted(bounds[lo] + _BATCH, side="right")) - 1)
+        key, kept = _pack(blocks[lo:hi], kk, id_bits)
+        position = kept.nonzero()[0]
+        position += bounds[lo]
+        key = key[kept]
         if wide:
-            where.append(position[kept])
+            where.append(position)
         else:
             key <<= pos_bits
             key |= position
-        parts.append(key[kept])
-        # the matrices of the largest bucket are not held through the ranking
+        parts.append(key)
+        # the columns of the largest bucket are not held through the ranking
         del key, kept, position
+        lo = hi
     packed = np.concatenate(parts)
     positions = np.concatenate(where) if wide else None
     del parts, where
@@ -445,7 +502,7 @@ def _group_size(
         column[a:b].reshape(len(ids), math.comb(l, kk))
         for (l, ids, _), a, b in zip(blocks, bounds[:-1], bounds[1:])
     ]
-    return column, views, f_c.astype(np.int32)
+    return column, bounds, views, f_c.astype(np.int32)
 
 
 def _index_combinations(
@@ -457,36 +514,32 @@ def _index_combinations(
     Fills forward.combo_columns (every instance's record ID, -1 for a unique
     combination) and combo_views, and returns the lexicon.
     """
-    offsets = forward.tok_offsets
     n_tokens = int(forward.tok_flat.max(initial=-1)) + 1
     _check_int32(n_tokens, "distinct tokens")
     id_bits = max(n_tokens - 1, 0).bit_length()
     buckets = forward.buckets
     lengths = [l for l, _ in buckets]
-    ids = [
-        forward.tok_flat[offsets[members][:, None] + np.arange(l)].astype(np.int32)
-        for l, members in buckets
-    ]
+    ids = forward.bucket_rows(forward.tok_flat.astype(np.int32))
     # token IDs stand in for the records of size 1
-    prev, prev_count = ids, n_tokens
+    prev, prev_end = ids, n_tokens
     forward.combo_columns, forward.combo_views = [], [[] for _ in buckets]
     f_c, d_acc, size_counts = [], [], []
-    prev_offset = offset = 0
+    offset = 0
     for kk in range(2, k_max + 1):
         # the buckets with l >= kk are the last ones
         n = sum(l >= kk for l in lengths)
         if not n:
             break
         blocks = list(zip(lengths[-n:], ids[-n:], prev[-n:]))
-        column, views, f = _group_size(kk, blocks, prev_count, prev_offset, offset, id_bits)
+        column, bounds, views, f = _group_size(kk, blocks, prev_end, offset, id_bits)
         forward.combo_columns.append(column)
         for bucket, view in zip(forward.combo_views[-n:], views):
             bucket.append(view)
         f_c.append(f)
-        d_acc.append(_sum_distances(views, lengths[-n:], kk, euclidean, offset, len(f)))
+        d_acc.append(_sum_distances(column, bounds, lengths[-n:], kk, euclidean, offset, len(f)))
         size_counts.append(len(f))
-        prev, prev_count = views, len(f)
-        prev_offset, offset = offset, offset + len(f)
+        offset += len(f)
+        prev, prev_end = views, offset
 
     if not f_c:
         return CombinationLexicon(forward=forward)
@@ -517,12 +570,19 @@ def build_index(
     if distance_mode not in DISTANCE_MODES:
         raise ValueError(f"unknown distance mode {distance_mode!r}")
     product_ids = [p.product_id for p in dataset.products]
-    for pid, count in Counter(product_ids).items():
-        if count > 1:
-            raise ValueError(f"duplicate product_id {pid}")
-    for p in dataset.products:
-        if not -(2**63) <= p.vendor_id < 2**63:  # scoring holds vendor IDs as int64
-            raise ValueError(f"product {p.product_id}: vendor_id {p.vendor_id} is outside int64")
+    vendor_ids = [p.vendor_id for p in dataset.products]
+    # the loops below only name the offender
+    if len(set(product_ids)) != len(product_ids):
+        for pid, count in Counter(product_ids).items():
+            if count > 1:
+                raise ValueError(f"duplicate product_id {pid}")
+    # scoring holds vendor IDs as int64
+    if vendor_ids and not (-(2**63) <= min(vendor_ids) and max(vendor_ids) < 2**63):
+        for p in dataset.products:
+            if not -(2**63) <= p.vendor_id < 2**63:
+                raise ValueError(
+                    f"product {p.product_id}: vendor_id {p.vendor_id} is outside int64"
+                )
     if analyzed is None:
         analyzed = analyze_dataset(dataset)
     k_resolved = resolve_k(analyzed.mean_length) if k is None else int(k)
@@ -531,8 +591,9 @@ def build_index(
 
     corpus = analyzed.clip(variant, k_resolved)
     tok_flat = corpus.tok_flat
-    # IDs are in first-encounter order, so first occurrences come out ascending
-    first = np.unique(tok_flat, return_index=True)[1]
+    # IDs are in first-encounter order, so a token's first occurrence is
+    # where the running maximum rises to its ID
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(tok_flat), prepend=-1))
     # analyzed titles hold no duplicate tokens, so occurrences are products
     tokens = TokenLexicon(
         surfaces=corpus.surfaces,
@@ -541,7 +602,7 @@ def build_index(
     )
     forward = ForwardIndex(
         product_ids=product_ids,
-        vendor_ids=[p.vendor_id for p in dataset.products],
+        vendor_ids=vendor_ids,
         tok_flat=tok_flat,
         sem_flat=corpus.sem_flat,
         tok_offsets=corpus.offsets,

@@ -85,6 +85,17 @@ def _parse_int(value: str, row_num: int, what: str) -> int:
         raise FeedFormatError(f"row {row_num}: {what} is not an integer: {value!r}") from None
 
 
+def _checked_product(row: List[str], row_num: int, title: str, published: bool) -> RawProduct:
+    """The row's product, checked field by field in order: product_id, the
+    title, vendor_id, then cluster_id; the first bad one raises."""
+    pid = _parse_int(row[0], row_num, "product_id")
+    if not title:
+        raise FeedFormatError(f"row {row_num}: empty title for product {pid}")
+    vendor = _parse_int(row[2], row_num, "vendor_id")
+    truth = _parse_int(row[3], row_num, "cluster_id") if published else None
+    return RawProduct(pid, title, vendor, truth)
+
+
 def load_products(path, fmt: str = "simple") -> Dataset:
     """Load a feed file into a Dataset, preserving file order.
 
@@ -93,7 +104,8 @@ def load_products(path, fmt: str = "simple") -> Dataset:
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    min_cols = 3 if fmt == "simple" else 7
+    published = fmt == "published"
+    min_cols = 7 if published else 3
     products: List[RawProduct] = []
     seen_ids: Set[int] = set()
     with _csv_reader(path, "feed") as reader:
@@ -108,20 +120,21 @@ def load_products(path, fmt: str = "simple") -> Dataset:
                     f"row {row_num}: expected {min_cols} columns for format "
                     f"{fmt!r}, got {len(row)}"
                 )
-            pid = _parse_int(row[0], row_num, "product_id")
             title = row[1].strip()
-            if not title:
-                raise FeedFormatError(f"row {row_num}: empty title for product {pid}")
-            vendor = _parse_int(row[2], row_num, "vendor_id")
-            truth = None
-            if fmt == "published":
-                truth = _parse_int(row[3], row_num, "cluster_id")
-            if pid in seen_ids:
-                raise FeedFormatError(f"row {row_num}: duplicate product_id {pid}")
-            seen_ids.add(pid)
-            products.append(
-                RawProduct(product_id=pid, title=title, vendor_id=vendor, truth_cluster_id=truth)
-            )
+            # int() takes most surrounding whitespace itself; a row it rejects,
+            # or one without a title, goes through the ordered checks
+            try:
+                product = RawProduct(
+                    int(row[0]), title, int(row[2]), int(row[3]) if published else None
+                )
+            except ValueError:
+                product = None
+            if product is None or not title:
+                product = _checked_product(row, row_num, title, published)
+            if product.product_id in seen_ids:
+                raise FeedFormatError(f"row {row_num}: duplicate product_id {product.product_id}")
+            seen_ids.add(product.product_id)
+            products.append(product)
     return Dataset(products=products)
 
 

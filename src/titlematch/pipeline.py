@@ -9,7 +9,6 @@ ingestion is deterministic and two runs differ only in the timing fields.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -160,9 +159,10 @@ def write_clusters(path, result: MatchResult) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     pids = result.index.forward.product_ids
+    # the bytes csv.writer writes: its "\r\n" line ends, and integers need no
+    # quotes; lines come from a generator, so no list of every line is held
+    rows = zip(pids, result.universe.assignment.tolist())
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CLUSTERS_HEADER)
-        for p, cid in enumerate(result.universe.assignment.tolist()):
-            writer.writerow([pids[p], cid])
+        fh.write(",".join(CLUSTERS_HEADER) + "\r\n")
+        fh.writelines(f"{pid},{cid}\r\n" for pid, cid in rows)
 

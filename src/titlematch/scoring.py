@@ -8,9 +8,10 @@ where Y_c is a BM25F-flavoured field-weighted relevance score over the
 combination's tokens. Each title is split into five virtual fields by token
 semantics; a field's weight is the global distinct-token count divided by the
 field's population within the title, so crowded fields contribute less per
-token. The highest-scoring combination becomes the product's dominating
-cluster, and all products that select the same combination are declared
-matching.
+token. The field weights are computed once per corpus, from one count per
+(title, semantics) pair, not per length bucket. The highest-scoring
+combination becomes the product's dominating cluster, and all products that
+select the same combination are declared matching.
 
 A combination unique in the corpus has no record (its cell is -1)
 and scores 0. Y_c is summed over the combination's title positions from
@@ -45,6 +46,7 @@ import numpy as np
 
 from .combinatorics import count_combinations, drop_patterns, position_patterns, signature_rows
 from .index import DISTANCE_MODES, CombinationLexicon, ProductIndex
+from .textprep import Semantics
 
 VARIANTS = ("upm", "upm+")
 VERIFY_METRICS = ("cs", "cs-idf")
@@ -234,19 +236,19 @@ def _score_bucket(
     length: int,
     views: List[np.ndarray],
     quality: np.ndarray,
+    a_rows: np.ndarray,
     chosen: np.ndarray,
-    s1: np.ndarray,
 ) -> None:
     """Score every combination of every product in one equal-length bucket
-    and fill in the members' chosen record IDs and summed idf s1.
+    and fill in the members' chosen record IDs.
 
     views holds the bucket's record-ID matrix of each size k = 2, 3, ...,
     one row per member, -1 for a unique combination; quality[-1] is 0. A
-    product whose choice is unique keeps -1.
+    product whose choice is unique keeps -1. a_rows holds, a row per member,
+    each token's idf times its field weight; the field weights are computed
+    once per corpus (_weighted_idf_rows), not per bucket.
     """
     fw = index.forward
-    idf = index.idf
-    total_tokens = len(index.tokens)
     l_avg_c = index.stats.avg_combination_len
     b = config.b
 
@@ -255,17 +257,7 @@ def _score_bucket(
 
     for c0 in range(0, len(members), step):
         batch = members[c0 : c0 + step]
-        cells = fw.tok_offsets[batch][:, None] + np.arange(length)
-        ids_mat = fw.tok_flat[cells]
-        sem_mat = fw.sem_flat[cells]
-        # each token's field population: the title's tokens of its semantics
-        x_per_token = (sem_mat[:, :, None] == sem_mat[:, None, :]).sum(axis=2)
-        idf_mat = idf[ids_mat]
-        # a row sum equals float(idf[ids].sum()) of the title bit for bit
-        s1[batch] = idf_mat.sum(axis=1)
-        a = idf_mat * (total_tokens / x_per_token)
-
-        y_mat = _relevance(a, index.k, b, l_avg_c)
+        y_mat = _relevance(a_rows[c0 : c0 + step], index.k, b, l_avg_c)
 
         # the batch's record IDs from the size views, as intp: take then needs
         # no cast buffer, which past about 16k cells costs more than the gather
@@ -280,8 +272,33 @@ def _score_bucket(
         best = np.argmax(i_mat, axis=1)
         chosen[batch[plain]] = idx_mat[plain, best[plain]]
         for r in np.flatnonzero(~plain):
-            col = _resolve_row(i_mat[r], y_mat[r], idx_mat[r], ids_mat[r], patterns, index.combos)
+            tokens = fw.tokens_of(batch[r])
+            col = _resolve_row(i_mat[r], y_mat[r], idx_mat[r], tokens, patterns, index.combos)
             chosen[batch[r]] = idx_mat[r, col]
+
+
+def _weighted_idf_rows(index: ProductIndex) -> List[np.ndarray]:
+    """Per length bucket, each title's tokens' idf times their field weight,
+    a row per title. A token's field weight is the distinct-token count over
+    its field's population in its title: one count per (title, semantics)
+    pair, once per corpus."""
+    fw = index.forward
+    field = np.repeat(np.arange(len(fw)) * (len(Semantics) + 1), np.diff(fw.tok_offsets))
+    field += fw.sem_flat
+    population = np.bincount(field)[field]
+    return fw.bucket_rows(index.idf[fw.tok_flat] * (len(index.tokens) / population))
+
+
+def _summed_idf(index: ProductIndex) -> np.ndarray:
+    """s1: each title's summed token idf."""
+    fw = index.forward
+    s1 = np.zeros(len(fw))
+    for (_, members), idf_rows in zip(fw.buckets, fw.bucket_rows(index.idf[fw.tok_flat])):
+        # a row sum equals float(idf[ids].sum()) of the title bit for bit
+        s1[members] = idf_rows.sum(axis=1)
+    one_token = np.diff(fw.tok_offsets) == 1
+    s1[one_token] = index.idf[fw.tok_flat[fw.tok_offsets[:-1][one_token]]]
+    return s1
 
 
 def select_clusters(index: ProductIndex, config: ScoringConfig) -> ClusterUniverse:
@@ -305,12 +322,12 @@ def select_clusters(index: ProductIndex, config: ScoringConfig) -> ClusterUniver
     if fw.buckets and not fw.combo_columns:
         raise ValueError("index was built without combinations")
     chosen = np.full(n, -1, dtype=np.int64)
-    s1 = np.zeros(n, dtype=np.float64)
-    for (length, members), views in zip(fw.buckets, fw.combo_views):
-        _score_bucket(index, config, members, length, views, quality, chosen, s1)
+    for (length, members), views, a_rows in zip(
+        fw.buckets, fw.combo_views, _weighted_idf_rows(index)
+    ):
+        _score_bucket(index, config, members, length, views, quality, a_rows, chosen)
     first_token = fw.tok_flat[fw.tok_offsets[:-1]]
     one_token = np.diff(fw.tok_offsets) == 1
-    s1[one_token] = index.idf[first_token[one_token]]
     vendor = np.asarray(fw.vendor_ids, dtype=np.int64)
     token = np.where(one_token, first_token, -1)
-    return ClusterUniverse.from_choices(chosen, token, vendor, s1)
+    return ClusterUniverse.from_choices(chosen, token, vendor, _summed_idf(index))

@@ -14,12 +14,12 @@ Normalization keeps dots and commas only when they act as numeric separators,
 keeps hyphen/slash compounds while appending their parts at the end of the
 title, and drops exact duplicate tokens. A batch of titles is normalized as
 one string: each title is lowered on its own, the lowered titles are joined
-with newlines, and two compiled regex passes run over the joined text, never
-character by character. Each pass replaces a match by one character, so
-every title is sliced back out at its own offsets, and a newline, which is
-never a digit, keeps the separator rule from reading across titles. Only then
-does a loop over titles split, strip and deduplicate; normalize_title is
-this path on a batch of one.
+with newlines, and a translate table and two compiled regex passes run over
+the joined text, never character by character. Each pass replaces a
+character by one character, so every title is sliced back out at its own
+offsets, and a newline, which is never a digit, keeps the separator rule
+from reading across titles. Only then does a loop over titles split, strip
+and deduplicate; normalize_title is this path on a batch of one.
 
 A corpus of titles is analyzed in one pass into columns (TitleCorpus): the
 distinct surfaces in first-encounter order, every occurrence's token ID and
@@ -38,7 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -113,16 +113,23 @@ class UnitLexicon:
         return cls.from_lines(text.splitlines())
 
     @classmethod
+    @cache
     def default(cls) -> "UnitLexicon":
+        """The packaged lexicon, data/units.txt, read once per process."""
         text = resources.files("titlematch").joinpath("data/units.txt").read_text("utf-8")
         return cls.from_lines(text.splitlines())
 
 
 _NUMERIC_RE = re.compile(r"[0-9]+(?:[.,][0-9]+)*")
 _SEPARATOR_RE = re.compile(r"[.,]")
-# everything but alphanumerics ([^\W_] is exactly str.isalnum), whitespace
-# (\s is exactly str.isspace, so str.split still splits there) and ".,-/"
-_DROPPED_RE = re.compile(r"[^\w\s.,/-]|_")
+# everything but alphanumerics, whitespace (so str.split still splits there)
+# and ".,-/" is dropped: an ASCII character through a translate table, any
+# other through the regex, where [^\W_] is exactly str.isalnum and \s exactly
+# str.isspace
+_DROPPED_ASCII = str.maketrans(
+    {c: " " for c in map(chr, range(128)) if not (c.isalnum() or c.isspace() or c in ".,/-")}
+)
+_DROPPED_RE = re.compile(r"[^\x00-\x7f](?<![\w\s])")
 _COMPOUND_SPLIT_RE = re.compile(r"[-/]+")
 
 
@@ -130,6 +137,11 @@ def is_numeric(surface: str) -> bool:
     """Digits only, allowing interior thousands/decimal separators."""
     # fullmatch: "$" would also accept a trailing newline
     return _NUMERIC_RE.fullmatch(surface) is not None
+
+
+def _drop(text: str) -> str:
+    """text with each dropped character replaced by one space."""
+    return _DROPPED_RE.sub(" ", text.translate(_DROPPED_ASCII))
 
 
 def _keep_digit_separator(m: re.Match) -> str:
@@ -149,7 +161,7 @@ def _words(raws: Sequence[str]) -> Iterator[List[str]]:
     # each title is lowered on its own, so its lowered length, which lower()
     # may change ("İ"), places it in the joined text
     lowered = [raw.lower() for raw in raws]
-    text = _SEPARATOR_RE.sub(_keep_digit_separator, _DROPPED_RE.sub(" ", "\n".join(lowered)))
+    text = _SEPARATOR_RE.sub(_keep_digit_separator, _drop("\n".join(lowered)))
     end = -1
     for p, title in enumerate(lowered):
         start = end + 1
@@ -184,6 +196,9 @@ def surface_semantics(surface: str, units: UnitLexicon) -> Semantics:
     stays first or becomes MODEL_OTHER depends on its position.
     MODEL_NUMERIC: digits with interior separators only. NORMAL: the rest.
     """
+    if surface.isalpha():
+        # most surfaces: no character is a digit
+        return Semantics.NORMAL
     if is_numeric(surface):
         return Semantics.MODEL_NUMERIC
     if not (any(map(str.isdigit, surface)) and any(map(str.isalpha, surface))):

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .baseline import cs, cs_idf
-from .index import ProductIndex
+from .index import ProductIndex, _ranges
 from .scoring import VERIFY_METRICS, ClusterUniverse
 
 
@@ -52,12 +52,6 @@ def product_similarity(index: ProductIndex, p: int, pi: int, metric: str = "cs")
         raise ValueError(f"unknown verify metric {metric!r}")
     a, b = index.token_set(p), index.token_set(pi)
     return cs(a, b) if metric == "cs" else cs_idf(a, b, index.idf)
-
-
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The concatenated ranges [starts[i], starts[i] + lens[i])."""
-    ends = np.cumsum(lens)
-    return np.repeat(starts - ends + lens, lens) + np.arange(int(ends[-1]) if len(ends) else 0)
 
 
 class PostingScorer:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from titlematch.cli import MAX_SWEEP_THRESHOLDS, _parse_sweep, build_parser, main
+from titlematch.cli import MAX_SWEEP_THRESHOLDS, _parse_sweep, _plain_parser, build_parser, main
 from titlematch.evaluation import prf1, strip_timings
 from titlematch.ingest import (
     Dataset,
@@ -346,6 +346,49 @@ def test_inspect_top_lists_most_frequent_tokens(feed, capsys):
     assert freqs == sorted(freqs, reverse=True)
     assert run_cli(["inspect", "--input", str(feed), "--format", "published", "--top", "-4"]) == 2
     assert "--top must be >= 0, got -4" in capsys.readouterr().err
+
+
+def test_units_file_without_entries_fuses_nothing(tmp_path, capsys):
+    # an empty lexicon has length 0; it must not fall back to the built-in one
+    ds = Dataset(products=[RawProduct(1, "acme 500 ml bottle", 0, None)])
+    feed = tmp_path / "feed.csv"
+    write_feed_csv(feed, ds, "simple")
+    units = tmp_path / "units.txt"
+    units.write_text("# no units yet\n")
+    surfaces = {}
+    for name, extra in (("default", []), ("empty", ["--units", str(units)])):
+        assert run_cli(["inspect", "--input", str(feed), *extra]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        surfaces[name] = {l.split()[-1] for l in lines if l.startswith("token ")}
+    assert surfaces["default"] == {"acme", "500ml", "bottle"}
+    assert surfaces["empty"] == {"acme", "500", "ml", "bottle"}
+
+
+def test_one_parser_per_process_keeps_no_state_between_calls(feed, tmp_path):
+    """main reuses one parser per process: neither a --config run nor a
+    usage error leaves anything behind for a later call."""
+    report = tmp_path / "row.jsonl"
+
+    def match(*extra):
+        args = ["match", "--input", str(feed), "--format", "published", "--report", str(report)]
+        assert run_cli([*args, *extra]) == 0
+        return strip_timings(read_jsonl(report)[0])
+
+    _plain_parser.cache_clear()
+    first = match()
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps({"k": 3, "distance": "euclidean"}))
+    preset = match("--config", str(config))
+    assert (preset["k"], preset["params"]["distance"]) == (3, "euclidean")
+    assert (first["k"], first["params"]["distance"]) == (2, "squared")
+    assert match() == first
+    # no --input
+    assert run_cli(["match", "--format", "published"]) == 2
+    assert match() == first
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert build_parser() is not build_parser()
 
 
 def test_missing_input_fails_cleanly(tmp_path, capsys):

@@ -82,6 +82,40 @@ def test_short_row_reports_number(tmp_path):
         load_products(path, "simple")
 
 
+PUBLISHED_HEADER = "product_id,title,vendor_id,cluster_id,cluster_label,category_id,category_label"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("x2,acme kettle,3,9,k,1,c", "row 3: product_id is not an integer: 'x2'"),
+        ("2,acme kettle,v3,9,k,1,c", "row 3: vendor_id is not an integer: 'v3'"),
+        ("2,acme kettle,3,9.5,k,1,c", "row 3: cluster_id is not an integer: '9.5'"),
+        # the checks run in order: product_id, title, vendor_id, cluster_id,
+        # then the duplicate
+        ("x2,  ,v3,9,k,1,c", "row 3: product_id is not an integer: 'x2'"),
+        ("2,  ,v3,9,k,1,c", "row 3: empty title for product 2"),
+        ("2,acme kettle,v3,x9,k,1,c", "row 3: vendor_id is not an integer: 'v3'"),
+        ("1,acme kettle,3,x9,k,1,c", "row 3: cluster_id is not an integer: 'x9'"),
+        ("1,acme kettle,3,9,k,1,c", "row 3: duplicate product_id 1"),
+    ],
+)
+def test_published_row_errors_name_row_and_field(tmp_path, row, message):
+    path = tmp_path / "feed.csv"
+    path.write_text(f"{PUBLISHED_HEADER}\n1,acme toaster,1,0,t,1,c\n{row}\n", encoding="utf-8")
+    with pytest.raises(FeedFormatError, match=re.escape(f"feed file {path}: {message}")):
+        load_products(path, "published")
+
+
+# int() takes " 7 " as it is; "\x1c" is whitespace to str.strip only
+@pytest.mark.parametrize("pad", [" ", "\t", "\x1c"])
+def test_integer_fields_may_carry_surrounding_whitespace(tmp_path, pad):
+    path = tmp_path / "feed.csv"
+    row = ",".join([f"{pad}7{pad}", "acme kettle", f"{pad}3{pad}", f"{pad}9{pad}", "k", "1", "c"])
+    path.write_text(f"{PUBLISHED_HEADER}\n{row}\n", encoding="utf-8")
+    assert load_products(path, "published").products == [RawProduct(7, "acme kettle", 3, 9)]
+
+
 def test_unknown_format_rejected(tmp_path):
     path = tmp_path / "feed.csv"
     path.write_text("id,title,vendor\n", encoding="utf-8")

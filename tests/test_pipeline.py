@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from collections import Counter
 
@@ -10,8 +12,8 @@ import titlematch.combinatorics
 import titlematch.index
 import titlematch.scoring
 from titlematch.evaluation import expand_cluster_pairs
-from titlematch.ingest import pairs_from_assignment
-from titlematch.pipeline import run_match
+from titlematch.ingest import CLUSTERS_HEADER, Dataset, RawProduct, pairs_from_assignment
+from titlematch.pipeline import run_match, write_clusters
 from titlematch.synth import efficiency_dataset, long_title_dataset, planted_dataset
 
 PUBLIC_API = [
@@ -188,3 +190,21 @@ def test_k_above_title_length_end_to_end():
     )
     result = run_match(ds, ScoringConfig(k=6))
     assert result.report["f1"] == 1.0
+
+
+def test_write_clusters_writes_what_csv_writer_writes(tmp_path):
+    # negative product IDs, and IDs past int64, which only Python ints hold
+    pids = [-(2**70), -5, 0, 7, 2**64 + 3, 2**70]
+    titles = ["acme kf310 toaster black", "acme kf310 toaster steel", "zenit rw55 fridge"]
+    ds = Dataset(
+        products=[RawProduct(pid, titles[i // 2], i % 2, i // 2) for i, pid in enumerate(pids)]
+    )
+    result = run_match(ds)
+    path = tmp_path / "clusters.csv"
+    write_clusters(path, result)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(CLUSTERS_HEADER)
+    writer.writerows(zip(pids, result.universe.assignment.tolist()))
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert result.report["clusters"] == 3

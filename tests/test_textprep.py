@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from titlematch.index import analyze_dataset, build_index
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.textprep import (
-    _DROPPED_RE,
+    _drop,
     AnalyzedTitle,
     Semantics,
     TitleNormalizationError,
@@ -435,10 +435,11 @@ def test_empty_title_mid_feed_names_product():
 
 def test_drop_pass_keeps_alnum_whitespace_and_separators():
     """Over every code point, the drop pass keeps exactly what the character
-    loop keeps or splits on: str.isalnum, str.isspace and ".,/-". The pass
-    leaves the regex whitespace class alone, and str.split splits on
-    str.isspace; the two agree on every code point in Python 3.11, and this
-    pins that agreement on every interpreter the suite runs on."""
+    loop keeps or splits on: str.isalnum, str.isspace and ".,/-", and turns
+    every other character into one space. The pass leaves the regex
+    whitespace class alone, and str.split splits on str.isspace; the two
+    agree on every code point in Python 3.11, and this pins that agreement
+    on every interpreter the suite runs on."""
     text = "".join(map(chr, range(sys.maxunicode + 1)))
-    kept = "".join(c for c in text if c.isalnum() or c.isspace() or c in ".,/-")
-    assert _DROPPED_RE.sub("", text) == kept
+    kept = "".join(c if c.isalnum() or c.isspace() or c in ".,/-" else " " for c in text)
+    assert _drop(text) == kept
