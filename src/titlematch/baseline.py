@@ -17,7 +17,8 @@ Matching keeps every unordered title pair whose similarity strictly exceeds
 the threshold; a pair at exactly tau does not match. Every pair is still
 decided, and only token-disjoint pairs, which score 0, are skipped: there is
 no blocking, and the quadratic sweep is the point of comparison for the
-combination-based pipeline.
+combination-based pipeline. One loop (_matches) decides the pairs; the
+library sweep collects its matches into sets, and run_baseline counts them.
 
 idf values come from the same token lexicon the main pipeline uses, so both
 routes see identical token statistics.
@@ -26,7 +27,7 @@ routes see identical token statistics.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Iterator, List, Sequence
 
 from .index import ProductIndex
 from .ingest import MatchSet
@@ -86,40 +87,10 @@ def jaccard_idf(t: frozenset, t2: frozenset, idf: Sequence[float]) -> float:
     return _similarity(_jaccard, t, t2, _idf_weight(idf))
 
 
-def _sweep_pairs(index: ProductIndex, metric: str, taus: Sequence[float]) -> List[MatchSet]:
-    """One match set per threshold, from a single pass over all pairs."""
-    weight = _idf_weight(index.idf.tolist()) if metric in ("cs-idf", "j-idf") else len
-    expr = _cosine if metric in ("cs", "cs-idf") else _jaccard
-    n = len(index.forward)
-    sets = [index.token_set(p) for p in range(n)]
-    weights = [weight(s) for s in sets]
-    pids = index.forward.product_ids
-    out: List[MatchSet] = [set() for _ in taus]
-    n_taus = len(taus)
-    for i in range(n):
-        si, w_i, pid_i = sets[i], weights[i], pids[i]
-        for j in range(i + 1, n):
-            inter = si & sets[j]
-            # a token-disjoint pair scores 0, which no tau in (0, 1) clears
-            if not inter:
-                continue
-            sim = expr(weight(inter), w_i, weights[j])
-            t = 0
-            while t < n_taus and sim > taus[t]:
-                a, b = pid_i, pids[j]
-                out[t].add((a, b) if a < b else (b, a))
-                t += 1
-    return out
-
-
-def pairwise_sweep(
-    index: ProductIndex, metric: str, taus: Sequence[float]
-) -> Dict[float, MatchSet]:
-    """Evaluate all pairs once and bucket matches for several thresholds.
-
-    taus must be ascending; each pair's similarity is compared against the
-    thresholds in order, stopping at the first it fails to exceed.
-    """
+def _matches(index: ProductIndex, metric: str, taus: Sequence[float]) -> Iterator[tuple]:
+    """(i, j, t) for each product pair i < j whose similarity exceeds the
+    first t > 0 of the ascending thresholds, stopping at the first it fails
+    to exceed, from a single pass over all pairs."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     taus = [float(t) for t in taus]
@@ -127,11 +98,43 @@ def pairwise_sweep(
         raise ValueError(f"thresholds must lie in (0, 1): {taus}")
     if sorted(taus) != taus:
         raise ValueError("thresholds must be ascending")
-    return dict(zip(taus, _sweep_pairs(index, metric, taus)))
+    taus.append(math.inf)  # no similarity exceeds it, so each scan below stops there
+    weight = _idf_weight(index.idf.tolist()) if metric in ("cs-idf", "j-idf") else len
+    expr = _cosine if metric in ("cs", "cs-idf") else _jaccard
+    n = len(index.forward)
+    sets = [index.token_set(p) for p in range(n)]
+    weights = [weight(s) for s in sets]
+    for i in range(n):
+        si, w_i = sets[i], weights[i]
+        for j in range(i + 1, n):
+            inter = si & sets[j]
+            # a token-disjoint pair scores 0, which no tau in (0, 1) clears
+            if not inter:
+                continue
+            sim = expr(weight(inter), w_i, weights[j])
+            if sim > taus[0]:
+                t = 1
+                while sim > taus[t]:
+                    t += 1
+                yield i, j, t
+
+
+def pairwise_sweep(
+    index: ProductIndex, metric: str, taus: Sequence[float]
+) -> Dict[float, MatchSet]:
+    """Evaluate all pairs once and bucket matches for several ascending
+    thresholds: each threshold's set of product-ID pairs."""
+    taus = [float(t) for t in taus]
+    out: List[MatchSet] = [set() for _ in taus]
+    pids = index.forward.product_ids
+    for i, j, t in _matches(index, metric, taus):
+        a, b = pids[i], pids[j]
+        pair = (a, b) if a < b else (b, a)
+        for s in range(t):
+            out[s].add(pair)
+    return dict(zip(taus, out))
 
 
 def pairwise_match(index: ProductIndex, metric: str, tau: float) -> MatchSet:
     """All unordered pairs whose similarity strictly exceeds tau."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
     return pairwise_sweep(index, metric, [tau])[float(tau)]

@@ -92,14 +92,11 @@ def _parse_sweep(value: str) -> List[float]:
         raise argparse.ArgumentTypeError(
             f"sweep {value!r} yields more than {MAX_SWEEP_THRESHOLDS} thresholds"
         )
+    if step < 1e-10:
+        raise argparse.ArgumentTypeError(f"sweep step must be at least 1e-10, got {value!r}")
     taus: List[float] = []
-    i = 0
-    while True:
-        tau = round(start + i * step, 10)
-        if tau > stop + 1e-9:
-            break
+    while (tau := round(start + len(taus) * step, 10)) <= round(stop, 10):
         taus.append(tau)
-        i += 1
     return taus
 
 

@@ -7,13 +7,13 @@ contingency table of (predicted, truth) labels, the predicted pairs are
 sum C(a_i, 2) over predicted cluster sizes, the truth pairs sum C(b_j, 2)
 over truth cluster sizes, and the shared pairs sum C(n_ij, 2) over the
 cells, so memory stays linear where the pair sets grow with the square of a
-cluster's size. Pairwise baselines produce sets of product-ID pairs
-(pair_set_scores): a predicted pair is a hit when both products carry the
-same truth label, and the truth pairs are counted from the truth cluster
-sizes, so those are never listed either. prf1 scores two pair sets with the
-same expressions. Reports are JSON lines (one object per run) with a
-fixed key order plus an optional flat CSV summary, so repeated runs diff
-cleanly except for the timing fields.
+cluster's size. A pairwise baseline counts, per threshold, its pairs and
+its hits (pairs whose two products carry the same truth label) and is scored
+from those counts (_count_scores), with the truth pairs counted from the
+truth cluster sizes (_label_pairs), so no pair is listed there either. prf1
+scores two pair sets with the same expressions. Reports are JSON lines (one
+object per run) with a fixed key order plus an optional flat CSV summary, so
+repeated runs diff cleanly except for the timing fields.
 """
 
 from __future__ import annotations
@@ -53,8 +53,11 @@ def expand_cluster_pairs(universe: ClusterUniverse, index: ProductIndex) -> Matc
     return pairs_from_assignment(dict(zip(index.forward.product_ids, universe.assignment.tolist())))
 
 
-def _scores(hits: int, predicted: int, truth: int) -> Dict[str, float]:
-    """prf1's scores from pair counts: hits shared pairs, truth > 0."""
+def _scores(hits: int, predicted: int, truth: Optional[int]) -> Dict[str, Optional[float]]:
+    """prf1's scores from pair counts, hits of them shared; None each
+    without truth pairs (truth 0 or None)."""
+    if not truth:
+        return dict.fromkeys(("precision", "recall", "f1"))
     precision = hits / predicted if predicted else 0.0
     recall = hits / truth
     f1 = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
@@ -89,19 +92,26 @@ def _dense_ranks(labels: Sequence[int]) -> Tuple[int, np.ndarray]:
     return len(distinct), ranks
 
 
+def _label_pairs(labels: Sequence[int]) -> int:
+    """Unordered pairs of products that share a label."""
+    return _pairs(np.bincount(_dense_ranks(labels)[1]))
+
+
+def _count_scores(hits: Optional[int], predicted: int, truth: Optional[int]) -> dict:
+    """A report's precision, recall, f1, predicted_pairs and truth_pairs, in
+    that order, from pair counts; truth is None without ground truth."""
+    return {**_scores(hits, predicted, truth), "predicted_pairs": predicted, "truth_pairs": truth}
+
+
 def pair_scores(
     predicted: Sequence[int], truth: Optional[Sequence[int]]
 ) -> Dict[str, Optional[float]]:
-    """A report's precision, recall, f1, predicted_pairs and truth_pairs, in
-    that order, for product i labelled predicted[i] by a method and truth[i]
-    by ground truth: prf1 of the two labellings' pair sets, counted from
-    their contingency table without listing a pair. Without truth (None), or
-    when truth has no pairs, the scores are None; without truth, so is
-    truth_pairs."""
+    """A report's scores and pair counts (_count_scores) for product i
+    labelled predicted[i] by a method and truth[i] by ground truth: prf1 of
+    their pair sets, counted from their contingency table without a pair."""
     _, predicted_rank = _dense_ranks(predicted)
     n_predicted = _pairs(np.bincount(predicted_rank))
-    scores = {"precision": None, "recall": None, "f1": None}
-    n_truth = None
+    n_truth = hits = None
     if truth is not None:
         truth_ids, truth_rank = _dense_ranks(truth)
         n_truth = _pairs(np.bincount(truth_rank))
@@ -109,28 +119,7 @@ def pair_scores(
             # a bincount over the cell index would allocate every cell of the table
             cell = predicted_rank * truth_ids + truth_rank
             hits = _pairs(np.unique(cell, return_counts=True)[1])
-            scores = _scores(hits, n_predicted, n_truth)
-    return {**scores, "predicted_pairs": n_predicted, "truth_pairs": n_truth}
-
-
-def pair_set_scores(
-    predicted: Sequence[MatchSet], product_ids: Sequence[int], truth: Optional[Sequence[int]]
-) -> List[Dict[str, Optional[float]]]:
-    """pair_scores of each of several sets of product-ID pairs, with
-    product_ids[i] labelled truth[i] by ground truth: prf1 of each set
-    against the truth pair set, without listing that set."""
-    n_truth = None
-    if truth is not None:
-        n_truth = _pairs(np.bincount(_dense_ranks(truth)[1]))
-        label = dict(zip(product_ids, truth))
-    rows = []
-    for pairs in predicted:
-        scores = {"precision": None, "recall": None, "f1": None}
-        if n_truth:
-            hits = sum(label[a] == label[b] for a, b in pairs)
-            scores = _scores(hits, len(pairs), n_truth)
-        rows.append({**scores, "predicted_pairs": len(pairs), "truth_pairs": n_truth})
-    return rows
+    return _count_scores(hits, n_predicted, n_truth)
 
 
 def cluster_size_histogram(universe: ClusterUniverse) -> Dict[str, int]:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .baseline import pairwise_sweep
-from .evaluation import cluster_size_histogram, pair_scores, pair_set_scores
+from .baseline import _matches
+from .evaluation import _count_scores, _label_pairs, cluster_size_histogram, pair_scores
 from .index import ProductIndex, analyze_dataset, build_index
 from .ingest import CLUSTERS_HEADER, Dataset, MatchSet, truth_labels
 from .scoring import ClusterUniverse, ScoringConfig, select_clusters
@@ -131,11 +131,19 @@ def run_baseline(
         dataset, units, dataset_path, timings, with_combinations=False
     )
     mark = time.perf_counter()
-    match_sets = pairwise_sweep(index, metric, taus)
+    # cleared[t]: the pairs that exceed exactly the first t thresholds;
+    # hits[t]: those of them whose two products share a truth label
+    cleared, hits = [0] * (len(taus) + 1), [0] * (len(taus) + 1)
+    for i, j, t in _matches(index, metric, taus):
+        cleared[t] += 1
+        hits[t] += truth is not None and truth[i] == truth[j]
     mark = _lap(timings, "pairs", mark)
-    sweep_scores = pair_set_scores(
-        [match_sets[tau] for tau in taus], index.forward.product_ids, truth
-    )
+    n_truth = None if truth is None else _label_pairs(truth)
+    # taus[t - 1] is exceeded by the pairs that exceed t or more thresholds
+    sweep_scores, predicted, hit = [], 0, 0
+    for t in range(len(taus), 0, -1):
+        predicted, hit = predicted + cleared[t], hit + hits[t]
+        sweep_scores.append(_count_scores(hit, predicted, n_truth))
     _lap(timings, "evaluate", mark)
     _lap(timings, "total", start)
     return [
@@ -150,7 +158,7 @@ def run_baseline(
             **scores,
             "timings_ms": timings,
         }
-        for tau, scores in zip(taus, sweep_scores)
+        for tau, scores in zip(taus, reversed(sweep_scores))
     ]
 
 

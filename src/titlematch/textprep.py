@@ -161,7 +161,9 @@ def _words(raws: Sequence[str]) -> Iterator[List[str]]:
     # each title is lowered on its own, so its lowered length, which lower()
     # may change ("İ"), places it in the joined text
     lowered = [raw.lower() for raw in raws]
-    text = _SEPARATOR_RE.sub(_keep_digit_separator, _drop("\n".join(lowered)))
+    text = _drop("\n".join(lowered))
+    if "." in text or "," in text:
+        text = _SEPARATOR_RE.sub(_keep_digit_separator, text)
     end = -1
     for p, title in enumerate(lowered):
         start = end + 1

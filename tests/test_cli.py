@@ -211,13 +211,32 @@ def test_baseline_sweep_emits_nine_rows(feed, tmp_path, capsys):
         ("0:0.9:0.1", "sweep range must lie inside (0, 1)"),
         ("0.1:1.5:0.1", "sweep range must lie inside (0, 1)"),
         ("0.1:0.9:1e-9", f"yields more than {MAX_SWEEP_THRESHOLDS} thresholds"),
+        # finer than the 10-digit rounding of each threshold, which would repeat them
+        ("0.4:0.4:1e-11", "sweep step must be at least 1e-10"),
+        ("0.4:0.4000000001:5e-11", "sweep step must be at least 1e-10"),
     ],
-    ids=["nan_start", "inf_stop", "nan_step", "zero_start", "stop_above_one", "too_many"],
+    ids=[
+        "nan_start",
+        "inf_stop",
+        "nan_step",
+        "zero_start",
+        "stop_above_one",
+        "too_many",
+        "step_below_rounding",
+        "step_below_rounding_in_range",
+    ],
 )
 def test_bad_sweep_is_usage_error(feed, capsys, sweep, error):
     code = run_cli(["baseline", "--input", str(feed), "--baseline", "cs", "--sweep", sweep])
     assert code == 2
     assert error in capsys.readouterr().err
+
+
+def test_sweep_stops_at_stop():
+    assert _parse_sweep("0.4:0.4:0.1") == [0.4]
+    # the rounded thresholds stop at STOP, not within 1e-9 past it
+    assert _parse_sweep("0.4:0.4:1e-10") == [0.4]
+    assert _parse_sweep("0.3:0.7:0.2") == [0.3, 0.5, 0.7]
 
 
 def test_sweep_below_threshold_cap_is_accepted():

@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from titlematch.baseline import pairwise_sweep
 from titlematch.evaluation import (
     cluster_size_histogram,
     expand_cluster_pairs,
     pair_scores,
-    pair_set_scores,
     prf1,
     run_report,
     strip_timings,
@@ -174,46 +173,108 @@ def test_pair_scores_match_pair_sets(labels):
     }
 
 
-@given(st.lists(_LABELS, max_size=12), st.data())
-def test_pair_set_scores_match_prf1(truth, data):
-    """A pair set that need not come from a clustering, over sparse product
-    IDs, against prf1 of the truth pair set, bit for bit."""
-    ids = [7 * i - 20 for i in range(len(truth))]
-    all_pairs = list(itertools.combinations(ids, 2))
-    predicted = data.draw(st.sets(st.sampled_from(all_pairs)) if all_pairs else st.just(set()))
-    truth_pairs = pairs_from_assignment(dict(zip(ids, truth)))
-    # one call scores every set of a sweep against the same truth
-    sets = [predicted, set()]
-    for pairs, row in zip(sets, pair_set_scores(sets, ids, truth)):
-        expected = {"precision": None, "recall": None, "f1": None}
-        if truth_pairs:
-            expected = prf1(pairs, truth_pairs)
-        assert row == {**expected, "predicted_pairs": len(pairs), "truth_pairs": len(truth_pairs)}
-        assert list(row) == ["precision", "recall", "f1", "predicted_pairs", "truth_pairs"]
-    assert pair_set_scores([predicted], ids, None) == [
-        {**dict.fromkeys(expected), "predicted_pairs": len(predicted), "truth_pairs": None}
-    ]
+_WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
+_TAUS = [0.05, 0.2, 0.3, 0.45, 0.5, 0.6, 0.75, 0.9]
+_BASELINE_ROW_KEYS = [
+    "command",
+    "dataset",
+    "method",
+    "params",
+    "k",
+    "clusters",
+    "precision",
+    "recall",
+    "f1",
+    "predicted_pairs",
+    "truth_pairs",
+    "timings_ms",
+]
 
 
-def test_pair_set_scores_one_giant_truth_cluster_in_bounded_memory():
-    """A baseline's few pairs against a 20k-product truth cluster: listing
-    its 200M truth pairs as a set of tuples would take gigabytes."""
-    n = 20_000
-    ids = list(range(100, 100 + n))
-    truth = [7 if i % 4 else -1 for i in range(n)]
-    # two hits in the big cluster, one in the small one, one across them
-    predicted = {(101, 102), (101, 20_099), (100, 104), (100, 101)}
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4, unique=True),
+        min_size=1,
+        max_size=9,
+    ),
+    st.lists(st.sampled_from(_TAUS), min_size=1, max_size=4, unique=True).map(sorted),
+    st.sampled_from(["labels", "none", "pairless"]),
+    st.data(),
+)
+def test_baseline_rows_match_prf1_of_sweep_sets(word_lists, taus, truth_kind, data):
+    """Each run_baseline row, counted without listing a pair, against prf1
+    of pairwise_sweep's pair set for that threshold, over sparse product
+    IDs, bit for bit: with truth, without it, and with a truth that holds
+    no pair."""
+    n = len(word_lists)
+    ids = [7 * i - 20 for i in range(n)]
+    truth = {
+        "labels": data.draw(st.lists(_LABELS, min_size=n, max_size=n)),
+        "none": [None] * n,
+        "pairless": list(range(n)),
+    }[truth_kind]
+    ds = Dataset(
+        products=[
+            RawProduct(pid, " ".join(words), i, label)
+            for i, (pid, words, label) in enumerate(zip(ids, word_lists, truth))
+        ]
+    )
+    truth_pairs = None if truth_kind == "none" else pairs_from_assignment(dict(zip(ids, truth)))
+    index = build_index(ds, with_combinations=False)
+    for metric in ("cs", "cs-idf", "j", "j-idf"):
+        swept = pairwise_sweep(index, metric, taus)
+        rows = run_baseline(ds, metric, taus)
+        assert [row["params"]["tau"] for row in rows] == taus
+        for row in rows:
+            pairs = swept[row["params"]["tau"]]
+            expected = {"precision": None, "recall": None, "f1": None}
+            if truth_pairs:
+                expected = prf1(pairs, truth_pairs)
+            expected["predicted_pairs"] = len(pairs)
+            expected["truth_pairs"] = None if truth_pairs is None else len(truth_pairs)
+            assert {key: row[key] for key in expected} == expected, (metric, row)
+            assert list(row) == _BASELINE_ROW_KEYS
+
+
+def _traced(call):
+    """call()'s result and the peak of the memory it allocated."""
     tracemalloc.start()
     try:
-        (row,) = pair_set_scores([predicted], ids, truth)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
-    big, small = 15_000, 5_000
-    n_truth = big * (big - 1) // 2 + small * (small - 1) // 2
-    assert (row["predicted_pairs"], row["truth_pairs"]) == (4, n_truth)
-    assert (row["precision"], row["recall"]) == (3 / 4, 3 / n_truth)
+
+
+def test_baseline_one_truth_cluster_in_bounded_memory():
+    """A baseline's few pairs against one 800-product truth cluster: listing
+    its 319 600 truth pairs as a set of tuples would take over 30 MB."""
+    n = 800
+    # products 2m and 2m + 1 share the token x{m}: cs 0.5
+    ds = Dataset(products=[RawProduct(i, f"t{i} x{i // 2}", i, 7) for i in range(n)])
+    rows, peak = _traced(lambda: run_baseline(ds, "cs", [0.3, 0.6]))
+    assert peak < 4 * 2**20
+    n_truth = n * (n - 1) // 2
+    assert [(row["predicted_pairs"], row["truth_pairs"]) for row in rows] == [
+        (n // 2, n_truth),
+        (0, n_truth),
+    ]
+    assert (rows[0]["precision"], rows[0]["recall"]) == (1.0, (n // 2) / n_truth)
+    assert (rows[1]["precision"], rows[1]["recall"], rows[1]["f1"]) == (0.0, 0.0, 0.0)
+
+
+def test_baseline_sweep_where_most_pairs_match_in_bounded_memory():
+    """All 179 700 pairs of 600 titles sharing one token clear 0.3; they
+    are counted, not held. Keeping each threshold's pair set peaked at
+    21.6 MB; counting them peaks at 0.245 MB (Python 3.11)."""
+    n = 600
+    products = [RawProduct(10 + 3 * i, f"common a{i}", i % 5, i % 7) for i in range(n)]
+    # the unit lexicon loads on a first call; keep it out of the peak
+    run_baseline(Dataset(products=products[:2]), "cs", [0.3])
+    rows, peak = _traced(lambda: run_baseline(Dataset(products=products), "cs", [0.3]))
+    assert peak < 258_000
+    assert rows[0]["predicted_pairs"] == n * (n - 1) // 2
 
 
 def test_evaluate_one_giant_cluster_in_bounded_memory():

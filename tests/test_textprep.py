@@ -98,6 +98,14 @@ def test_hyphen_compound_kept_and_parts_appended():
 
 def test_numeric_separators_survive():
     assert normalize_title("intel 3.2GHz, 12,5 kg.") == ["intel", "3.2ghz", "12,5", "kg"]
+    assert normalize_title("3.5 inch 1,000 a.b") == ["3.5", "inch", "1,000", "a", "b"]
+    # a text with only one of the two separators
+    assert normalize_title("3.5 inch a.b") == ["3.5", "inch", "a", "b"]
+    assert normalize_title("1,000 pcs,") == ["1,000", "pcs"]
+
+
+def test_title_without_separator():
+    assert normalize_title("Acme KX1 mixer-pro") == ["acme", "kx1", "mixer-pro", "mixer", "pro"]
 
 
 def test_all_punctuation_title_is_error():
