@@ -87,10 +87,9 @@ def jaccard_idf(t: frozenset, t2: frozenset, idf: Sequence[float]) -> float:
     return _similarity(_jaccard, t, t2, _idf_weight(idf))
 
 
-def _matches(index: ProductIndex, metric: str, taus: Sequence[float]) -> Iterator[tuple]:
-    """(i, j, t) for each product pair i < j whose similarity exceeds the
-    first t > 0 of the ascending thresholds, stopping at the first it fails
-    to exceed, from a single pass over all pairs."""
+def _sweep_taus(metric: str, taus: Sequence[float]) -> List[float]:
+    """The thresholds as floats, once the metric and the thresholds are
+    checked; callers check before they analyze or index anything."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     taus = [float(t) for t in taus]
@@ -98,7 +97,16 @@ def _matches(index: ProductIndex, metric: str, taus: Sequence[float]) -> Iterato
         raise ValueError(f"thresholds must lie in (0, 1): {taus}")
     if sorted(taus) != taus:
         raise ValueError("thresholds must be ascending")
-    taus.append(math.inf)  # no similarity exceeds it, so each scan below stops there
+    return taus
+
+
+def _matches(index: ProductIndex, metric: str, taus: List[float]) -> Iterator[tuple]:
+    """(i, j, t) for each product pair i < j whose similarity exceeds the
+    first t > 0 of the ascending thresholds, stopping at the first it fails
+    to exceed, from a single pass over all pairs. metric and taus are
+    _sweep_taus's."""
+    # no similarity exceeds inf, so each scan below stops there
+    taus = taus + [math.inf]
     weight = _idf_weight(index.idf.tolist()) if metric in ("cs-idf", "j-idf") else len
     expr = _cosine if metric in ("cs", "cs-idf") else _jaccard
     n = len(index.forward)
@@ -124,7 +132,7 @@ def pairwise_sweep(
 ) -> Dict[float, MatchSet]:
     """Evaluate all pairs once and bucket matches for several ascending
     thresholds: each threshold's set of product-ID pairs."""
-    taus = [float(t) for t in taus]
+    taus = _sweep_taus(metric, taus)
     out: List[MatchSet] = [set() for _ in taus]
     pids = index.forward.product_ids
     for i, j, t in _matches(index, metric, taus):

@@ -10,7 +10,9 @@ member token IDs sorted ascending and joined by single spaces in decimal.
 Equal token multisets therefore hash identically regardless of token order.
 The index groups records by the exact sorted-ID key and stores no hash.
 Signatures serve only scoring's last tie-break, which hashes the still-tied
-keys of one product with signature_rows when the tie occurs.
+keys of one product with signature_rows when the tie occurs. Such ties are
+rare and hold a few keys, so signature_rows is a plain loop over each key's
+bytes, faster than a numpy kernel below a few hundred rows.
 """
 
 from __future__ import annotations
@@ -24,11 +26,7 @@ import numpy as np
 # FNV-1a, 64-bit. Fixed constants; no seed.
 FNV_OFFSET_BASIS = 14695981039346656037
 FNV_PRIME = 1099511628211
-
-_FNV_OFFSET_NP = np.uint64(FNV_OFFSET_BASIS)
-_FNV_PRIME_NP = np.uint64(FNV_PRIME)
-_SPACE_NP = np.uint64(32)
-_POW10 = np.array([10**e for e in range(19)], dtype=np.int64)
+_U64_MASK = 2**64 - 1
 
 
 def count_combinations(l_t: int, K: int) -> int:
@@ -77,34 +75,17 @@ def pattern_distances(l: int, k: int) -> np.ndarray:
     return d
 
 
-def _fnv_mix_decimal(h: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Advance row hashes over the decimal digits of vals (per row)."""
-    ndig = np.maximum(np.searchsorted(_POW10, vals, side="right"), 1)
-    for length in range(1, int(ndig.max(initial=1)) + 1):
-        mask = ndig == length
-        if not mask.any():
-            continue
-        v = vals[mask]
-        hh = h[mask]
-        for e in range(length - 1, -1, -1):
-            digit = ((v // _POW10[e]) % 10).astype(np.uint64) + np.uint64(48)
-            hh = (hh ^ digit) * _FNV_PRIME_NP
-        h[mask] = hh
-    return h
-
-
 def signature_rows(sorted_ids: np.ndarray) -> np.ndarray:
-    """Vectorized FNV-1a signatures for rows of ascending token IDs.
+    """uint64 FNV-1a signatures of the rows of a 2-D array of ascending token IDs.
 
     Row r hashes the ASCII bytes of its canonical key,
-    " ".join(str(i) for i in sorted_ids[r]), one decimal digit at a time.
+    " ".join(str(i) for i in sorted_ids[r]), in a plain loop: the tie-break
+    hashes a few rows at a time, too few for numpy's fixed cost to pay off.
     """
-    n, k = sorted_ids.shape
-    h = np.full(n, _FNV_OFFSET_NP, dtype=np.uint64)
-    # uint64 FNV multiplication wraps modulo 2^64 by design
-    with np.errstate(over="ignore"):
-        for j in range(k):
-            if j:
-                h = (h ^ _SPACE_NP) * _FNV_PRIME_NP
-            h = _fnv_mix_decimal(h, sorted_ids[:, j])
-    return h
+    out = np.empty(len(sorted_ids), dtype=np.uint64)
+    for r, row in enumerate(sorted_ids.tolist()):
+        h = FNV_OFFSET_BASIS
+        for byte in " ".join(map(str, row)).encode("ascii"):
+            h = ((h ^ byte) * FNV_PRIME) & _U64_MASK
+        out[r] = h
+    return out

@@ -273,6 +273,13 @@ class ProductIndex:
         return frozenset(self.forward.tokens_of(p).tolist())
 
 
+def _check_k(k) -> None:
+    """The combination cap is None (resolved from the titles) or an integer
+    >= 2; a bool or a float is not taken for one."""
+    if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 2):
+        raise ValueError(f"k must be None or an integer >= 2, got {k!r}")
+
+
 def resolve_k(avg_title_len: float) -> int:
     """Default combination size cap: half the average title length."""
     # combinations need k >= 2, so very short corpora are clamped
@@ -569,6 +576,7 @@ def build_index(
     """
     if distance_mode not in DISTANCE_MODES:
         raise ValueError(f"unknown distance mode {distance_mode!r}")
+    _check_k(k)
     product_ids = [p.product_id for p in dataset.products]
     vendor_ids = [p.vendor_id for p in dataset.products]
     # the loops below only name the offender
@@ -586,8 +594,6 @@ def build_index(
     if analyzed is None:
         analyzed = analyze_dataset(dataset)
     k_resolved = resolve_k(analyzed.mean_length) if k is None else int(k)
-    if k_resolved < 2:
-        raise ValueError(f"K must be >= 2, got {k_resolved}")
 
     corpus = analyzed.clip(variant, k_resolved)
     tok_flat = corpus.tok_flat

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from .baseline import _matches
+from .baseline import _matches, _sweep_taus
 from .evaluation import _count_scores, _label_pairs, cluster_size_histogram, pair_scores
 from .index import ProductIndex, analyze_dataset, build_index
 from .ingest import CLUSTERS_HEADER, Dataset, MatchSet, truth_labels
@@ -125,6 +125,7 @@ def run_baseline(
     dataset_path: str = "",
 ) -> List[dict]:
     """Run one pairwise baseline over one or more thresholds."""
+    taus = _sweep_taus(metric, taus)
     timings: Dict[str, float] = {}
     start = time.perf_counter()
     index, truth, block = _front_half(

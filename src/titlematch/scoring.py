@@ -45,7 +45,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .combinatorics import count_combinations, drop_patterns, position_patterns, signature_rows
-from .index import DISTANCE_MODES, CombinationLexicon, ProductIndex
+from .index import DISTANCE_MODES, CombinationLexicon, ProductIndex, _check_k
 from .textprep import Semantics
 
 VARIANTS = ("upm", "upm+")
@@ -70,17 +70,20 @@ class ScoringConfig:
             raise ValueError(f"alpha must be a finite number > 0, got {self.alpha}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must be in [0, 1], got {self.tau}")
+        _check_tau(self.tau)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.distance_mode not in DISTANCE_MODES:
             raise ValueError(f"unknown distance mode {self.distance_mode!r}")
         if self.verify_metric not in VERIFY_METRICS:
             raise ValueError(f"unknown verify metric {self.verify_metric!r}")
-        k = self.k
-        if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 2):
-            raise ValueError(f"k must be None or an integer >= 2, got {k!r}")
+        _check_k(self.k)
+
+
+def _check_tau(tau: float) -> None:
+    """Verification's migration threshold lies in [0, 1]; NaN does not."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .baseline import cs, cs_idf
 from .index import ProductIndex, _ranges
-from .scoring import VERIFY_METRICS, ClusterUniverse
+from .scoring import VERIFY_METRICS, ClusterUniverse, _check_tau
 
 
 def product_similarity(index: ProductIndex, p: int, pi: int, metric: str = "cs") -> float:
@@ -65,8 +65,6 @@ class PostingScorer:
     """
 
     def __init__(self, index: ProductIndex, products: np.ndarray, metric: str) -> None:
-        if metric not in VERIFY_METRICS:
-            raise ValueError(f"unknown verify metric {metric!r}")
         offsets = index.forward.tok_offsets
         n_slots, n_tokens = len(products), len(index.tokens)
         lens = offsets[products + 1] - offsets[products]
@@ -146,6 +144,7 @@ def verify_universe(
     """
     if metric not in VERIFY_METRICS:
         raise ValueError(f"unknown verify metric {metric!r}")
+    _check_tau(tau)
     groups = _violating_groups(universe)
     if not groups:
         return universe
@@ -166,8 +165,6 @@ def verify_universe(
     # cluster index of each slot, -1 while it has founded nothing
     slot_ci = np.full(len(scorer), -1, dtype=np.int64)
     slot_ci[:n_init] = np.arange(n_init)
-    # a zero score never wins, whatever tau is
-    floor = max(tau, 0.0)
     # a (cluster, vendor) pair is cluster * n_vendors + the vendor's code
     vendors, code = np.unique(universe.vendor, return_inverse=True)
     n_vendors = len(vendors)
@@ -175,7 +172,7 @@ def verify_universe(
     founded: List[int] = []
     for own, p in enumerate(plan, n_init):
         vendor = int(code[p])
-        slots, sims = scorer.score(own, floor)
+        slots, sims = scorer.score(own, tau)
         cand = slot_ci[slots]
         live = cand >= 0
         cand, sims = cand[live], sims[live]

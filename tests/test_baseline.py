@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from titlematch.baseline import cs, cs_idf, jaccard, jaccard_idf, pairwise_match, pairwise_sweep
 from titlematch.index import build_index
 from titlematch.ingest import Dataset, RawProduct
+from titlematch.pipeline import run_baseline
 from titlematch.synth import planted_dataset
 from titlematch.verify import product_similarity
 
@@ -265,6 +266,20 @@ def test_invalid_inputs_rejected():
         pairwise_match(idx, "cs", 1.0)
     with pytest.raises(ValueError):
         pairwise_sweep(idx, "cs", [0.5, 0.3])
+
+
+def test_run_baseline_checks_before_analyzing():
+    # "!!!" normalizes to nothing, which analysis would report first
+    ds = tiny_dataset(["aa bb", "!!!"])
+    with pytest.raises(ValueError, match="^product 2: title normalizes to zero tokens"):
+        run_baseline(ds, "cs", [0.4])
+    for metric, taus, message in (
+        ("cs", [1.5], r"^thresholds must lie in \(0, 1\): \[1.5\]$"),
+        ("nope", [0.4], "^unknown metric 'nope'"),
+        ("cs", [0.7, 0.3], "^thresholds must be ascending$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_baseline(ds, metric, taus)
 
 
 _sets = st.sets(st.integers(min_value=0, max_value=30), min_size=1, max_size=10)

@@ -144,6 +144,20 @@ def test_signature_rows_matches_scalar():
             vec = signature_rows(ids)
             for row, value in zip(ids.tolist(), vec.tolist()):
                 assert signature(row).value == value
+    # int64 keys of every width from 11 to 19 digits, up to the int64 maximum
+    wide = [10**w for w in range(10, 19)] + [10**w - 1 for w in range(11, 19)] + [2**63 - 1]
+    wide = np.concatenate([wide, rng.integers(10**10, 2**63 - 1, size=100, dtype=np.int64)])
+    assert sorted({len(str(v)) for v in wide.tolist()}) == list(range(11, 20))
+    for k in (1, 2, 4):
+        ids = wide[:, None] if k == 1 else np.sort(rng.choice(wide, size=(200, k)), axis=1)
+        vec = signature_rows(ids.astype(np.int64))
+        assert vec.dtype == np.uint64
+        for row, value in zip(ids.tolist(), vec.tolist()):
+            assert signature(row).value == value
+    # no rows, no signatures
+    for k in (1, 3):
+        empty = signature_rows(np.empty((0, k), dtype=np.int64))
+        assert empty.dtype == np.uint64 and empty.shape == (0,)
 
 
 def test_pattern_distance_is_squared_offset_gap():

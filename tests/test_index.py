@@ -24,6 +24,7 @@ from titlematch.combinatorics import (
 from titlematch.index import analyze_dataset, build_index, resolve_k
 from titlematch.ingest import Dataset, RawProduct
 from titlematch.pipeline import run_match
+from titlematch.scoring import ScoringConfig
 from titlematch.synth import efficiency_dataset, long_title_dataset, planted_dataset
 from titlematch.textprep import AnalyzedTitle, UnitLexicon, analyze_title
 
@@ -205,6 +206,16 @@ def test_k_resolution():
     analyzed = analyze_dataset(ds)
     analyzed_avg = sum(t.length for t in analyzed) / len(analyzed)
     assert idx.k == max(2, int(analyzed_avg / 2))
+
+
+def test_build_index_takes_the_configs_k_rule():
+    ds = planted_dataset(n_clusters=4, n_vendors=3, seed=8)
+    for bad_k in (3.9, True, 1):
+        with pytest.raises(ValueError, match=f"^k must be None or an integer >= 2, got {bad_k!r}$"):
+            build_index(ds, k=bad_k)
+        with pytest.raises(ValueError, match=f"^k must be None or an integer >= 2, got {bad_k!r}$"):
+            ScoringConfig(k=bad_k)
+    assert build_index(ds, k=np.int64(3)).k == 3
 
 
 def test_variant_truncates_titles():

@@ -105,6 +105,17 @@ def test_unknown_metric_rejected():
         verify_universe(universe, idx, metric="dice")
 
 
+def test_tau_outside_unit_interval_rejected():
+    # the vendor-0 pair violates, so a bad tau would otherwise reach migration
+    idx, universe = built(["aa bb cc", "aa bb cc", "aa bb dd"], [0, 0, 1])
+    assert scan_violators(universe)
+    for tau in (float("nan"), -0.1, 1.5):
+        with pytest.raises(ValueError, match=f"^tau must be in \\[0, 1\\], got {tau}$"):
+            verify_universe(copy.deepcopy(universe), idx, tau=tau)
+        with pytest.raises(ValueError, match=f"^tau must be in \\[0, 1\\], got {tau}$"):
+            ScoringConfig(tau=tau)
+
+
 WORDS = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel", "india"]
 
 
